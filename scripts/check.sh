@@ -151,7 +151,23 @@ cmp build/check_fleet/fleet.json build/check_fleet/local.json || {
   echo "check.sh: fleet stable-json differs from the single-process run"
   exit 1; }
 
-# 9. ASan/UBSan configuration (trace subsystem, parallel driver, the
+# 9. Repository benchmark self-checks: one short traced fig7 run. perfbench
+#    checks every verdict against the corpus, that derivations replay, and
+#    that its deterministic counts repeat across rounds; any failed check
+#    shows up as "correct": false or a non-zero error_rate on the result
+#    line (the last line of its output).
+python3 perfbench/run.py --workload fig7 --seed 1 --seconds 2 --trace 1 \
+    > build/check_bench.out
+tail -n 1 build/check_bench.out | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+rate = r["metrics"]["error_rate"]["value"]
+if r["correct"] is not True or rate != 0:
+    sys.exit("check.sh: perfbench fig7 self-checks failed: correct=%s "
+             "error_rate=%s" % (r["correct"], rate))
+'
+
+# 10. ASan/UBSan configuration (trace subsystem, parallel driver, the
 #    result store's deserializer, the daemon, and the LSP framing layer are
 #    the main customers: data races on buffers, lifetime of cached
 #    pointers, attacker-controlled cache and frame bytes, revision/session
@@ -168,7 +184,7 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   # The sanitized LSP smoke drives the whole daemon/LSP stack end to end.
   scripts/lsp_smoke.sh ./build-asan/examples/rcc-lsp
 
-  # 9. TSan configuration for the racing portfolio: the first-win
+  # 11. TSan configuration for the racing portfolio: the first-win
   #    cancellation plumbing (shared tokens, pool reuse across races, the
   #    cancellation stress test, concurrent races on copied solvers) is the
   #    code most exposed to data races, and TSan also reports any leaked

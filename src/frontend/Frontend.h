@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace rcc::front {
 
@@ -74,6 +75,9 @@ struct AnnotatedProgram {
   std::vector<CTypedef> Typedefs;
   std::map<std::string, GlobalInfo> Globals;
   std::string Source;
+  /// rcc::lineStarts(Source), recorded once so diagnostic ranges resolve a
+  /// line without rescanning the source.
+  std::vector<size_t> LineStarts;
 
   const StructInfo *structInfo(const std::string &Name) const {
     auto It = Structs.find(Name);

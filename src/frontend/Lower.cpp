@@ -16,6 +16,7 @@
 
 #include "frontend/Frontend.h"
 #include "frontend/Parser.h"
+#include "support/Util.h"
 #include "trace/Trace.h"
 
 using namespace rcc::front;
@@ -997,6 +998,7 @@ std::unique_ptr<AnnotatedProgram> Lowerer::run(CTranslationUnit &TU,
   auto Result = std::make_unique<AnnotatedProgram>();
   AP = Result.get();
   AP->Source = std::move(Source);
+  AP->LineStarts = rcc::lineStarts(AP->Source);
 
   // Struct layouts first (in declaration order; nested structs must be
   // declared before use, as in C).

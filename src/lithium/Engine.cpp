@@ -544,7 +544,7 @@ bool Engine::popValAtom(TermRef V, ResAtom &Out, rcc::SourceLoc Loc) {
       continue;
     Out = Delta[I];
     Delta.erase(Delta.begin() + I);
-    record({DerivStep::AtomMatch, "pop-val", Out.str(), nullptr, {}, false});
+    record(DerivStep::AtomMatch, "pop-val");
     if (CtSubsumePop)
       CtSubsumePop->add(1);
     return true;
@@ -585,8 +585,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         else
           A.Ty = Ty;
         pushAtom(std::move(A)); // normalization splits struct/padded
-        record({DerivStep::RuleApp, "unfold-named", Ty->str(), nullptr, {},
-                false});
+        record(DerivStep::RuleApp, "unfold-named");
         Reshaped = true;
         break;
       }
@@ -604,15 +603,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
             TermRef Need = mkLe(SzT, N);
             pure::SolveResult SR = Solver.prove(Gamma, Need, Evars);
             if (SR.Proved) {
-              std::vector<TermRef> RHyps;
-              for (TermRef H : Gamma)
-                RHyps.push_back(Evars.resolve(H));
-              record({DerivStep::SideCond, SR.Engine, Need->str(),
-                      Evars.resolve(Need), std::move(RHyps), SR.Manual});
-              if (SR.Manual)
-                ++Stats.SideCondManual;
-              else
-                ++Stats.SideCondAuto;
+              recordSideCond(Need, SR);
               bool IsAny = Ty->K == refinedc::TypeKind::Any;
               TermRef Rest = Solver.simplifier().simplify(
                   Evars.resolve(mkSub(N, SzT)));
@@ -622,8 +613,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
                   IsAny ? refinedc::tyAny(Rest) : refinedc::tyUninit(Rest)));
               Out = refinedc::ResAtom::loc(
                   L, IsAny ? refinedc::tyAny(SzT) : refinedc::tyUninit(SzT));
-              record({DerivStep::AtomMatch, "pop-loc-split", Out.str(),
-                      nullptr, {}, false});
+              record(DerivStep::AtomMatch, "pop-loc-split");
               if (CtSubsumePop)
                 CtSubsumePop->add(1);
               return true;
@@ -635,8 +625,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
       Out.Subject = L;
       Out.Ty = Ty;
       Delta.erase(Delta.begin() + I);
-      record(
-          {DerivStep::AtomMatch, "pop-loc", Out.str(), nullptr, {}, false});
+      record(DerivStep::AtomMatch, "pop-loc");
       if (CtSubsumePop)
         CtSubsumePop->add(1);
       return true;
@@ -672,15 +661,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         pure::SolveResult SR = Solver.prove(Gamma, Need, Evars);
         if (!SR.Proved)
           continue;
-        std::vector<TermRef> RHyps;
-        for (TermRef H : Gamma)
-          RHyps.push_back(Evars.resolve(H));
-        record({DerivStep::SideCond, SR.Engine, Need->str(),
-                Evars.resolve(Need), std::move(RHyps), SR.Manual});
-        if (SR.Manual)
-          ++Stats.SideCondManual;
-        else
-          ++Stats.SideCondAuto;
+        recordSideCond(Need, SR);
         // Split into [lead][target][rest].
         bool IsAny = Ty->K == TypeKind::Any;
         auto Piece = [&](TermRef Sz) {
@@ -717,8 +698,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         ResAtom N = A;
         N.Ty = unfoldNamed(*Ty);
         pushAtom(std::move(N));
-        record({DerivStep::RuleApp, "unfold-named", Ty->str(), nullptr, {},
-                false});
+        record(DerivStep::RuleApp, "unfold-named");
         Focused = true;
         break;
       }
@@ -733,8 +713,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         Delta.push_back(ResAtom::loc(
             A.Subject, tyValueOf(Pointee, mkNat(caesium::PtrBytes))));
       pushAtom(ResAtom::loc(Pointee, Ty->Children[0]));
-      record({DerivStep::RuleApp, "focus-own", Pointee->str(), nullptr, {},
-              false});
+      record(DerivStep::RuleApp, "focus-own");
       Focused = true;
     }
     if (Focused)
@@ -754,8 +733,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         // The value IS the pointer; its pointee ownership becomes a loc atom.
         Delta.erase(Delta.begin() + I);
         pushAtom(ResAtom::loc(Base, Ty->Children[0]));
-        record({DerivStep::RuleApp, "focus-own-val", Base->str(), nullptr,
-                {}, false});
+        record(DerivStep::RuleApp, "focus-own-val");
         Chased = true;
         break;
       }
@@ -772,6 +750,21 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
   return false;
 }
 
+void Engine::recordSideCond(TermRef Phi, const pure::SolveResult &R) {
+  if (R.Manual)
+    ++Stats.SideCondManual;
+  else
+    ++Stats.SideCondAuto;
+  if (!Deriv)
+    return;
+  DerivStep S{DerivStep::SideCond, R.Engine, Evars.resolve(Phi), {},
+              R.Manual};
+  S.Hyps.reserve(Gamma.size());
+  for (TermRef H : Gamma)
+    S.Hyps.push_back(Evars.resolve(H));
+  Deriv->Steps.push_back(std::move(S));
+}
+
 bool Engine::flushPending(bool Final) {
   for (size_t I = 0; I < Pending.size();) {
     auto [Phi, Loc] = Pending[I];
@@ -782,22 +775,12 @@ bool Engine::flushPending(bool Final) {
     }
     pure::SolveResult R = Solver.prove(Gamma, Phi, Evars);
     if (R.Proved) {
-      std::vector<TermRef> RHyps;
-      for (TermRef H : Gamma)
-        RHyps.push_back(Evars.resolve(H));
-      TermRef RProp = Evars.resolve(Phi);
-      record({DerivStep::SideCond, R.Engine, RProp->str(), RProp,
-              std::move(RHyps), R.Manual});
-      if (R.Manual)
-        ++Stats.SideCondManual;
-      else
-        ++Stats.SideCondAuto;
+      recordSideCond(Phi, R);
       Pending.erase(Pending.begin() + I);
       continue;
     }
     if (Ground || Final) {
-      record({DerivStep::SideCond, "failed", Evars.resolve(Phi)->str(),
-              nullptr, {}, false});
+      record(DerivStep::SideCond, "failed", Evars.resolve(Phi));
       fail("Cannot prove side condition!\nGoal: " + resolve(Phi)->str(), Loc);
       return false;
     }
@@ -812,29 +795,15 @@ bool Engine::solveSideCond(TermRef Phi, rcc::SourceLoc Loc) {
     // Postpone conditions that still mention unbound evars: the evars are
     // typically determined by the subsumptions that follow (Section 5).
     if (containsEVar(Evars.resolve(Phi))) {
-      record({DerivStep::Intro, "postpone", Evars.resolve(Phi)->str(),
-              nullptr, {}, false});
+      record(DerivStep::Intro, "postpone", Evars.resolve(Phi));
       Pending.push_back({Phi, Loc});
       return true;
     }
-    record({DerivStep::SideCond, "failed", Evars.resolve(Phi)->str(), nullptr,
-            {}, false});
+    record(DerivStep::SideCond, "failed", Evars.resolve(Phi));
     fail("Cannot prove side condition!\nGoal: " + resolve(Phi)->str(), Loc);
     return false;
   }
-  // Record the *resolved* proposition and hypotheses so the proof checker
-  // can replay the step without the (since-instantiated) evars.
-  std::vector<TermRef> RHyps;
-  RHyps.reserve(Gamma.size());
-  for (TermRef H : Gamma)
-    RHyps.push_back(Evars.resolve(H));
-  TermRef RProp = Evars.resolve(Phi);
-  record({DerivStep::SideCond, R.Engine, RProp->str(), RProp,
-          std::move(RHyps), R.Manual});
-  if (R.Manual)
-    ++Stats.SideCondManual;
-  else
-    ++Stats.SideCondAuto;
+  recordSideCond(Phi, R);
   // Solving may have instantiated evars; postponed conditions may now be
   // ground (and must then hold).
   return flushPending(/*Final=*/false);
@@ -974,7 +943,7 @@ bool Engine::prove(GoalRef G) {
       }
       ++Stats.RuleApps;
       Stats.RulesUsed.insert(R->Name);
-      record({DerivStep::RuleApp, R->Name, G->J->str(), nullptr, {}, false});
+      record(DerivStep::RuleApp, R->Name);
       GoalRef Next;
       {
         trace::Span RuleSpan(trace::Category::Rule, R->Name);
@@ -1018,8 +987,7 @@ bool Engine::proveStar(const ResList &H, GoalRef Next, GoalRef &Out) {
     if (Ty->K == refinedc::TypeKind::Wand) {
       ResAtom Hole = ResAtom::loc(Ty->WandLoc, Ty->Children[1]);
       ResAtom Result = ResAtom::loc(A.Subject, Ty->Children[0]);
-      record({DerivStep::RuleApp, "WAND-INTRO-GOAL", A.str(), nullptr, {},
-              false});
+      record(DerivStep::RuleApp, "WAND-INTRO-GOAL");
       Out = gWand({Hole}, gStar({Result}, Cont));
       return true;
     }

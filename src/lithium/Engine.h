@@ -39,6 +39,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -216,13 +217,14 @@ private:
 };
 
 /// One recorded proof step, for statistics and for replay by the proof
-/// checker.
+/// checker. A step holds the rule choice and the terms only; nothing is
+/// rendered during search (messages render Prop on demand).
 struct DerivStep {
   enum SKind : uint8_t { RuleApp, SideCond, AtomMatch, Intro } K;
-  std::string Rule;   ///< rule name / solver engine
-  std::string Text;   ///< rendered judgment / side condition
-  pure::TermRef Prop = nullptr; ///< for SideCond: the proposition proved
-  std::vector<pure::TermRef> Hyps; ///< for SideCond: Γ at that point
+  std::string Rule;   ///< rule name / solver engine / "failed" / "postpone"
+  /// SideCond (proved or failed) and postpone: the resolved proposition.
+  pure::TermRef Prop = nullptr;
+  std::vector<pure::TermRef> Hyps; ///< proved SideCond: resolved Γ
   bool Manual = false;
 };
 
@@ -355,10 +357,17 @@ public:
   /// Renders Γ and Δ (for error messages, per Section 2.1's example).
   std::vector<std::string> renderContext() const;
 
-  void record(DerivStep S) {
+  /// Records a step that carries no hypotheses; side conditions that were
+  /// proved go through recordSideCond.
+  void record(DerivStep::SKind K, std::string_view Rule,
+              TermRef Prop = nullptr) {
     if (Deriv)
-      Deriv->Steps.push_back(std::move(S));
+      Deriv->Steps.push_back({K, std::string(Rule), Prop, {}, false});
   }
+  /// Counts a proved side condition as automatic or manual and records it
+  /// with its *resolved* proposition and hypotheses, so the proof checker
+  /// can replay it without the (since-instantiated) evars.
+  void recordSideCond(TermRef Phi, const pure::SolveResult &R);
 
 private:
   bool proveStar(const ResList &H, GoalRef Next, GoalRef &Out);

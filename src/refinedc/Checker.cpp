@@ -415,7 +415,8 @@ FnResult Checker::verifyFunction(const std::string &Name,
       auto It = AP.Fns.find(R.Name);
       const front::FnInfo *FI = It != AP.Fns.end() ? &It->second : nullptr;
       if (R.ErrorLoc.isValid()) {
-        rcc::SourceRange Rng = tokenRangeAt(AP.Source, R.ErrorLoc);
+        rcc::SourceRange Rng =
+            tokenRangeAt(AP.Source, AP.LineStarts, R.ErrorLoc);
         D.Loc = Rng.Begin;
         D.End = Rng.End;
       } else if (FI && FI->NameRange.isValid()) {
@@ -481,7 +482,7 @@ FnResult Checker::verifyFunction(const std::string &Name,
   // function comes from these slabs and is released wholesale on return.
   // Declared before the engines and the verify context so it outlives every
   // GoalRef built below (nothing goal-shaped escapes into Res, which holds
-  // only stats, diagnostics and the derivation's rendered steps).
+  // only stats, diagnostics and the derivation's rule names and terms).
   lithium::GoalPool Pool;
   lithium::GoalPoolScope PoolScope(Pool);
 
@@ -840,12 +841,14 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   if (HaveUntrusted && Opts.Recheck)
     EffOpts.CollectDerivation = true;
 
-  // Content hashes are computed up front, serially: this forces the lazy
-  // environment fingerprint before any job runs and keeps the hashing
-  // out of the parallel section's hot path.
+  // Content hashes key the store only, so a run without one skips them.
+  // They are computed up front, serially: this forces the lazy environment
+  // fingerprint before any job runs and keeps the hashing out of the
+  // parallel section's hot path.
   std::vector<uint64_t> Hashes(Names.size());
-  for (size_t I = 0; I < Names.size(); ++I)
-    Hashes[I] = fnContentHash(Names[I], EffOpts);
+  if (UseStore)
+    for (size_t I = 0; I < Names.size(); ++I)
+      Hashes[I] = fnContentHash(Names[I], EffOpts);
 
   PR.Fns.resize(Names.size());
   constexpr size_t kMiss = ~static_cast<size_t>(0);

@@ -45,7 +45,8 @@ ProofCheckResult ProofChecker::check(const Derivation &D,
       break;
     case DerivStep::SideCond: {
       if (S.Rule == "failed") {
-        R.Error = "derivation contains a failed side condition: " + S.Text;
+        R.Error = "derivation contains a failed side condition: " +
+                  (S.Prop ? S.Prop->str() : std::string("?"));
         return R;
       }
       if (!S.Prop)
@@ -53,7 +54,7 @@ ProofCheckResult ProofChecker::check(const Derivation &D,
       pure::EvarEnv Env; // evars in recorded props are already resolved
       pure::SolveResult SR = Solver.prove(S.Hyps, S.Prop, Env);
       if (!SR.Proved) {
-        R.Error = "side condition failed to re-check: " + S.Text;
+        R.Error = "side condition failed to re-check: " + S.Prop->str();
         return R;
       }
       ++R.SideConds;

@@ -168,16 +168,7 @@ bool addrOfValue(Engine &E, TermRef V, TypeRef T, TermRef &L,
     TermRef Phi = T->Refn ? T->Refn : mkTrue();
     pure::SolveResult SR = E.solver().prove(E.Gamma, Phi, E.evars());
     if (SR.Proved) {
-      if (SR.Manual)
-        ++E.stats().SideCondManual;
-      else
-        ++E.stats().SideCondAuto;
-      std::vector<TermRef> RHyps;
-      for (TermRef H : E.Gamma)
-        RHyps.push_back(E.evars().resolve(H));
-      E.record({lithium::DerivStep::SideCond, SR.Engine,
-                E.evars().resolve(Phi)->str(), E.evars().resolve(Phi),
-                std::move(RHyps), SR.Manual});
+      E.recordSideCond(Phi, SR);
       return addrOfValue(E, V, T->Children[0], L, Loc);
     }
     E.fail("dereference of a possibly-NULL pointer (type " + T->str() +
@@ -490,8 +481,7 @@ void registerExprRules(RuleRegistry &R) {
                // i-th element of the refinement list.
                ArrayHit Hit;
                if (XP->Ord == caesium::MemOrder::NonAtomic && findArrayElem(E, L, XP->AccessSize, Hit)) {
-                 E.record({lithium::DerivStep::RuleApp, "O-ARRAY-READ",
-                           L->str(), nullptr, {}, false});
+                 E.record(lithium::DerivStep::RuleApp, "O-ARRAY-READ");
                  ++E.stats().RuleApps;
                  E.stats().RulesUsed.insert("O-ARRAY-READ");
                  TermRef Xs = Hit.ArrTy->Refn;
@@ -544,8 +534,7 @@ void registerExprRules(RuleRegistry &R) {
                              XP->Loc);
                      return nullptr;
                    }
-                   E2.record({lithium::DerivStep::RuleApp, "O-ARRAY-WRITE",
-                              L->str(), nullptr, {}, false});
+                   E2.record(lithium::DerivStep::RuleApp, "O-ARRAY-WRITE");
                    ++E2.stats().RuleApps;
                    E2.stats().RulesUsed.insert("O-ARRAY-WRITE");
                    TermRef Xs = Hit.ArrTy->Refn;

@@ -78,16 +78,7 @@ bool rcc::refinedc::rules::trySideCond(Engine &E, TermRef Phi) {
   pure::SolveResult R = E.solver().prove(E.Gamma, Phi, E.evars());
   if (!R.Proved)
     return false;
-  if (R.Manual)
-    ++E.stats().SideCondManual;
-  else
-    ++E.stats().SideCondAuto;
-  std::vector<TermRef> RHyps;
-  for (TermRef H : E.Gamma)
-    RHyps.push_back(E.evars().resolve(H));
-  TermRef RProp = E.evars().resolve(Phi);
-  E.record({lithium::DerivStep::SideCond, R.Engine, RProp->str(), RProp,
-            std::move(RHyps), R.Manual});
+  E.recordSideCond(Phi, R);
   return true;
 }
 

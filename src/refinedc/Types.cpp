@@ -269,57 +269,51 @@ TypeRef rcc::refinedc::withRefn(TypeRef T, TermRef Refn) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// Maps a term transformer over all term positions of a type.
-template <typename Fn> TypeRef mapTypeTerms(TypeRef T, Fn &&F) {
-  auto N = std::make_shared<RType>(*T);
-  bool Changed = false;
-  auto Upd = [&](TermRef &Slot) {
-    if (!Slot)
-      return;
-    TermRef R = F(Slot);
-    if (R != Slot) {
-      Slot = R;
-      Changed = true;
+/// Maps \p F over the term positions of the node \p T and \p G over its
+/// child types (Children and the atoms' types). Copy-on-write: the node is
+/// copied only once a position changes, so an unchanged type, the common
+/// case during search, is returned as is without allocating.
+template <typename TermFn, typename TypeFn>
+TypeRef mapTypeNode(TypeRef T, TermFn &&F, TypeFn &&G) {
+  std::shared_ptr<RType> N;
+  auto Mut = [&]() -> RType & {
+    if (!N)
+      N = std::make_shared<RType>(*T);
+    return *N;
+  };
+  auto Slot = [&](TermRef RType::*P) {
+    if (TermRef Old = (*T).*P) {
+      TermRef R = F(Old);
+      if (R != Old)
+        Mut().*P = R;
     }
   };
-  Upd(N->Refn);
-  Upd(N->Size);
-  Upd(N->WandLoc);
-  for (TypeRef &C : N->Children) {
-    TypeRef R = mapTypeTerms(C, F);
-    if (R != C) {
-      C = R;
-      Changed = true;
-    }
+  Slot(&RType::Refn);
+  Slot(&RType::Size);
+  Slot(&RType::WandLoc);
+  for (size_t I = 0; I < T->Children.size(); ++I) {
+    TypeRef R = G(T->Children[I]);
+    if (R != T->Children[I])
+      Mut().Children[I] = R;
   }
-  auto UpdRes = [&](ResList &L) {
-    for (ResAtom &A : L) {
-      if (A.Subject) {
-        TermRef R = F(A.Subject);
-        if (R != A.Subject) {
-          A.Subject = R;
-          Changed = true;
-        }
-      }
-      if (A.Prop) {
-        TermRef R = F(A.Prop);
-        if (R != A.Prop) {
-          A.Prop = R;
-          Changed = true;
-        }
-      }
-      if (A.Ty) {
-        TypeRef R = mapTypeTerms(A.Ty, F);
-        if (R != A.Ty) {
-          A.Ty = R;
-          Changed = true;
-        }
+  auto Res = [&](ResList RType::*P) {
+    const ResList &L = (*T).*P;
+    for (size_t I = 0; I < L.size(); ++I) {
+      const ResAtom &A = L[I];
+      TermRef S = A.Subject ? F(A.Subject) : nullptr;
+      TermRef Pr = A.Prop ? F(A.Prop) : nullptr;
+      TypeRef Ty = A.Ty ? G(A.Ty) : nullptr;
+      if (S != A.Subject || Pr != A.Prop || Ty != A.Ty) {
+        ResAtom &M = (Mut().*P)[I];
+        M.Subject = S;
+        M.Prop = Pr;
+        M.Ty = Ty;
       }
     }
   };
-  UpdRes(N->HTrue);
-  UpdRes(N->HFalse);
-  return Changed ? TypeRef(N) : T;
+  Res(&RType::HTrue);
+  Res(&RType::HFalse);
+  return N ? TypeRef(std::move(N)) : T;
 }
 
 /// True if \p Name occurs free in any term position of \p T (respecting the
@@ -376,70 +370,30 @@ TypeRef rcc::refinedc::substTypeVar(TypeRef T, const std::string &Name,
                        Name, Repl);
       return N;
     }
+    TypeRef Body = substTypeVar(T->Children[0], Name, Repl);
+    if (Body == T->Children[0])
+      return T;
     auto N = std::make_shared<RType>(*T);
-    N->Children[0] = substTypeVar(T->Children[0], Name, Repl);
-    return N->Children[0] == T->Children[0] ? T : TypeRef(N);
+    N->Children[0] = std::move(Body);
+    return N;
   }
   if (T->K == TypeKind::Array && T->ElemBinder == Name) {
     // The element binder shadows inside the element pattern; other term
     // positions (Refn) still substitute.
+    TermRef Refn = T->Refn ? substVar(T->Refn, Name, Repl) : nullptr;
+    if (Refn == T->Refn)
+      return T;
     auto N = std::make_shared<RType>(*T);
-    N->Refn = T->Refn ? substVar(T->Refn, Name, Repl) : nullptr;
-    return N->Refn == T->Refn ? T : TypeRef(N);
+    N->Refn = Refn;
+    return N;
   }
 
   // All other nodes: substitute term slots here and recurse into children
   // through this function (so nested binders keep their shadowing and
   // capture-avoidance behavior).
-  auto N = std::make_shared<RType>(*T);
-  bool Changed = false;
-  auto Upd = [&](TermRef &Slot) {
-    if (!Slot)
-      return;
-    TermRef R = substVar(Slot, Name, Repl);
-    if (R != Slot) {
-      Slot = R;
-      Changed = true;
-    }
-  };
-  Upd(N->Refn);
-  Upd(N->Size);
-  Upd(N->WandLoc);
-  for (TypeRef &C : N->Children) {
-    TypeRef R = substTypeVar(C, Name, Repl);
-    if (R != C) {
-      C = R;
-      Changed = true;
-    }
-  }
-  auto UpdRes = [&](ResList &L) {
-    for (ResAtom &A : L) {
-      if (A.Subject) {
-        TermRef R = substVar(A.Subject, Name, Repl);
-        if (R != A.Subject) {
-          A.Subject = R;
-          Changed = true;
-        }
-      }
-      if (A.Prop) {
-        TermRef R = substVar(A.Prop, Name, Repl);
-        if (R != A.Prop) {
-          A.Prop = R;
-          Changed = true;
-        }
-      }
-      if (A.Ty) {
-        TypeRef R = substTypeVar(A.Ty, Name, Repl);
-        if (R != A.Ty) {
-          A.Ty = R;
-          Changed = true;
-        }
-      }
-    }
-  };
-  UpdRes(N->HTrue);
-  UpdRes(N->HFalse);
-  return Changed ? TypeRef(N) : T;
+  return mapTypeNode(
+      T, [&](TermRef X) { return substVar(X, Name, Repl); },
+      [&](TypeRef C) { return substTypeVar(C, Name, Repl); });
 }
 
 ResList rcc::refinedc::substResVar(const ResList &H, const std::string &Name,
@@ -459,7 +413,9 @@ ResList rcc::refinedc::substResVar(const ResList &H, const std::string &Name,
 }
 
 TypeRef rcc::refinedc::resolveType(TypeRef T, const pure::EvarEnv &Env) {
-  return mapTypeTerms(T, [&](TermRef X) { return Env.resolve(X); });
+  return mapTypeNode(
+      T, [&](TermRef X) { return Env.resolve(X); },
+      [&](TypeRef C) { return resolveType(C, Env); });
 }
 
 bool rcc::refinedc::typeEqual(TypeRef A, TypeRef B) {

@@ -277,7 +277,6 @@ std::string rcc::store::serializeFnResult(const FnResult &R) {
   for (const DerivStep &S : R.Deriv.Steps) {
     Body.u8(static_cast<uint8_t>(S.K));
     Body.str(S.Rule);
-    Body.str(S.Text);
     Body.u32(Terms.ref(S.Prop));
     Body.u32(static_cast<uint32_t>(S.Hyps.size()));
     for (pure::TermRef H : S.Hyps)
@@ -351,17 +350,16 @@ bool rcc::store::deserializeFnResult(std::string_view Data, FnResult &Out) {
 
   if (!R.u32(Count))
     return false;
-  // A step is at least kind + two string lengths + prop + hyp count +
-  // manual = 18 bytes.
-  if (Count > R.remaining() / 18)
+  // A step is at least kind + rule length + prop + hyp count + manual =
+  // 14 bytes.
+  if (Count > R.remaining() / 14)
     return false;
   Out.Deriv.Steps.reserve(Count);
   for (uint32_t I = 0; I < Count; ++I) {
     DerivStep S;
     uint8_t Kind;
     uint32_t PropRef, NHyps;
-    if (!R.u8(Kind) || !R.str(S.Rule) || !R.str(S.Text) || !R.u32(PropRef) ||
-        !R.u32(NHyps))
+    if (!R.u8(Kind) || !R.str(S.Rule) || !R.u32(PropRef) || !R.u32(NHyps))
       return false;
     if (Kind > DerivStep::Intro)
       return false;

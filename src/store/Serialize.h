@@ -45,7 +45,7 @@ namespace rcc::store {
 
 /// Version of the serialized FnResult payload and of the entry envelope.
 /// Bump on ANY change to either layout; a version mismatch is a miss.
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 
 /// Append-only little-endian binary writer with length framing.
 class BinaryWriter {

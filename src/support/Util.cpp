@@ -90,20 +90,25 @@ std::string rcc::jsonQuote(const std::string &S) {
   return Out;
 }
 
-SourceRange rcc::tokenRangeAt(const std::string &Source, SourceLoc Loc) {
+std::vector<size_t> rcc::lineStarts(const std::string &Source) {
+  std::vector<size_t> Starts{0};
+  for (size_t Pos = Source.find('\n'); Pos != std::string::npos;
+       Pos = Source.find('\n', Pos + 1))
+    Starts.push_back(Pos + 1);
+  return Starts;
+}
+
+SourceRange rcc::tokenRangeAt(const std::string &Source,
+                              const std::vector<size_t> &LineStarts,
+                              SourceLoc Loc) {
   if (!Loc.isValid())
     return {};
   // Resolve the 1-based line/col into a byte offset.
-  size_t Pos = 0;
-  for (uint32_t L = 1; L < Loc.Line; ++L) {
-    Pos = Source.find('\n', Pos);
-    if (Pos == std::string::npos)
-      return {Loc, {Loc.Line, Loc.Col + 1}};
-    ++Pos;
-  }
-  size_t LineEnd = Source.find('\n', Pos);
-  if (LineEnd == std::string::npos)
-    LineEnd = Source.size();
+  if (Loc.Line > LineStarts.size())
+    return {Loc, {Loc.Line, Loc.Col + 1}};
+  size_t Pos = LineStarts[Loc.Line - 1];
+  size_t LineEnd =
+      Loc.Line < LineStarts.size() ? LineStarts[Loc.Line] - 1 : Source.size();
   size_t Off = Pos + (Loc.Col - 1);
   if (Off >= LineEnd)
     return {Loc, {Loc.Line, Loc.Col + 1}};

@@ -41,13 +41,20 @@ bool startsWith(const std::string &S, const std::string &Prefix);
 /// (used by the daemon protocol and verify_tool's JSON mode).
 std::string jsonQuote(const std::string &S);
 
+/// The byte offset at which each line of \p Source starts: element N-1 is
+/// the start of line N (so the first element is always 0).
+std::vector<size_t> lineStarts(const std::string &Source);
+
 /// Widens the point location \p Loc to the extent of the token that starts
 /// there in \p Source: the returned range ends after the run of identifier
 /// characters (or the single punctuation character) at \p Loc. Used to give
 /// engine failures — which carry only a point — a highlightable range for
-/// editors. Returns a [Loc, Loc+1) range when \p Loc does not resolve into
-/// \p Source, and an invalid range when \p Loc itself is invalid.
-SourceRange tokenRangeAt(const std::string &Source, SourceLoc Loc);
+/// editors. \p LineStarts is `lineStarts(Source)`, computed once per source
+/// so each lookup is O(1) in the file size. Returns a [Loc, Loc+1) range
+/// when \p Loc does not resolve into \p Source, and an invalid range when
+/// \p Loc itself is invalid.
+SourceRange tokenRangeAt(const std::string &Source,
+                         const std::vector<size_t> &LineStarts, SourceLoc Loc);
 
 /// The RCC_TRACE debug level: 0 = off, 1 = step progress, 2 = per-goal
 /// dumps. Read from the environment once per process (a getenv per engine

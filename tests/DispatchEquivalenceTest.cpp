@@ -17,6 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DerivTranscript.h"
 #include "casestudies/CaseStudies.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
@@ -48,16 +49,15 @@ ProgramResult runCorpus(const CaseStudy &CS,
   return PR;
 }
 
-/// A derivation rendered to a comparable transcript (rule names, rendered
-/// judgments, and the manual-solver bit; exactly what the proof checker
-/// replays).
+/// A derivation rendered to a comparable transcript (rule names, side
+/// condition terms, and the manual-solver bit; exactly what the proof
+/// checker replays).
 std::vector<std::string> transcript(const ProgramResult &PR) {
   std::vector<std::string> Out;
   for (const FnResult &F : PR.Fns) {
     Out.push_back("fn " + F.Name + (F.Verified ? " ok" : " FAIL"));
     for (const lithium::DerivStep &S : F.Deriv.Steps)
-      Out.push_back(std::to_string(S.K) + "|" + S.Rule + "|" + S.Text +
-                    (S.Manual ? "|manual" : ""));
+      Out.push_back(stepTranscript(S));
   }
   return Out;
 }

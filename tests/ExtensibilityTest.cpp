@@ -145,22 +145,56 @@ unsigned int inc(unsigned int x) { return x + 1; }
       }
     EXPECT_FALSE(PC.check(D).Ok);
   }
-  // Tamper 2: a side condition weakened to something false.
+  // Tamper 2: a side condition weakened to something false. Steps carry no
+  // rendered text; the message renders the proposition on demand.
   {
     Derivation D = R.Deriv;
+    TermRef False = mkLe(mkNat(5), mkNat(3));
     bool Tampered = false;
     for (DerivStep &S : D.Steps)
       if (S.K == DerivStep::SideCond && S.Prop) {
-        S.Prop = mkLe(mkNat(5), mkNat(3));
+        S.Prop = False;
         S.Hyps.clear();
         Tampered = true;
         break;
       }
     ASSERT_TRUE(Tampered);
-    EXPECT_FALSE(PC.check(D).Ok);
+    ProofCheckResult Bad = PC.check(D);
+    EXPECT_FALSE(Bad.Ok);
+    EXPECT_EQ(Bad.Error, "side condition failed to re-check: " + False->str());
   }
   // Tamper 3: an empty derivation claims nothing.
   EXPECT_FALSE(PC.check(Derivation()).Ok);
+}
+
+TEST(Extensibility, ProofCheckerNamesTheFailedSideCondition) {
+  // A failing search ends its derivation with a "failed" step that keeps
+  // the resolved proposition; the checker renders it in its message.
+  const char *Src = R"(
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<u32>")]]
+[[rc::returns("{n + 1} @ int<u32>")]]
+unsigned int inc_unbounded(unsigned int x) { return x + 1; }
+)";
+  DiagnosticEngine Diags;
+  auto AP = front::compileSource(Src, Diags);
+  ASSERT_TRUE(AP != nullptr);
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  FnResult R = C.verifyFunction("inc_unbounded", {});
+  ASSERT_FALSE(R.Verified);
+  ASSERT_FALSE(R.Deriv.Steps.empty());
+  const DerivStep &Last = R.Deriv.Steps.back();
+  ASSERT_EQ(Last.K, DerivStep::SideCond);
+  ASSERT_EQ(Last.Rule, "failed");
+  ASSERT_TRUE(Last.Prop != nullptr);
+  ProofChecker PC(C.rules());
+  ProofCheckResult PR = PC.check(R.Deriv);
+  EXPECT_FALSE(PR.Ok);
+  EXPECT_EQ(PR.Error, "derivation contains a failed side condition: " +
+                          Last.Prop->str());
+  EXPECT_NE(R.Error.find(Last.Prop->str()), std::string::npos)
+      << "the search's own message names the same proposition: " << R.Error;
 }
 
 TEST(Extensibility, TrustMeSkipsTheBodyButKeepsTheSpecUsable) {

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DerivTranscript.h"
 #include "casestudies/CaseStudies.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
@@ -43,8 +44,7 @@ std::string serialize(const FnResult &R) {
      << '\x1f' << R.Rechecked << '\x1f' << R.RecheckOk << '\x1f'
      << R.Deriv.Steps.size() << '\x1f';
   for (const auto &S : R.Deriv.Steps)
-    OS << (int)S.K << ':' << S.Rule << ':' << S.Text << ':' << S.Manual
-       << '\x1e';
+    OS << stepTranscript(S) << '\x1e';
   return OS.str();
 }
 

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DerivTranscript.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
 #include "refinedc/ProofChecker.h"
@@ -135,7 +136,7 @@ TEST(Store, SerializationRoundTripsAndReInternsTerms) {
     const lithium::DerivStep &B = L.Deriv.Steps[I];
     EXPECT_EQ(A.K, B.K);
     EXPECT_EQ(A.Rule, B.Rule);
-    EXPECT_EQ(A.Text, B.Text);
+    EXPECT_EQ(stepTranscript(A), stepTranscript(B));
     EXPECT_EQ(A.Manual, B.Manual);
     // Terms are hash-consed: the deserialized terms must be *pointer-equal*
     // to the live ones, so a loaded derivation replays exactly like a fresh
@@ -433,6 +434,76 @@ TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
   EXPECT_TRUE(PR.allVerified());
   EXPECT_TRUE(PR.allRechecksOk());
   EXPECT_EQ(countEntries(Dir.str()), 1u) << "healed entry re-published";
+}
+
+TEST(Store, EntryWithOlderFormatIsACleanMissAndReVerified) {
+  TempDir Dir;
+  auto AP = compile(kIncSource);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    (void)C.verifyFunctions({"inc"}, Opts);
+  }
+  ASSERT_EQ(countEntries(Dir.str()), 1u);
+
+  // Re-stamp the entry as format 2 (the layout whose steps also carried
+  // rendered text). Magic, tool version, name, key and checksum stay valid,
+  // and the payload would even parse: only the version field differs.
+  fs::path EntryPath;
+  for (const auto &E : fs::directory_iterator(Dir.str()))
+    if (E.path().extension() == ".rcv")
+      EntryPath = E.path();
+  std::string Raw;
+  {
+    std::ifstream In(EntryPath, std::ios::binary);
+    Raw.assign(std::istreambuf_iterator<char>(In),
+               std::istreambuf_iterator<char>());
+  }
+  BinaryReader R(Raw);
+  uint32_t Magic = 0, Format = 0;
+  std::string Tool, Name, Payload;
+  uint64_t Key = 0, Checksum = 0;
+  ASSERT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
+              R.u64(Key) && R.str(Payload) && R.u64(Checksum));
+  ASSERT_EQ(Format, kFormatVersion);
+  ASSERT_EQ(kFormatVersion, 3u);
+  BinaryWriter W;
+  W.u32(Magic);
+  W.u32(2);
+  W.str(Tool);
+  W.str(Name);
+  W.u64(Key);
+  W.str(Payload);
+  W.u64(Checksum);
+  {
+    std::ofstream Out(EntryPath, std::ios::binary | std::ios::trunc);
+    Out.write(W.data().data(), static_cast<std::streamsize>(W.data().size()));
+  }
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.CacheMisses, 1u);
+  EXPECT_EQ(PR.ReplayedHits, 0u) << "an old-format entry is never replayed";
+  EXPECT_EQ(PR.ReplayFailures, 0u);
+  EXPECT_EQ(PR.CorruptDrops, 1u);
+  EXPECT_TRUE(PR.allVerified());
+  EXPECT_TRUE(PR.allRechecksOk());
+  EXPECT_EQ(countEntries(Dir.str()), 1u) << "re-verified entry re-published";
+
+  // The re-published entry is in the current format: a fresh session hits.
+  DiagnosticEngine Diags2;
+  Checker C2(*AP, Diags2);
+  ASSERT_TRUE(C2.buildEnv());
+  ProgramResult PR2 = C2.verifyFunctions({"inc"}, Opts);
+  EXPECT_EQ(PR2.L2Hits, 1u);
+  EXPECT_EQ(PR2.ReplayFailures, 0u);
 }
 
 TEST(Store, EditedSpecForcesMiss) {

@@ -86,6 +86,23 @@ void f(size_t n) {
   EXPECT_EQ(S.FnSpec, 2u);
 }
 
+TEST(Util, TokenRangeAtResolvesLinesFromRecordedStarts) {
+  std::string Src = "int a;\nfoo_bar(x);\n  y";
+  std::vector<size_t> Starts = lineStarts(Src);
+  EXPECT_EQ(Starts, (std::vector<size_t>{0, 7, 19}));
+  auto Range = [&](uint32_t L, uint32_t C) {
+    SourceRange R = tokenRangeAt(Src, Starts, {L, C});
+    return std::to_string(R.Begin.Line) + ":" + std::to_string(R.Begin.Col) +
+           "-" + std::to_string(R.End.Line) + ":" + std::to_string(R.End.Col);
+  };
+  EXPECT_EQ(Range(2, 1), "2:1-2:8");  // identifier run
+  EXPECT_EQ(Range(2, 8), "2:8-2:9");  // single punctuation character
+  EXPECT_EQ(Range(3, 3), "3:3-3:4");  // last line, no trailing newline
+  EXPECT_EQ(Range(1, 40), "1:40-1:41"); // past the end of its line
+  EXPECT_EQ(Range(9, 1), "9:1-9:2");  // past the last line
+  EXPECT_FALSE(tokenRangeAt(Src, Starts, {}).isValid());
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadPool
 //===----------------------------------------------------------------------===//
