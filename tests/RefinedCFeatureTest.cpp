@@ -30,6 +30,10 @@ struct Feature {
   int ExpectMainReturn; ///< INT_MIN = no main
 };
 
+// Print a case by its name. The default printer dumps the struct's bytes,
+// pointers included, so the discovered ctest names changed on every run.
+void PrintTo(const Feature &F, std::ostream *OS) { *OS << '"' << F.Name << '"'; }
+
 const Feature Features[] = {
     {"singleton_int",
      R"(
