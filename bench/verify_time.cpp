@@ -72,16 +72,14 @@ struct Registrar {
           [Id = CS.Id](benchmark::State &S) { BM_VerifyAndProofCheck(S, Id); })
           ->Unit(benchmark::kMillisecond);
     }
-    // Portfolio modes on the row where the backends actually compete
-    // (DESIGN.md, "Solver portfolio"): off = lemma fallback, race = all
-    // eligible backends concurrently with first-win cancellation.
-    for (auto [Suffix, Mode] :
-         {std::pair{"off", rcc::pure::PortfolioMode::Off},
-          std::pair{"race", rcc::pure::PortfolioMode::Race}})
-      benchmark::RegisterBenchmark(
-          (std::string("BM_Verify/bitmap_portfolio_") + Suffix).c_str(),
-          [Mode = Mode](benchmark::State &S) { BM_Verify(S, "bitmap", Mode); })
-          ->Unit(benchmark::kMillisecond);
+    // The portfolio ablation on the row where the backends actually compete
+    // (DESIGN.md, "Solver portfolio"): off = lemma fallback.
+    benchmark::RegisterBenchmark("BM_Verify/bitmap_portfolio_off",
+                                 [](benchmark::State &S) {
+                                   BM_Verify(S, "bitmap",
+                                             rcc::pure::PortfolioMode::Off);
+                                 })
+        ->Unit(benchmark::kMillisecond);
   }
 } TheRegistrar;
 } // namespace

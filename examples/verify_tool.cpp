@@ -41,10 +41,9 @@
 ///                  cumulative/self time, goal kinds, solver stats)
 ///   --deterministic-trace  make trace/profile output byte-identical across
 ///                  --jobs values (stable lanes, ordinal timestamps)
-///   --portfolio=M  pure-solver leaf dispatch: `on` (default; sequential
-///                  portfolio incl. the bit-vector backend), `race` (race
-///                  eligible backends, deterministic attribution), `off`
-///                  (pre-portfolio dispatch, no bit-vector backend)
+///   --portfolio=M  pure-solver leaf dispatch: `on` (default; includes the
+///                  bit-vector backend) or `off` (pre-portfolio dispatch,
+///                  no bit-vector backend)
 ///   --version      print the version and exit
 ///
 /// Flags are declared against the shared opts::OptionParser (the same
@@ -181,7 +180,7 @@ int main(int argc, char **argv) {
               [&Portfolio](const std::string &V) {
                 return pure::parsePortfolioMode(V, Portfolio);
               },
-              "pure-solver dispatch: on | off | race")
+              "pure-solver dispatch: on | off")
       .version();
 
   std::vector<std::string> Pos;

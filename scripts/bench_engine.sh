@@ -7,8 +7,8 @@
 # indexing may only change how fast the unique rule is found.
 #
 # Also reports the solver-portfolio on/off comparison (figure7_table runs
-# both internally): per-corpus manual side-condition counts and the race
-# counters (DESIGN.md, "Solver portfolio").
+# both internally): per-corpus manual side-condition counts (DESIGN.md,
+# "Solver portfolio").
 #
 # Usage: scripts/bench_engine.sh [path-to-figure7_table]
 set -e
@@ -64,7 +64,4 @@ for r in rows:
     if r["side_cond_manual_off"] != r["side_cond_manual"]:
         print(f"  {r['name']:<28} {r['side_cond_manual_off']} -> "
               f"{r['side_cond_manual']}")
-for k in sorted(idx):
-    if k.startswith("solver.race."):
-        print(f"  {k:<28} {idx[k]}")
 EOF

@@ -62,27 +62,27 @@ if bm["side_cond_manual"] != 0 or bm["side_cond_manual_off"] == 0:
              f"manual(off)={bm['side_cond_manual_off']}")
 PYEOF
 
-# 5. Portfolio gates (DESIGN.md, "Solver portfolio"): --portfolio=race must
-#    produce byte-identical deterministic traces vs --portfolio=off on
-#    proved-by-default goals (demo.c), across --jobs=1 / --jobs=4, and
-#    across repeated runs — the deterministic-attribution guarantee. The
-#    bitmap ablation (bit-vector backend clears the manual count) is gated
-#    on the figure-7 artifact in step 4's python block above.
+# 5. Portfolio gates (DESIGN.md, "Solver portfolio"): --portfolio=on must
+#    produce byte-identical deterministic traces across --jobs=1 / --jobs=4,
+#    across repeated runs, and vs --portfolio=off on proved-by-default
+#    goals (demo.c) — the fixed-priority attribution guarantee. The bitmap
+#    ablation (bit-vector backend clears the manual count) is gated on the
+#    figure-7 artifact in step 4's python block above.
 rm -rf build/check_portfolio && mkdir -p build/check_portfolio
-./build/examples/verify_tool --deterministic-trace --portfolio=race --jobs=4 \
-    --trace=build/check_portfolio/race_j4.json examples/demo.c > /dev/null
-./build/examples/verify_tool --deterministic-trace --portfolio=race --jobs=1 \
-    --trace=build/check_portfolio/race_j1.json examples/demo.c > /dev/null
-./build/examples/verify_tool --deterministic-trace --portfolio=race --jobs=4 \
-    --trace=build/check_portfolio/race_j4_rep.json examples/demo.c > /dev/null
+./build/examples/verify_tool --deterministic-trace --portfolio=on --jobs=4 \
+    --trace=build/check_portfolio/on_j4.json examples/demo.c > /dev/null
+./build/examples/verify_tool --deterministic-trace --portfolio=on --jobs=1 \
+    --trace=build/check_portfolio/on_j1.json examples/demo.c > /dev/null
+./build/examples/verify_tool --deterministic-trace --portfolio=on --jobs=4 \
+    --trace=build/check_portfolio/on_j4_rep.json examples/demo.c > /dev/null
 ./build/examples/verify_tool --deterministic-trace --portfolio=off --jobs=1 \
     --trace=build/check_portfolio/off.json examples/demo.c > /dev/null
-cmp build/check_portfolio/race_j4.json build/check_portfolio/race_j1.json || {
-  echo "check.sh: race trace differs between --jobs=4 and --jobs=1"; exit 1; }
-cmp build/check_portfolio/race_j4.json build/check_portfolio/race_j4_rep.json || {
-  echo "check.sh: race trace differs across repeated runs"; exit 1; }
-cmp build/check_portfolio/race_j4.json build/check_portfolio/off.json || {
-  echo "check.sh: race trace differs from off on proved-by-default goals"; exit 1; }
+cmp build/check_portfolio/on_j4.json build/check_portfolio/on_j1.json || {
+  echo "check.sh: on trace differs between --jobs=4 and --jobs=1"; exit 1; }
+cmp build/check_portfolio/on_j4.json build/check_portfolio/on_j4_rep.json || {
+  echo "check.sh: on trace differs across repeated runs"; exit 1; }
+cmp build/check_portfolio/on_j4.json build/check_portfolio/off.json || {
+  echo "check.sh: on trace differs from off on proved-by-default goals"; exit 1; }
 
 # 6. Daemon smoke: start verifyd --stdio on a copy of the demo, wait for
 #    the cold-start revision, edit one function in place, force a check,
@@ -184,16 +184,19 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   # The sanitized LSP smoke drives the whole daemon/LSP stack end to end.
   scripts/lsp_smoke.sh ./build-asan/examples/rcc-lsp
 
-  # 11. TSan configuration for the racing portfolio: the first-win
-  #    cancellation plumbing (shared tokens, pool reuse across races, the
-  #    cancellation stress test, concurrent races on copied solvers) is the
-  #    code most exposed to data races, and TSan also reports any leaked
-  #    pool thread still running at exit.
+  # 11. TSan configuration for the code that runs threads: the parallel
+  #    driver (test_parallel), the thread pool (test_support) and the store
+  #    tiers that concurrent jobs probe and publish to (test_store), plus
+  #    the solver backends every job runs (test_bitvector,
+  #    test_linear_overflow). TSan also reports any pool thread still
+  #    running at exit.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
-  cmake --build build-tsan -j --target test_portfolio test_bitvector \
-      test_linear_overflow
-  ./build-tsan/tests/test_portfolio
+  cmake --build build-tsan -j --target test_parallel test_support \
+      test_store test_bitvector test_linear_overflow
+  ./build-tsan/tests/test_parallel
+  ./build-tsan/tests/test_support
+  ./build-tsan/tests/test_store
   ./build-tsan/tests/test_bitvector
   ./build-tsan/tests/test_linear_overflow
 fi

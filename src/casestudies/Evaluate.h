@@ -18,7 +18,7 @@
 #define RCC_CASESTUDIES_EVALUATE_H
 
 #include "casestudies/CaseStudies.h"
-#include "pure/Portfolio.h"
+#include "pure/Solver.h"
 #include "trace/Trace.h"
 
 #include <set>

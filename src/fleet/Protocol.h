@@ -73,7 +73,7 @@ struct HelloAck {
   std::string File;      ///< source file the worker must compile itself
   std::string SharedDir; ///< the shared L3 artifact directory
   bool Recheck = true;   ///< session recheck setting (hash-folded)
-  std::string Portfolio; ///< "on" / "off" / "race" (hash-folded)
+  std::string Portfolio; ///< "on" / "off" (hash-folded)
   unsigned Window = 0;   ///< max jobs in flight per worker (backpressure)
   std::string toLine() const;
 };

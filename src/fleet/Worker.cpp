@@ -102,6 +102,17 @@ int rcc::fleet::runWorker(const WorkerOptions &O) {
       M.A.Version != kProtocolVersion)
     return 1; // rejected (coordinator already sent the error message)
   HelloAck Ack = M.A;
+  // The portfolio mode is hash-folded: a worker that guessed at a mode it
+  // does not know would publish under keys the coordinator never probes.
+  // An absent field means the default.
+  pure::PortfolioMode Portfolio = pure::PortfolioMode::On;
+  if (!Ack.Portfolio.empty() &&
+      !pure::parsePortfolioMode(Ack.Portfolio, Portfolio)) {
+    Send(ErrorMsg{"worker does not know portfolio mode '" + Ack.Portfolio +
+                  "'"}
+             .toLine());
+    return 1;
+  }
 
   std::ifstream In(Ack.File);
   if (!In) {
@@ -146,8 +157,7 @@ int rcc::fleet::runWorker(const WorkerOptions &O) {
   VO.Jobs = O.Jobs;
   VO.Recheck = false; // workers warm the store; the coordinator replays
   VO.SharedDir = Ack.SharedDir;
-  VO.CollectDerivation = true; // published artifacts must be replayable
-  pure::parsePortfolioMode(Ack.Portfolio, VO.Portfolio);
+  VO.Portfolio = Portfolio;
   VO.Trace = &TS;
 
   while (true) {

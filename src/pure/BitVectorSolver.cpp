@@ -6,7 +6,6 @@
 
 #include "pure/BitVectorSolver.h"
 
-#include "support/Cancellation.h"
 #include "trace/Trace.h"
 
 #include <algorithm>
@@ -28,10 +27,10 @@ namespace {
 /// Variable order is the integer order of variable ids (the blaster assigns
 /// ids bit-position-major so vectors compared bit-by-bit interleave).
 ///
-/// The engine is budgeted: once the node count passes the budget, or the
-/// ambient portfolio cancellation token fires, `Exhausted` latches and every
-/// result is garbage — callers must check `exhausted()` before trusting any
-/// ref. That keeps the hot loop free of error plumbing while staying sound.
+/// The engine is budgeted: once the node count passes the budget, `Exhausted`
+/// latches and every result is garbage — callers must check `exhausted()`
+/// before trusting any ref. That keeps the hot loop free of error plumbing
+/// while staying sound.
 class Bdd {
 public:
   static constexpr uint32_t F = 0, T = 1;
@@ -61,10 +60,6 @@ public:
       return Then;
     if (Then == T && Else == F)
       return Cond;
-    if (++Ops % 4096 == 0 && rcc::cancelRequested()) {
-      Exhausted = true;
-      return F;
-    }
     IteKey K{Cond, Then, Else};
     auto It = IteCache.find(K);
     if (It != IteCache.end())
@@ -145,7 +140,6 @@ private:
   std::unordered_map<NodeKey, uint32_t, NodeKeyHash> Unique;
   std::unordered_map<IteKey, uint32_t, IteKeyHash> IteCache;
   size_t Budget;
-  uint64_t Ops = 0;
   bool Exhausted = false;
 };
 
@@ -613,7 +607,7 @@ bool BitVectorSolver::prove(const std::vector<TermRef> &Facts, TermRef Goal) {
 
   uint32_t Bad = B.andOp(H, B.notOp(G));
   if (B.exhausted())
-    return false; // budget blown or cancelled: verdict untrustworthy
+    return false; // budget blown: verdict untrustworthy
   if (Bad != Bdd::F)
     return false;
   trace::count("solver.bitvector.proved");

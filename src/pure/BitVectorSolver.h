@@ -17,9 +17,9 @@
 /// Soundness shape: atoms are finite-width only because a hypothesis bounds
 /// them, and that bound is conjoined into the checked formula (`Domain`), so
 /// truncation can never lose a counterexample. Untranslatable hypotheses are
-/// skipped (weakening — sound); an untranslatable goal, node-budget
-/// exhaustion, or a portfolio cancellation all return "unknown", never
-/// "proved". See DESIGN.md, "Solver portfolio".
+/// skipped (weakening — sound); an untranslatable goal or node-budget
+/// exhaustion returns "unknown", never "proved". See DESIGN.md, "Solver
+/// portfolio".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,15 +34,15 @@ namespace rcc::pure {
 
 class BitVectorSolver {
 public:
-  /// Cheap syntactic eligibility test for the portfolio driver: does the
+  /// Cheap syntactic eligibility test for the leaf dispatch: does the
   /// problem mention a word-level operation this backend understands
-  /// (`land`/`lor`/`lxor`/`pow2` applications)? Launching when ineligible
+  /// (`land`/`lor`/`lxor`/`pow2` applications)? Running when ineligible
   /// is sound (the solver just fails), this merely avoids wasted work.
   static bool relevant(const std::vector<TermRef> &Facts, TermRef Goal);
 
   /// Attempts to prove \p Goal from \p Facts by bit-blasting. Returns false
   /// for "unknown" (never unsound): on untranslatable goals, unbounded
-  /// atoms, budget exhaustion, or cancellation.
+  /// atoms, or budget exhaustion.
   static bool prove(const std::vector<TermRef> &Facts, TermRef Goal);
 };
 

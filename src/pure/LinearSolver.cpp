@@ -6,7 +6,6 @@
 
 #include "pure/LinearSolver.h"
 
-#include "support/Cancellation.h"
 #include "trace/Trace.h"
 
 #include <algorithm>
@@ -230,10 +229,6 @@ bool infeasible(std::vector<Constraint> Cs) {
       std::min<int>(512, static_cast<int>(InitialAtoms.size()) + 1);
 
   for (int Round = 0; Round < MaxRounds; ++Round) {
-    // A cancelled race loser gives up (sound: "not infeasible" only ever
-    // weakens, including for the tightening/congruence oracle probes).
-    if (rcc::cancelRequested())
-      return false;
     // Constant-only constraints: check satisfiability; drop satisfied ones.
     std::vector<Constraint> Vars;
     for (Constraint &C : Cs) {

@@ -18,23 +18,18 @@
 
 using namespace rcc::pure;
 
-PureSolver::PureSolver() = default;
-PureSolver::~PureSolver() = default;
+const char *rcc::pure::portfolioModeName(PortfolioMode M) {
+  return M == PortfolioMode::Off ? "off" : "on";
+}
 
-PureSolver::PureSolver(const PureSolver &O)
-    : Simp(O.Simp), ExtraSolvers(O.ExtraSolvers), Lemmas(O.Lemmas),
-      Stats(O.Stats), Portfolio(O.Portfolio) {}
-
-PureSolver &PureSolver::operator=(const PureSolver &O) {
-  if (this == &O)
-    return *this;
-  Simp = O.Simp;
-  ExtraSolvers = O.ExtraSolvers;
-  Lemmas = O.Lemmas;
-  Stats = O.Stats;
-  Portfolio = O.Portfolio;
-  Driver.reset(); // each copy lazily builds its own racing pool
-  return *this;
+bool rcc::pure::parsePortfolioMode(const std::string &S, PortfolioMode &M) {
+  if (S == "off")
+    M = PortfolioMode::Off;
+  else if (S == "on")
+    M = PortfolioMode::On;
+  else
+    return false;
+  return true;
 }
 
 void PureSolver::enableSolver(const std::string &Name) {
@@ -417,73 +412,33 @@ SolveResult PureSolver::proveCore(std::vector<TermRef> Hyps, TermRef Goal,
   }
 
   // --- Leaf dispatch: the solver portfolio (DESIGN.md) ---
-  SolveResult Leaf = dispatchLeaf(Hyps, Goal);
-  if (Leaf.Proved) {
-    Res.Proved = true;
-    Res.Manual = Leaf.Manual;
-    Res.Engine = Leaf.Engine;
-    return Res;
-  }
-
-  Res.FailureReason = "cannot prove side condition: " + Goal->str();
+  Res = dispatchLeaf(Hyps, Goal);
+  if (!Res.Proved)
+    Res.FailureReason = "cannot prove side condition: " + Goal->str();
   return Res;
 }
 
 SolveResult PureSolver::dispatchLeaf(const std::vector<TermRef> &Hyps,
                                      TermRef Goal) {
+  // Fixed priority order, automatic engines first: the first backend that
+  // proves the goal is its Figure-7 attribution. Collections and lemmas
+  // fail fast when nothing is enabled.
   SolveResult Res;
-
-  if (Portfolio == PortfolioMode::Off) {
-    // Legacy sequential dispatch, without the bit-vector backend.
-    if (tryDefault(Hyps, Goal)) {
-      Res.Proved = true;
-      Res.Engine = "default";
-      return Res;
-    }
-    std::string Engine;
-    if (tryCollections(Hyps, Goal, Engine)) {
-      Res.Proved = true;
-      Res.Manual = true;
-      Res.Engine = Engine;
-      return Res;
-    }
-    if (tryLemmas(Hyps, Goal, Engine)) {
-      Res.Proved = true;
-      Res.Manual = true;
-      Res.Engine = Engine;
-      return Res;
-    }
+  std::string Engine;
+  if (tryDefault(Hyps, Goal)) {
+    Res.Engine = "default";
+  } else if (Portfolio != PortfolioMode::Off &&
+             BitVectorSolver::relevant(Hyps, Goal) &&
+             BitVectorSolver::prove(Hyps, Goal)) {
+    Res.Engine = "bitvector";
+  } else if (tryCollections(Hyps, Goal, Engine) ||
+             tryLemmas(Hyps, Goal, Engine)) {
+    Res.Manual = true;
+    Res.Engine = std::move(Engine);
+  } else {
     return Res;
   }
-
-  // Candidates in fixed priority order; the order IS the attribution rule
-  // (the winner is the lowest proving index regardless of finish order), so
-  // changing it changes Figure-7 accounting. Automatic engines first.
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"default", /*Manual=*/false, [&](std::string &) {
-                     return tryDefault(Hyps, Goal);
-                   }});
-  if (BitVectorSolver::relevant(Hyps, Goal))
-    Cands.push_back({"bitvector", /*Manual=*/false, [&](std::string &) {
-                       return BitVectorSolver::prove(Hyps, Goal);
-                     }});
-  if (!ExtraSolvers.empty())
-    Cands.push_back({"collections", /*Manual=*/true, [&](std::string &E) {
-                       return tryCollections(Hyps, Goal, E);
-                     }});
-  if (!Lemmas.empty())
-    Cands.push_back({"lemmas", /*Manual=*/true, [&](std::string &E) {
-                       return tryLemmas(Hyps, Goal, E);
-                     }});
-
-  if (!Driver)
-    Driver = std::make_unique<PortfolioDriver>();
-  PortfolioOutcome O = Driver->run(Cands, Portfolio);
-  if (O.Proved) {
-    Res.Proved = true;
-    Res.Manual = O.Manual;
-    Res.Engine = std::move(O.Engine);
-  }
+  Res.Proved = true;
   return Res;
 }
 
@@ -508,8 +463,8 @@ SolveResult PureSolver::prove(const std::vector<TermRef> &Hyps, TermRef Goal,
                : R.Manual  ? "solver.proved_manual"
                            : "solver.proved_auto")
         .add(1);
-    // Per-engine attribution (Figure-7 accounting per backend). The engine
-    // string is deterministic by the portfolio's fixed priority order.
+    // Per-engine attribution (Figure-7 accounting per backend), fixed by
+    // the leaf dispatch's priority order.
     if (R.Proved)
       MR.counter("solver.engine." + R.Engine).add(1);
     MR.counter("solver.time_us")

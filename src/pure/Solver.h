@@ -8,11 +8,12 @@
 /// The orchestrating solver for pure verification conditions (step C of the
 /// paper's Figure 2). A goal is first simplified and its evars eliminated via
 /// the Section 5 heuristics (equality unification, goal transforms such as
-/// `?xs != [] ~> ?xs := y :: ys`); then the *default* solver (linear
-/// arithmetic and lists) attempts it. Goals the default solver cannot prove
-/// may be discharged by enabled extra solvers (`multiset_solver`,
-/// `set_solver`; counted as manual, matching the Figure 7 accounting) or by
-/// registered lemmas, which model manual Coq proofs.
+/// `?xs != [] ~> ?xs := y :: ys`); then the leaf backends try it in one fixed
+/// priority order (DESIGN.md, "Solver portfolio"): the *default* solver
+/// (linear arithmetic and lists), the bit-vector backend, the enabled extra
+/// solvers (`multiset_solver`, `set_solver`; counted as manual, matching the
+/// Figure 7 accounting), and registered lemmas, which model manual Coq
+/// proofs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,15 +21,23 @@
 #define RCC_PURE_SOLVER_H
 
 #include "pure/EvarEnv.h"
-#include "pure/Portfolio.h"
 #include "pure/Simplify.h"
 #include "pure/Term.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace rcc::pure {
+
+/// Leaf dispatch of the pure solver (VerifyOptions::Portfolio).
+enum class PortfolioMode {
+  Off, ///< the pre-portfolio dispatch: no bit-vector backend
+  On,  ///< every backend, the bit-vector one included (the default)
+};
+
+const char *portfolioModeName(PortfolioMode M);
+/// Parses "off" / "on". Returns false on anything else.
+bool parsePortfolioMode(const std::string &S, PortfolioMode &M);
 
 /// Outcome of a side-condition proof attempt.
 struct SolveResult {
@@ -53,16 +62,10 @@ struct SolverStats {
   unsigned Failed = 0;
 };
 
+/// Copyable: the parallel driver clones a per-job solver from a session
+/// prototype.
 class PureSolver {
 public:
-  PureSolver();
-  ~PureSolver();
-  /// Copyable (the parallel driver clones a per-job solver from a session
-  /// prototype); the copy starts with a fresh lazily-created portfolio
-  /// driver — thread pools are not shareable across jobs.
-  PureSolver(const PureSolver &O);
-  PureSolver &operator=(const PureSolver &O);
-
   /// Enables a named extra solver ("multiset_solver" / "set_solver"),
   /// corresponding to the paper's rc::tactics annotation.
   void enableSolver(const std::string &Name);
@@ -78,9 +81,8 @@ public:
   SolveResult prove(const std::vector<TermRef> &Hyps, TermRef Goal,
                     EvarEnv &Env);
 
-  /// Selects how leaf backends are dispatched (DESIGN.md, "Solver
-  /// portfolio"). `On` and `Race` compute identical results; `Off` restores
-  /// the pre-portfolio dispatch without the bit-vector backend.
+  /// Selects the leaf backends (DESIGN.md, "Solver portfolio"): `Off`
+  /// skips the bit-vector backend, restoring the pre-portfolio dispatch.
   void setPortfolioMode(PortfolioMode M) { Portfolio = M; }
   PortfolioMode portfolioMode() const { return Portfolio; }
 
@@ -93,8 +95,8 @@ public:
 private:
   SolveResult proveCore(std::vector<TermRef> Hyps, TermRef Goal, EvarEnv &Env,
                         int Depth);
-  /// Evar-free leaf dispatch: builds the eligible-candidate list in fixed
-  /// priority order and runs it per the portfolio mode.
+  /// Evar-free leaf dispatch: tries the backends in fixed priority order
+  /// and attributes the goal to the first that proves it.
   SolveResult dispatchLeaf(const std::vector<TermRef> &Hyps, TermRef Goal);
   bool tryDefault(const std::vector<TermRef> &Hyps, TermRef Goal);
   bool tryCollections(const std::vector<TermRef> &Hyps, TermRef Goal,
@@ -109,7 +111,6 @@ private:
   std::vector<Lemma> Lemmas;
   SolverStats Stats;
   PortfolioMode Portfolio = PortfolioMode::On;
-  std::unique_ptr<PortfolioDriver> Driver; ///< lazy; never copied
 };
 
 } // namespace rcc::pure

@@ -628,10 +628,6 @@ FnResult Checker::verifyFunction(const std::string &Name,
     Res.Rechecked = true;
     Res.RecheckOk = PC.check(Res.Deriv, Lemmas).Ok;
   }
-  if (!Opts.CollectDerivation) {
-    Res.Deriv.Steps.clear();
-    Res.Deriv.Steps.shrink_to_fit();
-  }
   return Res;
 }
 
@@ -653,17 +649,16 @@ uint64_t Checker::fnContentHash(const std::string &Name,
   H.mix(Rules.fingerprint());
   for (const auto &R : SolverProto.simplifier().rules())
     H.mix(R.Name);
-  // Only options that change the *verdict* participate: Recheck and
-  // CollectDerivation alter trust metadata and payload, both of which
-  // probeStore re-establishes per hit (replay for untrusted tiers, the
-  // strictness guards for L1), so keying on them would partition the store
-  // by driver — a fleet worker publishes under --no-recheck and the
-  // coordinator's closing recheck pass must still find those entries.
+  // Only options that change the *verdict* participate: Recheck alters
+  // trust metadata, which probeStore re-establishes per hit (replay for
+  // untrusted tiers, the strictness guard for L1), so keying on it would
+  // partition the store by driver — a fleet worker publishes under
+  // --no-recheck and the coordinator's closing recheck pass must still
+  // find those entries.
   H.mix(static_cast<uint64_t>(Opts.Backtracking))
       .mix(static_cast<uint64_t>(Opts.MaxSteps))
-      // On and Race compute identical results (Race only reorders work),
-      // so they share a hash bit; Off lacks the bit-vector backend and
-      // must not reuse portfolio-era cache entries.
+      // Off lacks the bit-vector backend and must not reuse portfolio-era
+      // cache entries.
       .mix(static_cast<uint64_t>(Opts.Portfolio != pure::PortfolioMode::Off));
   return hashFunctionContent(AP, Name, EnvFingerprint, H.get());
 }
@@ -680,25 +675,15 @@ void Checker::invalidateCache() {
 void Checker::adoptStoreTiers(
     std::shared_ptr<store::MemoryResultStore> SharedL1,
     std::shared_ptr<store::DiskResultStore> SharedL2) {
-  std::vector<std::shared_ptr<store::ResultStore>> Untrusted;
-  if (SharedL2)
-    Untrusted.push_back(std::move(SharedL2));
-  adoptTierStack(std::move(SharedL1), std::move(Untrusted));
-}
-
-void Checker::adoptTierStack(
-    std::shared_ptr<store::MemoryResultStore> SharedL1,
-    std::vector<std::shared_ptr<store::ResultStore>> Untrusted) {
   L1 = SharedL1 ? std::move(SharedL1)
                 : std::make_shared<store::MemoryResultStore>();
-  L2 = nullptr;
+  L2 = std::move(SharedL2);
   L3 = nullptr;
-  AdoptedUntrusted = std::move(Untrusted);
   ExternalTiers = true;
   Store.resetTiers();
   Store.addTier(L1, /*Trusted=*/true);
-  for (const auto &T : AdoptedUntrusted)
-    Store.addTier(T, /*Trusted=*/false);
+  if (L2)
+    Store.addTier(L2, /*Trusted=*/false);
 }
 
 void Checker::configureStore(const VerifyOptions &Opts) {
@@ -737,13 +722,12 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
 
   if (Store.trusted(T)) {
     // The in-memory tier this process populated. The key does not encode
-    // Recheck/CollectDerivation (they do not change verdicts), so an entry
-    // computed under laxer options can surface here; honor the stricter
-    // run by recomputing instead of serving a certificate weaker than the
-    // caller asked for.
+    // Recheck (it does not change verdicts), so an entry computed under
+    // laxer options can surface here; honor the stricter run by
+    // recomputing instead of serving a certificate weaker than the caller
+    // asked for.
     if (R.Verified && !R.Trusted &&
-        ((Opts.Recheck && !R.Rechecked) ||
-         (Opts.CollectDerivation && R.Deriv.Steps.empty())))
+        ((Opts.Recheck && !R.Rechecked) || R.Deriv.Steps.empty()))
       return false;
   } else {
     // The entry came from an untrusted (persistent or shared) tier. Its
@@ -825,21 +809,9 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   RunSpan.emplace(trace::Category::Checker, "checker.run");
 
   // Compose this run's store tiers (L1 always; L2/L3 when CacheDir /
-  // SharedDir are set, or whatever stack was adopted).
+  // SharedDir are set, or the adopted pair).
   configureStore(Opts);
   const bool UseStore = !Opts.NoCache;
-  // Any untrusted tier in the stack (private L2, shared L3, adopted)?
-  bool HaveUntrusted = false;
-  for (size_t T = 0; T < Store.numTiers(); ++T)
-    HaveUntrusted |= UseStore && !Store.trusted(T);
-
-  // Persistent entries are only replayable if they carry their derivation,
-  // so a disk-backed run under Recheck always collects derivations for the
-  // stored copies; surfaced results still honor Opts.CollectDerivation
-  // (stripped after publication, below).
-  VerifyOptions EffOpts = Opts;
-  if (HaveUntrusted && Opts.Recheck)
-    EffOpts.CollectDerivation = true;
 
   // Content hashes key the store only, so a run without one skips them.
   // They are computed up front, serially: this forces the lazy environment
@@ -848,7 +820,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   std::vector<uint64_t> Hashes(Names.size());
   if (UseStore)
     for (size_t I = 0; I < Names.size(); ++I)
-      Hashes[I] = fnContentHash(Names[I], EffOpts);
+      Hashes[I] = fnContentHash(Names[I], Opts);
 
   PR.Fns.resize(Names.size());
   constexpr size_t kMiss = ~static_cast<size_t>(0);
@@ -867,15 +839,10 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   ThreadPool Pool(PR.JobsUsed);
   Pool.parallelFor(Names.size(), [&](size_t I) {
     if (!UseStore ||
-        !probeStore(Names[I], Hashes[I], EffOpts, PR.Fns[I], HitTier[I],
-                    RS)) {
-      PR.Fns[I] = verifyFunction(Names[I], EffOpts);
+        !probeStore(Names[I], Hashes[I], Opts, PR.Fns[I], HitTier[I], RS)) {
+      PR.Fns[I] = verifyFunction(Names[I], Opts);
       if (UseStore)
         Store.put(Names[I], Hashes[I], PR.Fns[I]);
-    }
-    if (!Opts.CollectDerivation && !PR.Fns[I].Deriv.Steps.empty()) {
-      PR.Fns[I].Deriv.Steps.clear();
-      PR.Fns[I].Deriv.Steps.shrink_to_fit();
     }
   });
 

@@ -103,22 +103,12 @@ public:
   /// body, callee specs, and the spec-environment fingerprint — guarantee
   /// a stale entry can only miss. \p SharedL1 must be a trusted in-memory
   /// tier (nullptr keeps a fresh private one); \p SharedL2 may be null.
-  /// Once adopted, VerifyOptions::CacheDir is ignored (the tiers are
-  /// fixed); VerifyOptions::NoCache still bypasses probes per run.
+  /// Once adopted, VerifyOptions::CacheDir and SharedDir are ignored (the
+  /// tiers are fixed); VerifyOptions::NoCache still bypasses probes per
+  /// run. Fleet workers do not adopt: they reach the shared L3 through
+  /// VerifyOptions::SharedDir.
   void adoptStoreTiers(std::shared_ptr<store::MemoryResultStore> SharedL1,
                        std::shared_ptr<store::DiskResultStore> SharedL2);
-
-  /// Generalization of adoptStoreTiers to the uniform tier stack: the
-  /// trusted in-memory L1 plus any number of *untrusted* persistent tiers
-  /// in probe order (private L2 first, then the fleet's shared L3). Every
-  /// hit in an untrusted tier is replayed through the ProofChecker before
-  /// being trusted (or hash-trusted under --no-recheck), and validated
-  /// results are promoted into every tier probed earlier. This is how
-  /// fleet workers compose [private L1, shared L3] and the daemon composes
-  /// [shared L1, private L2, shared L3] (DESIGN.md, "Fleet & protocol v2").
-  void
-  adoptTierStack(std::shared_ptr<store::MemoryResultStore> SharedL1,
-                 std::vector<std::shared_ptr<store::ResultStore>> Untrusted);
 
   /// Verifies one function against its annotations. Thread-safe: shares
   /// only immutable session state, and bypasses the result store.
@@ -220,14 +210,11 @@ private:
   /// (in-memory, trusted) always exists; L2 (private on-disk) and L3 (the
   /// fleet's shared artifact store) — both untrusted until replayed — are
   /// attached by configureStore when a run sets VerifyOptions::CacheDir /
-  /// SharedDir, or adopted wholesale by adoptTierStack. Jobs only touch
-  /// the store at job start/end; all tiers are thread-safe.
+  /// SharedDir, or L1 and L2 are adopted by adoptStoreTiers. Jobs only
+  /// touch the store at job start/end; all tiers are thread-safe.
   std::shared_ptr<store::MemoryResultStore> L1;
   std::shared_ptr<store::DiskResultStore> L2;
   std::shared_ptr<store::DiskResultStore> L3;
-  /// Adopted untrusted tiers (adoptTierStack); empty when the session owns
-  /// its composition.
-  std::vector<std::shared_ptr<store::ResultStore>> AdoptedUntrusted;
   store::TieredResultStore Store;
   /// True once adoptStoreTiers ran: the tier composition is owned by the
   /// caller (the daemon) and configureStore must not rebuild it.

@@ -17,7 +17,7 @@
 #define RCC_REFINEDC_RESULT_H
 
 #include "lithium/Engine.h"
-#include "pure/Portfolio.h"
+#include "pure/Solver.h"
 #include "support/Diagnostics.h"
 #include "support/SourceLoc.h"
 
@@ -50,17 +50,9 @@ struct VerifyOptions {
   /// backtracking baseline defaults to a tight 20k budget).
   unsigned MaxSteps = 0;
   /// Leaf dispatch of the pure solver (DESIGN.md, "Solver portfolio").
-  /// `On` (default) adds the bit-vector backend sequentially; `Race` races
-  /// the eligible backends with deterministic attribution; `Off` restores
-  /// the pre-portfolio dispatch. On and Race compute identical results, so
-  /// they share a content-hash bit; Off is hashed separately.
+  /// `On` (default) includes the bit-vector backend; `Off` restores the
+  /// pre-portfolio dispatch without it. Off is hashed separately.
   pure::PortfolioMode Portfolio = pure::PortfolioMode::On;
-  /// Keep the recorded Derivation in each FnResult. Turning this off saves
-  /// memory on large programs; rechecking still works (the derivation is
-  /// collected, replayed, and then dropped). Note that results stored
-  /// without a derivation cannot be replayed when loaded back from the
-  /// persistent store, so under Recheck they are conservative misses.
-  bool CollectDerivation = true;
 
   // --- Result store (src/store; DESIGN.md "Persistent verification
   // store") ---

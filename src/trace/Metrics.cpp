@@ -45,8 +45,7 @@ std::map<std::string, int64_t> MetricsRegistry::gauges() const {
 bool MetricsRegistry::isDuration(const std::string &Name) {
   if (Name.size() < 3)
     return false;
-  return Name.compare(Name.size() - 3, 3, "_us") == 0 ||
-         Name.compare(Name.size() - 3, 3, "_nd") == 0;
+  return Name.compare(Name.size() - 3, 3, "_us") == 0;
 }
 
 std::string MetricsRegistry::toJson(bool Deterministic) const {

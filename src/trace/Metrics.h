@@ -74,14 +74,13 @@ public:
   std::map<std::string, int64_t> gauges() const;
 
   /// Renders both snapshots as a JSON object. With \p Deterministic,
-  /// schedule-dependent counters — durations (`_us` suffix) and
-  /// nondeterministic event counts (`_nd` suffix, e.g. how many racing
-  /// solvers observed a cancellation before finishing) — are reported as 0
-  /// so the output is byte-identical across runs and job counts.
+  /// durations (`_us` suffix), the only schedule-dependent counters, are
+  /// reported as 0 so the output is byte-identical across runs and job
+  /// counts.
   std::string toJson(bool Deterministic = false) const;
 
-  /// True if \p Name is schedule-dependent and must be zeroed in
-  /// deterministic exports (the `_us` / `_nd` suffix conventions).
+  /// True if \p Name is a duration (the `_us` suffix convention) and must
+  /// be zeroed in deterministic exports.
   static bool isDuration(const std::string &Name);
 
 private:

@@ -177,12 +177,6 @@ SessionScope::~SessionScope() {
     CurrentSession = Prev;
 }
 
-SuppressSessionScope::SuppressSessionScope() : Prev(CurrentSession) {
-  CurrentSession = nullptr;
-}
-
-SuppressSessionScope::~SuppressSessionScope() { CurrentSession = Prev; }
-
 LaneScope::LaneScope(uint64_t Lane) : Prev(CurrentLaneTL) {
   CurrentLaneTL = Lane;
 }

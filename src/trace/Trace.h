@@ -187,23 +187,6 @@ private:
   bool Installed;
 };
 
-/// RAII: disables tracing on this thread for its lifetime (current() returns
-/// nullptr), restoring the previous session on destruction. Used by racing
-/// portfolio candidates: which spans/events losers would emit before
-/// observing cancellation depends on scheduling, so letting them record
-/// would break the deterministic-trace guarantee. (SessionScope(nullptr) is
-/// deliberately a no-op, hence this separate type.)
-class SuppressSessionScope {
-public:
-  SuppressSessionScope();
-  ~SuppressSessionScope();
-  SuppressSessionScope(const SuppressSessionScope &) = delete;
-  SuppressSessionScope &operator=(const SuppressSessionScope &) = delete;
-
-private:
-  TraceSession *Prev;
-};
-
 /// RAII: sets the stable lane recorded on this thread's events. The thread
 /// pool derives lanes from parallel-for indices (nesting multiplies the
 /// parent lane, so nested drivers keep distinct tracks); everything inside

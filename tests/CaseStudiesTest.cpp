@@ -101,7 +101,7 @@ TEST(Figure7, BitvectorBackendReplacesBitmapLemmas) {
   // The bitmap row's word-level side conditions need the annotated lemmas
   // (manual) under the pre-portfolio dispatch, but the bit-vector backend
   // discharges every one of them automatically — the manual count drops to
-  // zero with the portfolio on, in both sequential and racing modes.
+  // zero with the portfolio on.
   const CaseStudy *CS = caseStudy("bitmap");
   ASSERT_NE(CS, nullptr);
 
@@ -111,15 +111,12 @@ TEST(Figure7, BitvectorBackendReplacesBitmapLemmas) {
   ASSERT_TRUE(RowOff.Verified) << RowOff.Error;
   EXPECT_GT(RowOff.SideCondManual, 0u);
 
-  for (rcc::pure::PortfolioMode M :
-       {rcc::pure::PortfolioMode::On, rcc::pure::PortfolioMode::Race}) {
-    EvalOptions O;
-    O.Portfolio = M;
-    Fig7Row Row = evaluateCaseStudy(*CS, O);
-    ASSERT_TRUE(Row.Verified) << Row.Error;
-    EXPECT_EQ(Row.SideCondManual, 0u);
-    EXPECT_EQ(Row.SideCondAuto, RowOff.SideCondAuto + RowOff.SideCondManual);
-  }
+  EvalOptions On;
+  On.Portfolio = rcc::pure::PortfolioMode::On;
+  Fig7Row Row = evaluateCaseStudy(*CS, On);
+  ASSERT_TRUE(Row.Verified) << Row.Error;
+  EXPECT_EQ(Row.SideCondManual, 0u);
+  EXPECT_EQ(Row.SideCondAuto, RowOff.SideCondAuto + RowOff.SideCondManual);
 }
 
 TEST(Figure7, BacktrackingBaselineExploresMore) {

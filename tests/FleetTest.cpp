@@ -18,9 +18,11 @@
 
 #include "fleet/Coordinator.h"
 #include "fleet/Monorepo.h"
+#include "fleet/Protocol.h"
 #include "fleet/Worker.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
+#include "support/Socket.h"
 #include "trace/Trace.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +33,9 @@
 #include <string>
 #include <thread>
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -191,7 +195,6 @@ TEST(Fleet, CorruptL3ArtifactDroppedAndReverified) {
     refinedc::VerifyOptions VO;
     VO.Recheck = false;
     VO.SharedDir = L3;
-    VO.CollectDerivation = true;
     std::vector<std::string> Names;
     for (unsigned I = 0; I < 3; ++I)
       Names.push_back(monorepoFnName(I));
@@ -262,6 +265,67 @@ TEST(Fleet, WrongVersionHandshakeRejectedFleetStillCompletes) {
   EXPECT_GT(C.stats().BadHandshakes, 0u);
   EXPECT_EQ(C.stats().JobsCompleted, 0u);
   EXPECT_TRUE(PR.allVerified()); // local re-verification covered everything
+}
+
+/// Reads the next line from \p Conn, waiting up to ~5s. Empty on timeout
+/// or EOF.
+std::string nextLine(net::LineConn &Conn, std::vector<std::string> &Queue) {
+  for (int I = 0; I < 500 && Queue.empty(); ++I) {
+    struct pollfd P = {Conn.fd(), POLLIN, 0};
+    poll(&P, 1, 10);
+    if (!Conn.readLines(Queue))
+      break;
+  }
+  if (Queue.empty())
+    return "";
+  std::string L = Queue.front();
+  Queue.erase(Queue.begin());
+  return L;
+}
+
+TEST(Fleet, UnknownPortfolioModeRejectedByWorker) {
+  // The portfolio mode is hash-folded, so a worker must not guess at one it
+  // does not know: it would publish under keys the coordinator never probes
+  // and the whole run would silently be redone locally. A fake coordinator
+  // hands out `race`, a mode the worker does not know; the worker must
+  // answer with an error naming it and exit 1 before doing any work.
+  TempDir D;
+  std::string Sock = (D.Path / "fake.sock").string();
+  std::string Err;
+  int ListenFd = net::listenUnix(Sock, &Err);
+  ASSERT_GE(ListenFd, 0) << Err;
+
+  int Rc = -1;
+  std::thread Worker([&Rc, Sock] {
+    WorkerOptions WO;
+    WO.Connect = Sock;
+    WO.Name = "w";
+    Rc = runWorker(WO);
+  });
+
+  // Everything the worker says is collected before any assertion, so the
+  // thread is always joined.
+  int Fd = ::accept(ListenFd, nullptr, nullptr);
+  ::close(ListenFd);
+  net::LineConn Conn(Fd);
+  std::vector<std::string> Queue;
+  std::string Greeting = nextLine(Conn, Queue);
+  Conn.sendLine("{\"rcc\": \"hello_ack\", \"protocol_version\": " +
+                std::to_string(kProtocolVersion) +
+                ", \"file\": \"mono.c\", \"shared_dir\": \"l3\", "
+                "\"recheck\": true, \"portfolio\": \"race\", "
+                "\"window\": 2}");
+  Conn.flushWrites();
+  std::string Reply = nextLine(Conn, Queue);
+  Worker.join();
+
+  Msg M;
+  ASSERT_TRUE(parseMsg(Greeting, M)) << Greeting;
+  EXPECT_EQ(M.Kind, MsgKind::Hello);
+  EXPECT_EQ(Rc, 1);
+  ASSERT_TRUE(parseMsg(Reply, M)) << Reply;
+  EXPECT_EQ(M.Kind, MsgKind::Error);
+  EXPECT_NE(M.E.Message.find("race"), std::string::npos) << M.E.Message;
 }
 
 TEST(Fleet, NoWorkersFallsBackToLocalVerification) {

@@ -82,51 +82,6 @@ TEST(ParallelVerify, JobsFourByteIdenticalToJobsOne) {
   }
 }
 
-TEST(ParallelVerify, RacingPortfolioJsonIsIdenticalAcrossRuns) {
-  // Regression for portfolio attribution: with the solvers racing, the
-  // rendered --format=json report (everything except wall-clock fields)
-  // must be byte-identical across repeated runs and job counts — i.e. the
-  // Engine/Manual attribution may not depend on which solver finishes
-  // first. The bitmap case study is the one where default, bitvector, and
-  // lemma backends all compete for the same goals.
-  const casestudies::CaseStudy *CS = casestudies::caseStudy("bitmap");
-  ASSERT_NE(CS, nullptr);
-  auto ScrubTimes = [](std::string S) {
-    // Drop `"wall_ms": <num>` / `"replay_ms": <num>` values (the only
-    // legitimately nondeterministic report fields) and the `"jobs"` echo
-    // of the option under test.
-    for (const char *Key : {"wall_ms\": ", "replay_ms\": ", "jobs\": "}) {
-      size_t P = 0;
-      while ((P = S.find(Key, P)) != std::string::npos) {
-        P += std::string(Key).size();
-        size_t E = P;
-        while (E < S.size() && (isdigit(S[E]) || S[E] == '.'))
-          ++E;
-        S.replace(P, E - P, "0");
-      }
-    }
-    return S;
-  };
-  std::string First;
-  for (int Run = 0; Run < 4; ++Run) {
-    DiagnosticEngine Diags;
-    auto AP = front::compileSource(CS->Source, Diags);
-    ASSERT_TRUE(AP != nullptr);
-    Checker C(*AP, Diags);
-    ASSERT_TRUE(C.buildEnv());
-    VerifyOptions Opts;
-    Opts.Portfolio = pure::PortfolioMode::Race;
-    Opts.Jobs = Run % 2 ? 4 : 1;
-    ProgramResult PR = C.verifyFunctions(CS->Functions, Opts);
-    ASSERT_TRUE(PR.allVerified());
-    std::string J = ScrubTimes(PR.toJson());
-    if (Run == 0)
-      First = J;
-    else
-      EXPECT_EQ(J, First) << "run " << Run;
-  }
-}
-
 TEST(ParallelVerify, NegativeResultsAreDeterministicAcrossJobs) {
   // Error messages (including rendered contexts with fresh-variable names)
   // must not depend on scheduling.

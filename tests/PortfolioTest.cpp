@@ -1,29 +1,24 @@
-//===- PortfolioTest.cpp - Racing-portfolio driver tests ------------------===//
+//===- PortfolioTest.cpp - Pure-solver leaf dispatch tests ----------------===//
 //
 // Part of RefinedC++, a C++ reproduction of the RefinedC verifier (PLDI'21).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the racing pure-solver portfolio: deterministic attribution
-/// (the reported Engine depends only on the goal, never on which racer
-/// finished first), On/Race result equivalence, and cancellation stress.
-/// The stress tests are the ones scripts/check.sh runs under TSan/ASan.
+/// Tests for the pure solver's one leaf-dispatch path: the bit-vector
+/// backend extends the solver, attribution follows the fixed priority order
+/// (default < bitvector < collections < lemmas), and `Off` differs from
+/// `On` only on the goals the bit-vector backend proves.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "pure/EvarEnv.h"
-#include "pure/Portfolio.h"
 #include "pure/Solver.h"
 #include "pure/Term.h"
-#include "support/Cancellation.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace rcc::pure;
@@ -37,98 +32,8 @@ TermRef land(TermRef A, TermRef B) { return mkApp("land", Sort::Nat, {A, B}); }
 
 constexpr int64_t U32Max = 4294967295LL;
 
-//===----------------------------------------------------------------------===//
-// PortfolioDriver in isolation
-//===----------------------------------------------------------------------===//
-
-TEST(PortfolioDriver, WinnerIsLowestPriorityProverNotFastest) {
-  // Candidate 2 proves instantly, candidate 1 proves slowly, candidate 0
-  // fails. Attribution must go to candidate 1 (lowest proving index) on
-  // every run, regardless of wall-clock order.
-  PortfolioDriver Driver;
-  for (int Round = 0; Round < 25; ++Round) {
-    std::vector<PortfolioCandidate> Cands;
-    Cands.push_back({"fails", false, [](std::string &) { return false; }});
-    Cands.push_back({"slow", false, [](std::string &) {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(2));
-                       return true;
-                     }});
-    Cands.push_back({"fast", true, [](std::string &) { return true; }});
-    PortfolioOutcome R = Driver.run(Cands, PortfolioMode::Race);
-    ASSERT_TRUE(R.Proved);
-    EXPECT_EQ(R.Engine, "slow");
-    EXPECT_FALSE(R.Manual);
-  }
-}
-
-TEST(PortfolioDriver, SequentialModeShortCircuits) {
-  // In On mode candidates run in order and stop at the first prover.
-  PortfolioDriver Driver;
-  std::atomic<int> Ran{0};
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"a", false, [&](std::string &) {
-                     ++Ran;
-                     return false;
-                   }});
-  Cands.push_back({"b", false, [&](std::string &) {
-                     ++Ran;
-                     return true;
-                   }});
-  Cands.push_back({"c", false, [&](std::string &) {
-                     ++Ran;
-                     return true;
-                   }});
-  PortfolioOutcome R = Driver.run(Cands, PortfolioMode::On);
-  EXPECT_TRUE(R.Proved);
-  EXPECT_EQ(R.Engine, "b");
-  EXPECT_EQ(Ran.load(), 2);
-}
-
-TEST(PortfolioDriver, LosersAreCancelled) {
-  // A hung candidate behind the winner must observe cancellation and
-  // return; the race must not wait for it to run to completion.
-  PortfolioDriver Driver;
-  std::atomic<bool> SawCancel{false};
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"winner", false, [](std::string &) { return true; }});
-  Cands.push_back({"hog", false, [&](std::string &) {
-                     for (int I = 0; I < 100000; ++I) {
-                       if (rcc::cancelRequested()) {
-                         SawCancel = true;
-                         return false;
-                       }
-                       std::this_thread::sleep_for(
-                           std::chrono::microseconds(50));
-                     }
-                     return true;
-                   }});
-  auto Start = std::chrono::steady_clock::now();
-  PortfolioOutcome R = Driver.run(Cands, PortfolioMode::Race);
-  auto Dur = std::chrono::steady_clock::now() - Start;
-  EXPECT_TRUE(R.Proved);
-  EXPECT_EQ(R.Engine, "winner");
-  EXPECT_TRUE(SawCancel.load());
-  // 100000 * 50us = 5s uncancelled; well under 2s proves the cut-off fired.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(Dur).count(),
-            2000);
-}
-
-TEST(PortfolioDriver, NoProverMeansNotProved) {
-  PortfolioDriver Driver;
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"a", false, [](std::string &) { return false; }});
-  Cands.push_back({"b", true, [](std::string &) { return false; }});
-  EXPECT_FALSE(Driver.run(Cands, PortfolioMode::Race).Proved);
-  EXPECT_FALSE(Driver.run(Cands, PortfolioMode::On).Proved);
-}
-
-//===----------------------------------------------------------------------===//
-// End-to-end through PureSolver
-//===----------------------------------------------------------------------===//
-
-/// The goal battery used for the equivalence and determinism tests: a mix
-/// of linear-only, bitvector-only, both-provable, and unprovable goals.
+/// A mix of linear-only, bitvector-only, both-provable, and unprovable
+/// goals.
 struct GoalCase {
   std::vector<TermRef> Hyps;
   TermRef Goal;
@@ -166,64 +71,44 @@ TEST(Portfolio, BitvectorBackendExtendsTheSolver) {
   EvarEnv E1;
   EXPECT_FALSE(Off.prove(Hyps, Goal, E1).Proved);
 
-  for (PortfolioMode M : {PortfolioMode::On, PortfolioMode::Race}) {
-    PureSolver S;
-    S.setPortfolioMode(M);
-    EvarEnv E2;
-    SolveResult R = S.prove(Hyps, Goal, E2);
-    EXPECT_TRUE(R.Proved);
-    EXPECT_EQ(R.Engine, "bitvector");
-    EXPECT_FALSE(R.Manual);
-  }
+  PureSolver On;
+  EXPECT_EQ(On.portfolioMode(), PortfolioMode::On);
+  EvarEnv E2;
+  SolveResult R = On.prove(Hyps, Goal, E2);
+  EXPECT_TRUE(R.Proved);
+  EXPECT_EQ(R.Engine, "bitvector");
+  EXPECT_FALSE(R.Manual);
 }
 
-TEST(Portfolio, RaceAttributionIsDeterministic) {
-  // Repeated race runs over the battery must report identical
-  // (Proved, Manual, Engine) triples every time — the invariant behind the
-  // byte-identical --deterministic-trace gate.
+TEST(Portfolio, OffMatchesOnExceptBitvectorGoals) {
+  // Off is On with the bit-vector backend skipped: on every goal On does
+  // not attribute to `bitvector`, both modes report the same verdict and
+  // attribution. Both headline bitvector-only goals must actually exercise
+  // the exception.
   std::vector<GoalCase> Battery = goalBattery();
-  PureSolver S;
-  S.setPortfolioMode(PortfolioMode::Race);
-
-  std::vector<SolveResult> First;
-  for (int Round = 0; Round < 20; ++Round) {
-    for (size_t GI = 0; GI < Battery.size(); ++GI) {
-      EvarEnv Env;
-      SolveResult R = S.prove(Battery[GI].Hyps, Battery[GI].Goal, Env);
-      if (Round == 0) {
-        First.push_back(R);
-        continue;
-      }
-      EXPECT_EQ(R.Proved, First[GI].Proved) << "goal " << GI;
-      EXPECT_EQ(R.Manual, First[GI].Manual) << "goal " << GI;
-      EXPECT_EQ(R.Engine, First[GI].Engine) << "goal " << GI;
-    }
-  }
-}
-
-TEST(Portfolio, RaceMatchesOn) {
-  // On and Race must compute identical results: Race only reorders work,
-  // never the outcome.
-  std::vector<GoalCase> Battery = goalBattery();
-  PureSolver On, Race;
-  On.setPortfolioMode(PortfolioMode::On);
-  Race.setPortfolioMode(PortfolioMode::Race);
+  PureSolver On, Off;
+  Off.setPortfolioMode(PortfolioMode::Off);
+  unsigned BitvectorGoals = 0;
   for (size_t GI = 0; GI < Battery.size(); ++GI) {
     EvarEnv E1, E2;
     SolveResult A = On.prove(Battery[GI].Hyps, Battery[GI].Goal, E1);
-    SolveResult B = Race.prove(Battery[GI].Hyps, Battery[GI].Goal, E2);
+    SolveResult B = Off.prove(Battery[GI].Hyps, Battery[GI].Goal, E2);
+    if (A.Proved && A.Engine == "bitvector") {
+      ++BitvectorGoals;
+      continue;
+    }
     EXPECT_EQ(A.Proved, B.Proved) << "goal " << GI;
     EXPECT_EQ(A.Manual, B.Manual) << "goal " << GI;
     EXPECT_EQ(A.Engine, B.Engine) << "goal " << GI;
   }
+  EXPECT_EQ(BitvectorGoals, 2u);
 }
 
 TEST(Portfolio, ManualAttributionStaysDeterministicWithAllCandidates) {
   // With extra solvers and lemmas enabled, a goal only a lemma can close
-  // must always be attributed to the lemma engine (Manual=true) under Race.
+  // must always be attributed to the lemma engine (Manual=true).
   TermRef N = nvar("n");
   PureSolver S;
-  S.setPortfolioMode(PortfolioMode::Race);
   S.enableSolver("set_solver");
   // forall k. f(k) <= 3  (an opaque app no arithmetic engine can bound).
   TermRef FK = mkApp("f", Sort::Nat, {mkVar("k", Sort::Nat)});
@@ -242,77 +127,6 @@ TEST(Portfolio, ManualAttributionStaysDeterministicWithAllCandidates) {
     EXPECT_TRUE(R.Manual);
     EXPECT_EQ(R.Engine, "lemma:f_bound");
   }
-}
-
-TEST(Portfolio, CancellationStress) {
-  // Many races back-to-back with the full candidate set; exercises pool
-  // reuse, cancellation delivery into LinearSolver/BDD polling points, and
-  // teardown. Run under TSan/ASan by scripts/check.sh.
-  std::vector<GoalCase> Battery = goalBattery();
-  PureSolver S;
-  S.setPortfolioMode(PortfolioMode::Race);
-  S.enableSolver("multiset_solver");
-  Lemma L;
-  L.Name = "noop";
-  L.Prop = mkForall("k", Sort::Nat,
-                    mkLe(mkVar("k", Sort::Nat), mkVar("k", Sort::Nat)));
-  S.addLemma(L);
-
-  for (int Round = 0; Round < 60; ++Round) {
-    const GoalCase &G = Battery[Round % Battery.size()];
-    EvarEnv Env;
-    SolveResult R = S.prove(G.Hyps, G.Goal, Env);
-    // Spot-check stability of the headline goals under load.
-    if (Round % Battery.size() == 2) {
-      EXPECT_TRUE(R.Proved && R.Engine == "bitvector") << "round " << Round;
-    }
-    if (Round % Battery.size() == 5) {
-      EXPECT_FALSE(R.Proved) << "round " << Round;
-    }
-  }
-}
-
-TEST(Portfolio, CopiedSolverRacesIndependently) {
-  // The checker clones a per-job solver from a prototype; the clone must
-  // get its own driver/pool and still race correctly. Also hammer several
-  // independent solvers racing on different threads at once.
-  PureSolver Proto;
-  Proto.setPortfolioMode(PortfolioMode::Race);
-  TermRef I = nvar("i");
-  {
-    EvarEnv Env;
-    ASSERT_TRUE(Proto.prove({mkLt(I, mkNat(32))},
-                            mkLe(pow2(I), mkNat(U32Max)), Env)
-                    .Proved);
-  }
-  PureSolver Clone = Proto;
-  EXPECT_EQ(Clone.portfolioMode(), PortfolioMode::Race);
-  {
-    EvarEnv Env;
-    EXPECT_TRUE(Clone
-                    .prove({mkLt(I, mkNat(32))},
-                           mkLe(pow2(I), mkNat(U32Max)), Env)
-                    .Proved);
-  }
-
-  std::vector<std::thread> Threads;
-  std::atomic<int> Ok{0};
-  for (int T = 0; T < 4; ++T)
-    Threads.emplace_back([&Ok] {
-      PureSolver Local;
-      Local.setPortfolioMode(PortfolioMode::Race);
-      TermRef J = nvar("j");
-      for (int R = 0; R < 8; ++R) {
-        EvarEnv Env;
-        if (Local.prove({mkLt(J, mkNat(16))}, mkLe(pow2(J), mkNat(65535)),
-                        Env)
-                .Proved)
-          ++Ok;
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Ok.load(), 32);
 }
 
 } // namespace

@@ -50,14 +50,14 @@ TEST(Protocol, HelloAckRoundTrip) {
   A.File = "/tmp/a b.c";
   A.SharedDir = "/l3";
   A.Recheck = true;
-  A.Portfolio = "race";
+  A.Portfolio = "off";
   A.Window = 8;
   Msg M = parseOk(A.toLine(), MsgKind::HelloAck);
   EXPECT_EQ(M.A.Version, kProtocolVersion);
   EXPECT_EQ(M.A.File, "/tmp/a b.c");
   EXPECT_EQ(M.A.SharedDir, "/l3");
   EXPECT_TRUE(M.A.Recheck);
-  EXPECT_EQ(M.A.Portfolio, "race");
+  EXPECT_EQ(M.A.Portfolio, "off");
   EXPECT_EQ(M.A.Window, 8u);
 }
 
