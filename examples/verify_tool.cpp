@@ -29,9 +29,9 @@
 ///                  and fleet topologies; `text` is the default
 ///   --run[=fn]     additionally execute `fn` (default main) afterwards
 ///   --connect=SOCK thin-client mode: instead of verifying in-process,
-///                  send a `check` request to a running `verifyd` on the
-///                  Unix socket SOCK and forward its JSON-lines
-///                  diagnostics (exit 0 iff the daemon reports
+///                  ask a running `verifyd` on the Unix socket SOCK for a
+///                  `check` over protocol v2 and print its JSON-lines
+///                  events (exit 0 iff every workspace document reports
 ///                  all_verified)
 ///   --trace=FILE   write a Chrome trace-event JSON of the whole pipeline
 ///                  (load in chrome://tracing or https://ui.perfetto.dev)
@@ -54,88 +54,84 @@
 //===----------------------------------------------------------------------===//
 
 #include "caesium/Interp.h"
+#include "daemon/Event.h"
+#include "fleet/Protocol.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
 #include "support/Options.h"
+#include "support/Socket.h"
 #include "support/Util.h"
 #include "trace/Export.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 using namespace rcc;
 
 /// Thin-client mode (`--connect=SOCK`): a second invocation next to a
-/// running verifyd does not re-load or re-verify anything — it asks the
-/// daemon (whose L1 is warm across revisions) for a check and forwards the
-/// JSON-lines diagnostics. Exit 0 iff the terminating event reports
-/// all_verified.
+/// running verifyd does not re-load or re-verify anything. It asks the
+/// daemon (whose L1 is warm across revisions) for a check over protocol v2
+/// and prints the check's event lines. `status` goes first because it
+/// answers with one event per workspace document, which is how many
+/// terminating events (`revision_done`, `unchanged`, or `error`) the
+/// `check` owes; requests are answered in order. Only events carrying this
+/// client's request ids count. Exit 0 iff every document reports
+/// all_verified, 1 if one does not, 2 if the daemon cannot be reached or
+/// rejects the client.
 static int runClient(const std::string &Sock) {
-  int Fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  constexpr uint64_t StatusId = 1, CheckId = 2;
+  std::string Err;
+  int Fd = net::connectUnix(Sock, &Err);
   if (Fd < 0) {
-    perror("socket");
+    fprintf(stderr, "error: cannot reach verifyd: %s\n", Err.c_str());
     return 2;
   }
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Sock.size() >= sizeof(Addr.sun_path)) {
-    fprintf(stderr, "error: socket path too long: %s\n", Sock.c_str());
-    close(Fd);
-    return 2;
-  }
-  memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
-  if (connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    fprintf(stderr, "error: cannot connect to verifyd at '%s': %s\n",
-            Sock.c_str(), strerror(errno));
-    close(Fd);
-    return 2;
-  }
-  const char Req[] = "check\n";
-  if (write(Fd, Req, sizeof(Req) - 1) != sizeof(Req) - 1) {
-    perror("write");
-    close(Fd);
-    return 2;
-  }
-  // Forward every event line; the revision_done/unchanged event terminates
-  // the exchange and carries the verdict.
-  std::string Buf;
-  char Chunk[4096];
-  int Exit = 2; // connection dropped before a verdict
-  bool Done = false;
-  while (!Done) {
-    ssize_t N = read(Fd, Chunk, sizeof(Chunk));
-    if (N <= 0)
-      break;
-    Buf.append(Chunk, static_cast<size_t>(N));
-    size_t NL;
-    while ((NL = Buf.find('\n')) != std::string::npos) {
-      std::string Line = Buf.substr(0, NL);
-      Buf.erase(0, NL + 1);
-      printf("%s\n", Line.c_str());
-      if (Line.find("\"event\": \"revision_done\"") != std::string::npos ||
-          Line.find("\"event\": \"unchanged\"") != std::string::npos) {
-        Exit = Line.find("\"all_verified\": true") != std::string::npos ? 0
-                                                                        : 1;
-        Done = true;
-        break;
+  net::LineConn Conn(Fd);
+  fleet::Hello H;
+  H.Role = "client";
+  H.Name = "verify_tool";
+  Conn.sendLine(H.toLine());
+  Conn.sendLine(fleet::Request{StatusId, "status"}.toLine());
+  Conn.sendLine(fleet::Request{CheckId, "check"}.toLine());
+
+  size_t Docs = 0, Done = 0;
+  bool AllOk = true;
+  std::string Line;
+  while (Conn.waitLine(Line, /*TimeoutMs=*/-1)) {
+    daemon::Event E;
+    uint64_t Id = 0;
+    if (!daemon::Event::fromJsonLine(Line, E, &Id)) {
+      fleet::Msg M;
+      if (fleet::parseMsg(Line, M) && M.Kind == fleet::MsgKind::Error) {
+        fprintf(stderr, "error: verifyd: %s\n", M.E.Message.c_str());
+        return 2;
       }
-      if (Line.find("\"event\": \"error\"") != std::string::npos) {
-        Exit = 1;
-        Done = true;
-        break;
-      }
+      continue; // hello_ack
+    }
+    if (Id == StatusId && E.Kind == daemon::EventKind::Status) {
+      ++Docs;
+      continue;
+    }
+    if (Id != CheckId)
+      continue; // watch revisions and other clients' requests
+    printf("%s\n", Line.c_str());
+    bool Terminal = E.Kind == daemon::EventKind::RevisionDone ||
+                    E.Kind == daemon::EventKind::Unchanged ||
+                    E.Kind == daemon::EventKind::Error;
+    if (!Terminal)
+      continue;
+    if (!E.AllVerified) // an error event never reports all_verified
+      AllOk = false;
+    if (++Done == Docs) {
+      Conn.sendLine(fleet::Bye{}.toLine());
+      return AllOk ? 0 : 1;
     }
   }
-  close(Fd);
-  return Exit;
+  fprintf(stderr, "error: verifyd closed the connection before a verdict\n");
+  return 2;
 }
 
 int main(int argc, char **argv) {

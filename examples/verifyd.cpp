@@ -11,14 +11,21 @@
 /// in-memory result tier (plus an optional disk tier), a save only re-runs
 /// proof search for the functions whose verification problem actually
 /// changed. Several files form a workspace sharing the same tiers: a save
-/// re-verifies only the changed functions of the saved file. Diagnostics
-/// are JSON lines (see DESIGN.md, "Verification daemon"). Flags:
+/// re-verifies only the changed functions of the saved file.
+///
+/// Both transports speak protocol v2 (src/fleet/Protocol.h; DESIGN.md,
+/// "Verification daemon"): a peer sends `hello`, is answered by
+/// `hello_ack`, then sends `{"rcc": "req", "id": N, "method": M}` lines
+/// (M = `check`, `status`, `shutdown`) and may leave with `bye`. Events
+/// are JSON lines behind a `{"v": 2, "id": N, ...}` envelope, where N is
+/// the id of the request they answer on the requester's copy and 0
+/// everywhere else. Flags:
 ///
 ///   --stdio            serve the protocol on stdin/stdout (default; used
 ///                      by tests and editor integrations)
-///   --socket=PATH      serve on a Unix domain socket instead;
-///                      `verify_tool --connect=PATH` is a thin client, and
-///                      v2 clients upgrade with a `hello` handshake
+///   --socket=PATH      serve on a Unix domain socket instead, to any
+///                      number of clients; `verify_tool --connect=PATH` is
+///                      a thin client
 ///   --once             one cold-start verification, then exit (no watch)
 ///   --cache-dir=DIR    persist results under DIR: a daemon restart serves
 ///                      unchanged functions from the replayed disk tier
@@ -71,6 +78,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+
+#include <unistd.h>
 
 using namespace rcc;
 
@@ -219,9 +228,11 @@ int main(int argc, char **argv) {
 
   int Ret;
   if (Once) {
-    // One cold-start check; events still go to stdout as JSON lines.
+    // One cold-start check; events still go to stdout as JSON lines, with
+    // id 0 because no request asked for them.
     D.checkOnce(
-        [](const std::string &L) {
+        [](const daemon::Event &E) {
+          std::string L = E.toJsonLine(0);
           fputs(L.c_str(), stdout);
           fputc('\n', stdout);
           fflush(stdout);
@@ -231,7 +242,7 @@ int main(int argc, char **argv) {
   } else if (!SockPath.empty()) {
     Ret = D.runSocket(SockPath);
   } else {
-    Ret = D.runStdio(std::cin, std::cout);
+    Ret = D.runStdio(STDIN_FILENO, std::cout);
   }
 
   // Clean shutdown flushes the trace last, after the final store GC.

@@ -87,7 +87,10 @@ cmp build/check_portfolio/on_j4.json build/check_portfolio/off.json || {
 # 6. Daemon smoke: start verifyd --stdio on a copy of the demo, wait for
 #    the cold-start revision, edit one function in place, force a check,
 #    and assert exactly that one function was re-verified (the daemon's
-#    warm-L1 acceptance path), then shut down cleanly.
+#    warm-L1 acceptance path), then shut down cleanly. The daemon speaks
+#    protocol v2 only: the session opens with `hello` and sends `req`
+#    lines. Then the socket round trip: `verify_tool --connect` must exit 1
+#    on a two-file workspace with one failing file and 0 on the demo alone.
 rm -rf build/check_daemon && mkdir -p build/check_daemon
 cp examples/demo.c build/check_daemon/watched.c
 fifo=build/check_daemon/in; mkfifo "$fifo"
@@ -96,25 +99,28 @@ dout=build/check_daemon/out
     < "$fifo" > "$dout" &
 dpid=$!
 exec 9> "$fifo"
+echo '{"rcc": "hello", "protocol_version": 2, "role": "client"}' >&9
 for _ in $(seq 1 100); do
   grep -q '"event": "revision_done", "rev": 1' "$dout" 2>/dev/null && break
   sleep 0.1
 done
 grep -q '"event": "revision_done", "rev": 1' "$dout"
 grep -q '"all_verified": true' "$dout"
+grep -q '"rcc": "hello_ack"' "$dout"
 # Same-length in-place edit of max_sz only (later lines keep their
 # locations, so only one function's content hash changes).
 sed -i 's/a < b ? b : a/b < a ? a : b/' build/check_daemon/watched.c
-echo check >&9
+echo '{"rcc": "req", "id": 1, "method": "check"}' >&9
 for _ in $(seq 1 100); do
   grep -q '"event": "revision_done", "rev": 2' "$dout" 2>/dev/null && break
   sleep 0.1
 done
 grep '"event": "revision_done", "rev": 2' "$dout" | grep -q '"reverified": 1'
-echo shutdown >&9
+echo '{"rcc": "req", "id": 2, "method": "shutdown"}' >&9
 exec 9>&-
 wait $dpid
-grep -q '"event": "shutdown"' "$dout"
+grep -q '"id": 2, "event": "shutdown"' "$dout"
+scripts/connect_smoke.sh ./build/examples/verifyd ./build/examples/verify_tool
 
 # 7. LSP smoke: a scripted editor session against a real rcc-lsp process
 #    over stdio Content-Length framing (initialize -> didOpen with a

@@ -18,13 +18,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
+#include <ostream>
 #include <sstream>
 #include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 namespace fs = std::filesystem;
@@ -106,11 +105,6 @@ Daemon::Daemon(DaemonOptions Opts) : O(std::move(Opts)) {
 }
 
 Daemon::~Daemon() = default;
-
-StructuredSink Daemon::render(const EventSink &Sink) {
-  // Copy the sink: the returned adapter may outlive the caller's reference.
-  return [Sink](const Event &E) { Sink(E.toJsonLine()); };
-}
 
 Daemon::Document *Daemon::find(const std::string &Path) {
   for (auto &D : Docs)
@@ -322,10 +316,6 @@ bool Daemon::checkOnce(const StructuredSink &Sink, bool Force) {
   return Any;
 }
 
-bool Daemon::checkOnce(const EventSink &Sink, bool Force) {
-  return checkOnce(render(Sink), Force);
-}
-
 bool Daemon::checkDocument(const std::string &Path, const StructuredSink &Sink,
                            bool Force) {
   trace::SessionScope Scope(O.Trace);
@@ -352,36 +342,6 @@ void Daemon::runGc(const StructuredSink &Sink) {
   E.Evicted = S.Evicted;
   E.MaxBytes = O.CacheMaxBytes;
   Sink(E);
-}
-
-bool Daemon::handleLine(const std::string &Line, const EventSink &Sink) {
-  return handleLine(Line, render(Sink));
-}
-
-bool Daemon::handleLine(const std::string &Line, const StructuredSink &S) {
-  std::string Cmd = trim(Line);
-  if (Cmd.empty())
-    return true;
-  if (Cmd == "check" || Cmd == "verify") {
-    checkOnce(S, /*Force=*/true);
-    return true;
-  }
-  if (Cmd == "status") {
-    for (const auto &D : Docs) {
-      Event E;
-      E.Kind = EventKind::Status;
-      E.Rev = D->Rev;
-      E.File = D->Path;
-      E.Functions = static_cast<unsigned>(D->Last.Fns.size());
-      E.AllVerified = docVerified(D->Last, D->LastGood);
-      S(E);
-    }
-    return true;
-  }
-  if (Cmd == "shutdown" || Cmd == "quit")
-    return false;
-  S(errorEvent(revision(), "", "unknown command '" + Cmd + "'"));
-  return true;
 }
 
 void Daemon::emitShutdown(const StructuredSink &Sink) {
@@ -426,63 +386,120 @@ bool Daemon::lastAllVerified() const {
 }
 
 //===----------------------------------------------------------------------===//
+// Protocol: the request handler both transports share
+//===----------------------------------------------------------------------===//
+
+bool Daemon::handleLine(Peer &P, const std::string &Line, const LineSink &Reply,
+                        const StructuredSink &Sink) {
+  if (trim(Line).empty())
+    return true;
+  auto Reject = [&Reply](const std::string &Why) {
+    Reply(fleet::ErrorMsg{Why}.toLine());
+    return true;
+  };
+  fleet::Msg M;
+  std::string Err;
+  if (!fleet::parseMsg(Line, M, &Err))
+    return Reject(Err);
+
+  if (!P.Greeted) {
+    if (M.Kind != fleet::MsgKind::Hello)
+      return Reject("expected hello");
+    if (M.H.Version != fleet::kProtocolVersion) {
+      P.Closed = true;
+      return Reject("protocol version " + std::to_string(M.H.Version) +
+                    " not supported (daemon speaks " +
+                    std::to_string(fleet::kProtocolVersion) + ")");
+    }
+    P.Greeted = true;
+    fleet::HelloAck Ack;
+    Ack.File = Docs.empty() ? std::string() : Docs.front()->Path;
+    Ack.Recheck = O.Recheck;
+    Reply(Ack.toLine());
+    return true;
+  }
+  if (M.Kind == fleet::MsgKind::Bye) {
+    P.Closed = true;
+    return true;
+  }
+  if (M.Kind != fleet::MsgKind::Request)
+    return Reject("unexpected message on a daemon connection");
+
+  const std::string &Method = M.Q.Method;
+  if (Method != "check" && Method != "status" && Method != "shutdown")
+    return Reject("unknown method '" + Method + "'");
+  P.ReqId = M.Q.Id;
+  // The final `shutdown` event answers this request: the id stays.
+  if (Method == "shutdown")
+    return false;
+  if (Method == "check") {
+    checkOnce(Sink, /*Force=*/true);
+  } else {
+    for (const auto &D : Docs) {
+      Event E;
+      E.Kind = EventKind::Status;
+      E.Rev = D->Rev;
+      E.File = D->Path;
+      E.Functions = static_cast<unsigned>(D->Last.Fns.size());
+      E.AllVerified = docVerified(D->Last, D->LastGood);
+      Sink(E);
+    }
+  }
+  P.ReqId = 0;
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
 // Stdio transport
 //===----------------------------------------------------------------------===//
 
-int Daemon::runStdio(std::istream &In, std::ostream &Out) {
-  EventSink Sink = [&Out](const std::string &L) {
+int Daemon::runStdio(int InFd, std::ostream &Out) {
+  Peer P;
+  LineSink Reply = [&Out](const std::string &L) {
     Out << L << '\n';
     Out.flush();
   };
+  StructuredSink Sink = [&](const Event &E) { Reply(E.toJsonLine(P.ReqId)); };
 
   // Cold start: verify everything before serving requests.
   checkOnce(Sink, /*Force=*/true);
 
-  if (&In == &std::cin) {
-    // Watch mode: poll stdin with a timeout; every timeout is a watch tick
-    // on the workspace, so saves re-verify without any request.
-    std::string Buf;
-    char Chunk[4096];
-    bool Eof = false;
-    while (!Eof && !shutdownRequested()) {
-      struct pollfd PFD;
-      PFD.fd = 0;
-      PFD.events = POLLIN;
-      int N = poll(&PFD, 1, static_cast<int>(O.PollMs));
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        break;
-      }
-      if (N == 0) {
-        checkOnce(Sink, /*Force=*/false);
+  // Poll the input with a timeout; every timeout is a watch tick on the
+  // workspace, so saves re-verify without any request.
+  std::string Buf;
+  bool Serving = true, Eof = false;
+  while (Serving && !Eof && !P.Closed && !shutdownRequested()) {
+    struct pollfd PFD = {InFd, POLLIN, 0};
+    int N = poll(&PFD, 1, static_cast<int>(O.PollMs));
+    if (N < 0) {
+      if (errno == EINTR)
         continue;
-      }
-      ssize_t R = read(0, Chunk, sizeof(Chunk));
-      if (R <= 0) {
-        Eof = true;
-        break;
-      }
-      Buf.append(Chunk, static_cast<size_t>(R));
-      size_t NL;
-      while ((NL = Buf.find('\n')) != std::string::npos) {
-        std::string Line = Buf.substr(0, NL);
-        Buf.erase(0, NL + 1);
-        if (!handleLine(Line, Sink)) {
-          Eof = true;
-          break;
-        }
-      }
+      break;
     }
-  } else {
-    // Test harness mode: drain the stream line by line, no watching.
-    std::string Line;
-    while (!shutdownRequested() && std::getline(In, Line))
-      if (!handleLine(Line, Sink))
-        break;
+    if (N == 0) {
+      checkOnce(Sink, /*Force=*/false);
+      continue;
+    }
+    char Chunk[4096];
+    ssize_t R = read(InFd, Chunk, sizeof(Chunk));
+    if (R < 0 && errno == EINTR)
+      continue;
+    if (R > 0) {
+      Buf.append(Chunk, static_cast<size_t>(R));
+    } else {
+      Eof = true;
+      if (!Buf.empty())
+        Buf.push_back('\n'); // serve an unterminated final line
+    }
+    size_t NL;
+    while (Serving && !P.Closed && (NL = Buf.find('\n')) != std::string::npos) {
+      std::string Line = Buf.substr(0, NL);
+      Buf.erase(0, NL + 1);
+      Serving = handleLine(P, Line, Reply, Sink);
+    }
   }
 
-  emitShutdown(render(Sink));
+  emitShutdown(Sink);
   return lastAllVerified() ? 0 : 1;
 }
 
@@ -494,13 +511,10 @@ namespace {
 /// One connected subscriber: a buffered line transport (net::LineConn owns
 /// partial-write/EPIPE robustness — a dead or wedged client is reaped, and
 /// never takes the daemon down or corrupts another client's stream) plus
-/// its negotiated protocol state. Every connection starts at v1; a
-/// well-formed `hello` upgrades it to v2, after which events carry the v2
-/// envelope with the id of the client's last request.
+/// its protocol state.
 struct Client {
   net::LineConn Conn;
-  unsigned Version = 1;
-  uint64_t ReqId = 0; ///< last v2 request id (echoed on its reply events)
+  Daemon::Peer P;
 
   explicit Client(int Fd) : Conn(Fd) {}
 };
@@ -521,74 +535,21 @@ int Daemon::runSocket(const std::string &SockPath) {
   std::vector<std::unique_ptr<Client>> Clients;
   // Every event goes to stdout (the daemon's log) and to every connected
   // subscriber — watch revisions broadcast, and a requesting client sees
-  // its own terminating event because it is a subscriber too. The typed
-  // sink renders per client: v1 connections get the exact legacy line, v2
-  // connections the enveloped one.
+  // its own reply events because it is a subscriber too. Only the
+  // requester's copy carries the request's id.
   StructuredSink Broadcast = [&Clients](const Event &E) {
-    std::string V1 = E.toJsonLine();
-    fputs(V1.c_str(), stdout);
+    std::string Line = E.toJsonLine(0);
+    fputs(Line.c_str(), stdout);
     fputc('\n', stdout);
     fflush(stdout);
-    for (auto &C : Clients) {
-      if (C->Conn.dead())
-        continue;
-      C->Conn.sendLine(C->Version >= 2 ? E.toJsonLine(C->Version, C->ReqId)
-                                       : V1);
-      C->Conn.flushWrites();
-    }
+    for (auto &C : Clients)
+      C->Conn.sendLine(C->P.ReqId ? E.toJsonLine(C->P.ReqId) : Line);
   };
 
   checkOnce(Broadcast, /*Force=*/true);
 
-  bool Stop = false;
-  auto HandleV2 = [&](Client &C, const std::string &Line) {
-    fleet::Msg M;
-    std::string PErr;
-    if (!fleet::parseMsg(Line, M, &PErr)) {
-      C.Conn.sendLine(fleet::ErrorMsg{PErr}.toLine());
-      C.Conn.flushWrites();
-      return;
-    }
-    switch (M.Kind) {
-    case fleet::MsgKind::Hello: {
-      if (M.H.Version != fleet::kProtocolVersion) {
-        C.Conn.sendLine(
-            fleet::ErrorMsg{"protocol version " +
-                            std::to_string(M.H.Version) +
-                            " not supported (daemon speaks " +
-                            std::to_string(fleet::kProtocolVersion) + ")"}
-                .toLine());
-        C.Conn.flushWrites();
-        C.Conn.markDead();
-        return;
-      }
-      C.Version = M.H.Version;
-      fleet::HelloAck Ack;
-      Ack.File = Docs.empty() ? std::string() : Docs.front()->Path;
-      Ack.Recheck = O.Recheck;
-      C.Conn.sendLine(Ack.toLine());
-      C.Conn.flushWrites();
-      return;
-    }
-    case fleet::MsgKind::Request:
-      // The v2 request surface is the v1 command set with an id: the
-      // reply events of this check/status carry the id in their envelope.
-      C.ReqId = M.Q.Id;
-      if (!handleLine(M.Q.Method, Broadcast))
-        Stop = true;
-      return;
-    case fleet::MsgKind::Bye:
-      C.Conn.markDead();
-      return;
-    default:
-      C.Conn.sendLine(
-          fleet::ErrorMsg{"unexpected message on a daemon socket"}.toLine());
-      C.Conn.flushWrites();
-      return;
-    }
-  };
-
-  while (!Stop && !shutdownRequested()) {
+  bool Serving = true;
+  while (Serving && !shutdownRequested()) {
     std::vector<struct pollfd> PFDs;
     PFDs.push_back({ListenFd, POLLIN, 0});
     for (const auto &C : Clients) {
@@ -616,7 +577,8 @@ int Daemon::runSocket(const std::string &SockPath) {
     }
 
     // PFDs[I+1] belongs to Clients[I]; accept above only appended.
-    for (size_t I = 0; I < Clients.size() && I + 1 < PFDs.size(); ++I) {
+    for (size_t I = 0; Serving && I < Clients.size() && I + 1 < PFDs.size();
+         ++I) {
       Client &C = *Clients[I];
       short Rev = PFDs[I + 1].revents;
       if (Rev & (POLLERR | POLLNVAL)) {
@@ -629,15 +591,13 @@ int Daemon::runSocket(const std::string &SockPath) {
         continue;
       std::vector<std::string> Lines;
       bool Alive = C.Conn.readLines(Lines);
+      LineSink Reply = [&C](const std::string &L) { C.Conn.sendLine(L); };
       for (const std::string &Line : Lines) {
-        if (Stop)
+        Serving = handleLine(C.P, Line, Reply, Broadcast);
+        if (!Serving || C.P.Closed)
           break;
-        if (fleet::looksLikeV2(Line))
-          HandleV2(C, Line);
-        else if (!handleLine(Line, Broadcast)) // legacy v1 bare words
-          Stop = true;
       }
-      if (!Alive)
+      if (!Alive || C.P.Closed)
         C.Conn.markDead();
     }
 

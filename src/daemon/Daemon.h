@@ -25,18 +25,21 @@
 /// the LSP server on didOpen/didChange that takes precedence over the
 /// file's bytes — and the last compiled session.
 ///
-/// Events are typed (daemon::Event); the JSON-lines protocol over stdio
-/// (`verifyd --stdio`) or a Unix domain socket (`verifyd --socket=PATH`)
-/// renders them with Event::toJsonLine, and the LSP server consumes them
-/// directly through a StructuredSink. Legacy (v1) requests are single
-/// words (`check`, `status`, `shutdown`); every `check` exchange is
-/// terminated by a `revision_done`, `unchanged`, or `error` event per
-/// document. A socket client may instead upgrade to protocol v2
-/// (fleet/Protocol.h) with a `hello` handshake: its requests become
-/// id-correlated `{"rcc": "req"}` messages and its events gain the
-/// versioned envelope (Event::toJsonLine(Version, ReqId)), while v1
-/// clients on the same socket keep receiving the byte-identical legacy
-/// lines.
+/// Events are typed (daemon::Event); the LSP server consumes them directly
+/// through a StructuredSink, and the JSON-lines transports — stdio
+/// (`verifyd --stdio`) and a Unix domain socket (`verifyd --socket=PATH`)
+/// — speak protocol v2 (fleet/Protocol.h) through one request handler,
+/// handleLine. A peer opens with `hello` and is answered by `hello_ack`;
+/// it then sends `{"rcc": "req", "id": N, "method": M}` lines, M one of
+/// `check`, `status` and `shutdown`, and may leave with `bye`. Any other
+/// line gets an `{"rcc": "error"}` message sent to that peer only (blank
+/// lines are ignored), and a `hello` with another protocol version is
+/// rejected and closes that peer. Every event line carries the envelope
+/// `{"v": 2, "id": N, ...}`: the requesting peer's copy of the events its
+/// request emits carries the request's id, every other copy (watch
+/// revisions, other subscribers, the socket's stdout log) carries 0. A
+/// `check` reply ends, per document, with a `revision_done`, `unchanged`,
+/// or `error` event.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +51,7 @@
 #include "refinedc/Checker.h"
 #include "store/ResultStore.h"
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -113,27 +117,40 @@ public:
   /// an unchanged forced check, emits an `unchanged` event per document so
   /// a request is never left without a terminating reply.
   bool checkOnce(const StructuredSink &Sink, bool Force = false);
-  bool checkOnce(const EventSink &Sink, bool Force = false);
 
   /// One revision step for a single document (the LSP server's per-save
   /// path). Adds the document if needed.
   bool checkDocument(const std::string &Path, const StructuredSink &Sink,
                      bool Force = true);
 
-  /// Dispatches one protocol line (`check` / `status` / `shutdown`;
-  /// unknown commands produce an `error` event). Returns false when the
-  /// daemon should shut down. These are the legacy v1 commands *and* the
-  /// method set of v2 requests — runSocket maps `{"rcc": "req", "method":
-  /// M}` onto the same dispatch, so both protocol generations share one
-  /// semantic surface.
-  bool handleLine(const std::string &Line, const EventSink &Sink);
-  bool handleLine(const std::string &Line, const StructuredSink &Sink);
+  // --- Protocol (both JSON-lines transports) ---
 
-  /// Stdio transport: cold-start verification, then one command per input
-  /// line. When \p In is std::cin, the loop polls the workspace between
-  /// lines (watch mode); other streams (tests) are drained line by line.
-  /// Returns the exit code (0 iff the last revision fully verified).
-  int runStdio(std::istream &In, std::ostream &Out);
+  /// One protocol peer: the stdio session or one socket client.
+  struct Peer {
+    bool Greeted = false; ///< its `hello` was accepted
+    bool Closed = false;  ///< it said `bye` or failed the handshake
+    /// Id of the request being served: this peer's copy of the events the
+    /// request emits carries it (0 = none).
+    uint64_t ReqId = 0;
+  };
+  /// Sends one protocol line to a single peer.
+  using LineSink = std::function<void(const std::string &)>;
+
+  /// The request handler both transports share: serves one line from \p P
+  /// (grammar in the file comment). `hello_ack` and protocol errors go to
+  /// \p Reply, which reaches P alone; a request's events go to \p Sink
+  /// while P.ReqId holds its id. Returns false on `shutdown`, leaving the
+  /// request's id in P.ReqId for the final `shutdown` event.
+  bool handleLine(Peer &P, const std::string &Line, const LineSink &Reply,
+                  const StructuredSink &Sink);
+
+  /// Stdio transport: cold-start verification, then serves the lines read
+  /// from \p InFd, polling the workspace whenever the input stays idle for
+  /// PollMs (watch mode). An unterminated final line is served at EOF;
+  /// EOF, `bye`, a rejected handshake, and `shutdown` all end the session
+  /// with a `shutdown` event. Returns the exit code (0 iff the last
+  /// revision fully verified).
+  int runStdio(int InFd, std::ostream &Out);
 
   /// Unix-domain-socket transport: accepts any number of clients, serves
   /// their requests, broadcasts watch revisions to all of them, and
@@ -207,8 +224,6 @@ private:
   /// was evicted.
   void runGc(const StructuredSink &Sink);
   void emitShutdown(const StructuredSink &Sink);
-  /// Adapts a JSON-lines sink to the typed model.
-  static StructuredSink render(const EventSink &Sink);
 
   DaemonOptions O;
   /// Shared tiers, adopted by every revision's Checker in every document.

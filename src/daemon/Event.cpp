@@ -6,6 +6,7 @@
 
 #include "daemon/Event.h"
 
+#include "fleet/Protocol.h"
 #include "support/Json.h"
 #include "support/Util.h"
 
@@ -44,19 +45,20 @@ Event Event::fromFnResult(unsigned Rev, const std::string &File,
   return E;
 }
 
-std::string Event::toJsonLine() const {
-  std::string S;
+std::string Event::toJsonLine(uint64_t Id) const {
+  std::string S = "{\"v\": " + std::to_string(fleet::kProtocolVersion) +
+                  ", \"id\": " + std::to_string(Id) + ", ";
   switch (Kind) {
   case EventKind::Revision:
-    S = "{\"event\": \"revision\", \"rev\": " + std::to_string(Rev) +
-        ", \"file\": " + jsonQuote(File) + "}";
+    S += "\"event\": \"revision\", \"rev\": " + std::to_string(Rev) +
+         ", \"file\": " + jsonQuote(File) + "}";
     break;
 
   case EventKind::Diagnostic:
-    S = "{\"event\": \"diagnostic\", \"rev\": " + std::to_string(Rev) +
-        ", \"file\": " + jsonQuote(File) + ", \"fn\": " + jsonQuote(Diag.Fn) +
-        std::string(", \"verified\": ") + (Verified ? "true" : "false") +
-        std::string(", \"cached\": ") + (Cached ? "true" : "false");
+    S += "\"event\": \"diagnostic\", \"rev\": " + std::to_string(Rev) +
+         ", \"file\": " + jsonQuote(File) + ", \"fn\": " + jsonQuote(Diag.Fn) +
+         std::string(", \"verified\": ") + (Verified ? "true" : "false") +
+         std::string(", \"cached\": ") + (Cached ? "true" : "false");
     if (Trusted)
       S += ", \"trusted\": true";
     if (!Diag.Message.empty()) {
@@ -72,36 +74,37 @@ std::string Event::toJsonLine() const {
     break;
 
   case EventKind::RevisionDone:
-    S = "{\"event\": \"revision_done\", \"rev\": " + std::to_string(Rev) +
-        ", \"file\": " + jsonQuote(File) +
-        ", \"functions\": " + std::to_string(Functions) +
-        ", \"reverified\": " + std::to_string(Reverified) +
-        ", \"cached\": " + std::to_string(CachedFns) +
-        ", \"l1_hits\": " + std::to_string(L1Hits) +
-        ", \"l2_hits\": " + std::to_string(L2Hits) +
-        ", \"replayed\": " + std::to_string(Replayed) +
-        ", \"failed\": " + std::to_string(Failed) +
-        std::string(", \"all_verified\": ") + (AllVerified ? "true" : "false") +
-        ", \"wall_ms\": " + fmtMs(WallMs) + "}";
+    S += "\"event\": \"revision_done\", \"rev\": " + std::to_string(Rev) +
+         ", \"file\": " + jsonQuote(File) +
+         ", \"functions\": " + std::to_string(Functions) +
+         ", \"reverified\": " + std::to_string(Reverified) +
+         ", \"cached\": " + std::to_string(CachedFns) +
+         ", \"l1_hits\": " + std::to_string(L1Hits) +
+         ", \"l2_hits\": " + std::to_string(L2Hits) +
+         ", \"replayed\": " + std::to_string(Replayed) +
+         ", \"failed\": " + std::to_string(Failed) +
+         std::string(", \"all_verified\": ") +
+         (AllVerified ? "true" : "false") + ", \"wall_ms\": " + fmtMs(WallMs) +
+         "}";
     break;
 
   case EventKind::Unchanged:
-    S = "{\"event\": \"unchanged\", \"rev\": " + std::to_string(Rev) +
-        ", \"file\": " + jsonQuote(File) +
-        std::string(", \"all_verified\": ") + (AllVerified ? "true" : "false") +
-        "}";
+    S += "\"event\": \"unchanged\", \"rev\": " + std::to_string(Rev) +
+         ", \"file\": " + jsonQuote(File) +
+         std::string(", \"all_verified\": ") +
+         (AllVerified ? "true" : "false") + "}";
     break;
 
   case EventKind::Status:
-    S = "{\"event\": \"status\", \"rev\": " + std::to_string(Rev) +
-        ", \"file\": " + jsonQuote(File) +
-        ", \"functions\": " + std::to_string(Functions) +
-        std::string(", \"all_verified\": ") + (AllVerified ? "true" : "false") +
-        "}";
+    S += "\"event\": \"status\", \"rev\": " + std::to_string(Rev) +
+         ", \"file\": " + jsonQuote(File) +
+         ", \"functions\": " + std::to_string(Functions) +
+         std::string(", \"all_verified\": ") +
+         (AllVerified ? "true" : "false") + "}";
     break;
 
   case EventKind::Error:
-    S = "{\"event\": \"error\", \"rev\": " + std::to_string(Rev);
+    S += "\"event\": \"error\", \"rev\": " + std::to_string(Rev);
     if (!File.empty())
       S += ", \"file\": " + jsonQuote(File);
     if (Diag.Loc.isValid())
@@ -111,27 +114,18 @@ std::string Event::toJsonLine() const {
     break;
 
   case EventKind::Gc:
-    S = "{\"event\": \"gc\", \"bytes_before\": " + std::to_string(BytesBefore) +
-        ", \"bytes_after\": " + std::to_string(BytesAfter) +
-        ", \"evicted\": " + std::to_string(Evicted) +
-        ", \"max_bytes\": " + std::to_string(MaxBytes) + "}";
+    S += "\"event\": \"gc\", \"bytes_before\": " +
+         std::to_string(BytesBefore) +
+         ", \"bytes_after\": " + std::to_string(BytesAfter) +
+         ", \"evicted\": " + std::to_string(Evicted) +
+         ", \"max_bytes\": " + std::to_string(MaxBytes) + "}";
     break;
 
   case EventKind::Shutdown:
-    S = "{\"event\": \"shutdown\", \"rev\": " + std::to_string(Rev) + "}";
+    S += "\"event\": \"shutdown\", \"rev\": " + std::to_string(Rev) + "}";
     break;
   }
   return S;
-}
-
-std::string Event::toJsonLine(unsigned Version, uint64_t ReqId) const {
-  std::string V1 = toJsonLine();
-  if (Version < 2)
-    return V1;
-  // The v2 envelope prefixes the *identical* v1 body, so a v2 subscriber
-  // can reuse every v1 field parser and v1 byte-compatibility is trivially
-  // preserved for clients that never said hello.
-  return "{\"v\": 2, \"id\": " + std::to_string(ReqId) + ", " + V1.substr(1);
 }
 
 static bool parseLoc(const json::Value &O, const char *LineKey,
@@ -176,11 +170,10 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   json::Value V;
   if (!json::parse(Line, V, nullptr) || !V.isObject())
     return false;
-  if (ReqId)
-    *ReqId = 0;
-  if (const json::Value *Id = V.field("id"))
-    if (Id->isNumber() && ReqId)
-      *ReqId = static_cast<uint64_t>(Id->asInt());
+  const json::Value *Ver = V.field("v"), *Id = V.field("id");
+  if (!Ver || !Ver->isNumber() || Ver->asInt() != static_cast<int64_t>(fleet::kProtocolVersion) ||
+      !Id || !Id->isNumber())
+    return false;
   const json::Value *Kind = V.field("event");
   if (!Kind || !Kind->isString())
     return false;
@@ -257,5 +250,7 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
     return false;
   }
   Out = std::move(E);
+  if (ReqId)
+    *ReqId = static_cast<uint64_t>(Id->asInt());
   return true;
 }

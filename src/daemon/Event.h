@@ -9,8 +9,9 @@
 /// daemon occurrence — a revision starting, a per-function verdict, a
 /// revision completing, a compile error — is an Event value; transports
 /// *render* events instead of assembling strings: the JSON-lines protocol
-/// calls toJsonLine() (byte-compatible with the historical ad-hoc format),
-/// and the LSP server maps the same values onto publishDiagnostics.
+/// calls toJsonLine, which writes every line behind the protocol-v2
+/// envelope `{"v": 2, "id": N, ...}`, and the LSP server maps the same
+/// values onto publishDiagnostics.
 /// Diagnostic payloads ride along as rcc::Diagnostic, the one wire-level
 /// diagnostic struct shared with `verify_tool --format=json`, so a
 /// function's failure serializes identically on every surface.
@@ -73,24 +74,19 @@ struct Event {
   uint64_t Evicted = 0;
   uint64_t MaxBytes = 0;
 
-  /// Renders the JSON-lines wire form (one line, no trailing newline).
-  /// Field names, order, and `": "`/`", "` spacing are stable protocol —
+  /// Renders the JSON-lines wire form (one line, no trailing newline):
+  /// `{"v": 2, "id": N, "event": ...}`, where \p Id is the id of the
+  /// request this event answers on the receiving peer's copy and 0 on
+  /// every other copy (watch broadcasts, other subscribers, logs). Field
+  /// names, order, and `": "`/`", "` spacing are stable protocol —
   /// DaemonTest and scripts grep exact substrings of these lines.
-  std::string toJsonLine() const;
+  std::string toJsonLine(uint64_t Id) const;
 
-  /// Renders the line for a protocol-v2 subscriber (negotiated by the
-  /// `hello` handshake; see src/fleet/Protocol.h): the identical v1 body
-  /// behind a `{"v": 2, "id": N, ...}` envelope, where \p ReqId correlates
-  /// the event with the v2 request that triggered it (0 = unsolicited
-  /// watch broadcast). Version 1 returns the v1 line byte-for-byte, so one
-  /// call site serves both generations.
-  std::string toJsonLine(unsigned Version, uint64_t ReqId) const;
-
-  /// Parses a line produced by either toJsonLine form back into a typed
-  /// Event (the v2 envelope, when present, lands in \p ReqId). Strict:
-  /// unknown `event` names, missing mandatory fields, and JSON syntax
-  /// errors all return false. Round-trips: parse(toJsonLine(E)) == E for
-  /// every kind (ProtocolTest locks this down).
+  /// Parses a toJsonLine line back into a typed Event, its id landing in
+  /// \p ReqId. Strict: a missing envelope, unknown `event` names, missing
+  /// mandatory fields, and JSON syntax errors all return false.
+  /// Round-trips: parse(toJsonLine(E)) == E for every kind (ProtocolTest
+  /// locks this down).
   static bool fromJsonLine(const std::string &Line, Event &Out,
                            uint64_t *ReqId = nullptr);
 
@@ -101,11 +97,8 @@ struct Event {
                             const refinedc::FnResult &R);
 };
 
-/// Receives typed events (the LSP server and in-process consumers).
+/// Receives typed events; each transport renders them for its peers.
 using StructuredSink = std::function<void(const Event &)>;
-
-/// Receives one rendered JSON event line (the JSON-lines transports).
-using EventSink = std::function<void(const std::string &)>;
 
 } // namespace rcc::daemon
 

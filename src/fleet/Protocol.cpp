@@ -98,14 +98,6 @@ std::string ErrorMsg::toLine() const {
 // Parsing
 //===----------------------------------------------------------------------===//
 
-bool fleet::looksLikeV2(const std::string &Line) {
-  // Cheap but exact enough: a v2 message is a JSON object whose first
-  // member is the "rcc" tag (all renderers above put it first). v1 event
-  // lines start with {"event" / {"v", bare-word commands with a letter.
-  size_t I = Line.find_first_not_of(" \t");
-  return I != std::string::npos && Line.compare(I, 8, "{\"rcc\": ") == 0;
-}
-
 static bool getStr(const json::Value &V, const char *Name, std::string &Out,
                    bool Required = true) {
   const json::Value *F = V.field(Name);

@@ -8,11 +8,12 @@
 /// Protocol v2: the typed, versioned message schema shared by the
 /// verification daemon, the fleet coordinator (`verifyd --serve`), fleet
 /// workers (`verifyd --worker`), and thin clients (DESIGN.md, "Fleet &
-/// protocol v2"). Every message is one JSON line tagged `"rcc": "<type>"`;
-/// peers negotiate with a `hello` carrying `protocol_version`, and anything
-/// that is *not* a v2 JSON object falls through to the legacy v1 surface
-/// (bare-word daemon commands, v1 event lines) — so v1 clients keep working
-/// byte-for-byte without saying hello.
+/// protocol v2"). Every message is one JSON line tagged `"rcc": "<type>"`,
+/// and every connection opens with a `hello` carrying `protocol_version`.
+/// It is the only protocol: a daemon client sends `req` messages after its
+/// hello and receives daemon events (daemon::Event::toJsonLine) behind the
+/// `{"v": 2, "id": N, ...}` envelope; a line that is not a message of this
+/// schema is answered with an `error`.
 ///
 /// Message flow of a fleet run (work-stealing pull semantics):
 ///
@@ -50,13 +51,13 @@ namespace rcc::fleet {
 inline constexpr unsigned kProtocolVersion = 2;
 
 enum class MsgKind : uint8_t {
-  Hello,     ///< version/role handshake (first line on every v2 connection)
+  Hello,     ///< version/role handshake (first line on every connection)
   HelloAck,  ///< coordinator -> worker: job source and store topology
   Pull,      ///< worker -> coordinator: request up to `capacity` jobs
   Jobs,      ///< coordinator -> worker: a batch of function names
   JobResult, ///< worker -> coordinator: one function finished
   SpanFlush, ///< worker -> coordinator: flushed trace spans
-  Request,   ///< v2 client -> daemon: id-correlated check/status/shutdown
+  Request,   ///< client -> daemon: id-correlated check/status/shutdown
   Bye,       ///< orderly goodbye
   Error,     ///< protocol-level failure (bad version, malformed message)
 };
@@ -113,9 +114,9 @@ struct SpanFlush {
   std::string toLine() const;
 };
 
-/// A v2 daemon request (`{"rcc": "req", "id": N, "method": "check"}`).
-/// Replies are the same typed events as v1, rendered with the v2 envelope
-/// carrying this id (Event::toJsonLine(Version, ReqId)).
+/// A daemon request (`{"rcc": "req", "id": N, "method": "check"}`). Its
+/// reply events carry this id on the requester's copy
+/// (daemon::Event::toJsonLine).
 struct Request {
   uint64_t Id = 0;
   std::string Method; ///< "check" / "status" / "shutdown"
@@ -146,14 +147,9 @@ struct Msg {
 };
 
 /// Parses one protocol line. Returns false (with \p Err set when non-null)
-/// for anything that is not a well-formed v2 message — including legacy v1
-/// lines, which callers detect *before* calling this (a v2 line starts
-/// with `{` and carries the `"rcc"` tag; see looksLikeV2).
+/// for anything that is not a well-formed message of this schema, bare
+/// words and event lines included.
 bool parseMsg(const std::string &Line, Msg &Out, std::string *Err = nullptr);
-
-/// Cheap pre-filter: does this line claim to be a v2 protocol message?
-/// (Legacy bare-word commands and v1 event lines do not.)
-bool looksLikeV2(const std::string &Line);
 
 } // namespace rcc::fleet
 

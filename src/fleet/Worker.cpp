@@ -18,49 +18,8 @@
 #include <sstream>
 #include <thread>
 
-#include <poll.h>
-
 using namespace rcc;
 using namespace rcc::fleet;
-
-namespace {
-
-/// Blocks until the connection yields a complete line (or dies). Queued
-/// lines from earlier reads are served first.
-bool waitLine(net::LineConn &Conn, std::vector<std::string> &Queue,
-              std::string &Out, unsigned TimeoutMs) {
-  auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(TimeoutMs);
-  while (true) {
-    if (!Queue.empty()) {
-      Out = Queue.front();
-      Queue.erase(Queue.begin());
-      return true;
-    }
-    if (Conn.dead()) {
-      // A send may have hit EPIPE after the coordinator wrote its final
-      // batch and closed; those bytes are still in our receive buffer.
-      // Drain them before giving up.
-      Conn.readLines(Queue);
-      if (!Queue.empty())
-        continue;
-      return false;
-    }
-    if (std::chrono::steady_clock::now() >= Deadline)
-      return false;
-    struct pollfd P = {Conn.fd(), POLLIN, 0};
-    if (Conn.wantsWrite())
-      P.events |= POLLOUT;
-    poll(&P, 1, 50);
-    if (P.revents & POLLOUT)
-      Conn.flushWrites();
-    if (P.revents & (POLLIN | POLLHUP))
-      if (!Conn.readLines(Queue) && Queue.empty())
-        return false;
-  }
-}
-
-} // namespace
 
 int rcc::fleet::runWorker(const WorkerOptions &O) {
   // The coordinator may still be binding its socket; retry within budget.
@@ -78,7 +37,6 @@ int rcc::fleet::runWorker(const WorkerOptions &O) {
   }
 
   net::LineConn Conn(Fd);
-  std::vector<std::string> Queue;
   std::mutex SendM; // span flushes arrive from pool threads
 
   auto Send = [&](const std::string &Line) {
@@ -95,7 +53,7 @@ int rcc::fleet::runWorker(const WorkerOptions &O) {
   Send(H.toLine());
 
   std::string Line;
-  if (!waitLine(Conn, Queue, Line, O.ConnectWaitMs))
+  if (!Conn.waitLine(Line, static_cast<int>(O.ConnectWaitMs)))
     return 1;
   Msg M;
   if (!parseMsg(Line, M, nullptr) || M.Kind != MsgKind::HelloAck ||
@@ -165,7 +123,7 @@ int rcc::fleet::runWorker(const WorkerOptions &O) {
     P.Capacity = O.Capacity;
     Send(P.toLine());
 
-    if (!waitLine(Conn, Queue, Line, 30000))
+    if (!Conn.waitLine(Line, 30000))
       return 1;
     if (!parseMsg(Line, M, nullptr))
       return 1;

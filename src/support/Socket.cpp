@@ -7,9 +7,11 @@
 #include "support/Socket.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -154,7 +156,7 @@ void LineConn::flushWrites() {
   }
 }
 
-bool LineConn::readLines(std::vector<std::string> &Out) {
+bool LineConn::readAvailable() {
   // Deliberately not gated on Dead: a send-side EPIPE means the peer
   // closed, but lines it wrote before closing are still queued in our
   // receive buffer and must remain readable (e.g. the fleet drain batch
@@ -162,43 +164,68 @@ bool LineConn::readLines(std::vector<std::string> &Out) {
   if (Fd < 0)
     return false;
   char Chunk[4096];
-  bool Open = true;
   for (;;) {
     ssize_t R = read(Fd, Chunk, sizeof(Chunk));
     if (R > 0) {
       InBuf.append(Chunk, static_cast<size_t>(R));
       if (R == static_cast<ssize_t>(sizeof(Chunk)))
         continue; // more may be pending
-      break;
+      return true;
     }
     if (R < 0 && errno == EINTR)
       continue;
     if (R < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      break;
+      return true;
     // EOF or hard error.
-    Open = false;
     Dead = true;
-    break;
+    return false;
   }
-  size_t NL;
-  while ((NL = InBuf.find('\n')) != std::string::npos) {
-    Out.push_back(InBuf.substr(0, NL));
-    InBuf.erase(0, NL + 1);
-  }
+}
+
+bool LineConn::takeLine(std::string &Out) {
+  size_t NL = InBuf.find('\n');
+  if (NL == std::string::npos)
+    return false;
+  Out = InBuf.substr(0, NL);
+  InBuf.erase(0, NL + 1);
+  return true;
+}
+
+bool LineConn::readLines(std::vector<std::string> &Out) {
+  bool Open = readAvailable();
+  std::string Line;
+  while (takeLine(Line))
+    Out.push_back(std::move(Line));
   return Open;
 }
 
-bool net::sendLineBlocking(int Fd, const std::string &Line) {
-  std::string Data = Line + "\n";
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t W = send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
-    if (W < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
+bool LineConn::waitLine(std::string &Out, int TimeoutMs) {
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(TimeoutMs);
+  while (!takeLine(Out)) {
+    if (Dead) {
+      // A send may have hit EPIPE after the peer wrote its last lines and
+      // closed; those bytes are still in the receive buffer.
+      readAvailable();
+      return takeLine(Out);
     }
-    Off += static_cast<size_t>(W);
+    int Wait = -1;
+    if (TimeoutMs >= 0) {
+      auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          Deadline - std::chrono::steady_clock::now());
+      if (Left.count() <= 0)
+        return false;
+      Wait = static_cast<int>(Left.count());
+    }
+    struct pollfd P = {Fd, POLLIN, 0};
+    if (wantsWrite())
+      P.events |= POLLOUT;
+    if (poll(&P, 1, Wait) < 0 && errno != EINTR)
+      return false;
+    if (P.revents & POLLOUT)
+      flushWrites();
+    if (P.revents & (POLLIN | POLLHUP | POLLERR))
+      readAvailable();
   }
   return true;
 }

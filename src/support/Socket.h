@@ -85,6 +85,13 @@ public:
   /// readable until EOF.
   bool readLines(std::vector<std::string> &Out);
 
+  /// Blocking read for a peer that owns its thread (a worker, a thin
+  /// client, a test): waits up to \p TimeoutMs (negative: forever, as in
+  /// poll(2)) for the next complete line, flushing queued writes while it
+  /// waits. False on timeout, or once the connection is dead and no
+  /// complete line is left: a dead connection is drained, never waited on.
+  bool waitLine(std::string &Out, int TimeoutMs);
+
   /// Closes the fd now (also done by the destructor).
   void close();
 
@@ -92,16 +99,17 @@ public:
   static constexpr size_t kMaxOutBuf = 8u << 20;
 
 private:
+  /// The read half of readLines: appends what is available to InBuf.
+  bool readAvailable();
+  /// Moves the first complete line of InBuf to \p Out.
+  bool takeLine(std::string &Out);
+
   int Fd = -1;
   bool Dead = false;
   std::string InBuf;
   std::string OutBuf;
   size_t OutOff = 0; ///< bytes of OutBuf already written
 };
-
-/// Blocking convenience for short-lived clients: sends \p Line (with
-/// terminator) over \p Fd, retrying partial writes. False on error.
-bool sendLineBlocking(int Fd, const std::string &Line);
 
 } // namespace rcc::net
 

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// Contracts of the verification daemon (DESIGN.md, "Verification daemon"):
-/// the JSON-lines protocol over handleLine/runStdio, the incremental
-/// revision model (editing one function re-verifies exactly that function),
-/// L2 warm starts across daemon restarts, GC honoring the cache byte
-/// budget — plus the mutex-guarded RCC_TRACE debug log the daemon's
-/// parallel revisions depend on.
+/// protocol v2 through the shared request handler (handleLine), the stdio
+/// transport over a pipe and the socket transport over a real Unix socket,
+/// the incremental revision model (editing one function re-verifies
+/// exactly that function), L2 warm starts across daemon restarts, GC
+/// honoring the cache byte budget — plus the mutex-guarded RCC_TRACE debug
+/// log the daemon's parallel revisions depend on.
 ///
 /// NOTE: the first test sets RCC_TRACE before anything queries
 /// debugTraceLevel(), which caches the environment once per process; gtest
@@ -19,10 +20,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
+#include "fleet/Protocol.h"
+#include "support/Socket.h"
 #include "support/Util.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -78,11 +82,12 @@ void writeFile(const std::string &Path, const std::string &Content) {
   Out << Content;
 }
 
-/// Collects emitted events and answers simple queries about them.
+/// Collects emitted events, rendered as no request's reply (id 0), and
+/// answers simple queries about them.
 struct Events {
   std::vector<std::string> Lines;
-  EventSink sink() {
-    return [this](const std::string &L) { Lines.push_back(L); };
+  StructuredSink sink() {
+    return [this](const Event &E) { Lines.push_back(E.toJsonLine(0)); };
   }
   /// The last line containing \p Needle ("" if none).
   std::string last(const std::string &Needle) const {
@@ -106,6 +111,24 @@ long long field(const std::string &Line, const std::string &Key) {
   if (P == std::string::npos)
     return -1;
   return atoll(Line.c_str() + P + Pat.size());
+}
+
+std::string helloLine(unsigned Version = fleet::kProtocolVersion) {
+  fleet::Hello H;
+  H.Version = Version;
+  H.Role = "client";
+  H.Name = "test";
+  return H.toLine();
+}
+
+std::string reqLine(uint64_t Id, const std::string &Method) {
+  return fleet::Request{Id, Method}.toLine();
+}
+
+/// True when \p Line is a protocol message of kind \p K.
+bool isMsg(const std::string &Line, fleet::MsgKind K) {
+  fleet::Msg M;
+  return fleet::parseMsg(Line, M) && M.Kind == K;
 }
 
 } // namespace
@@ -338,10 +361,10 @@ TEST(Daemon, GcHonorsCacheMaxBytes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Protocol: handleLine and the stdio transport
+// Protocol: the request handler both transports share
 //===----------------------------------------------------------------------===//
 
-TEST(Daemon, HandleLineProtocol) {
+TEST(Daemon, RequestProtocol) {
   TempDir Dir;
   std::string Src = Dir.str() + "/t.c";
   writeFile(Src, kTwoFns);
@@ -349,26 +372,91 @@ TEST(Daemon, HandleLineProtocol) {
   DaemonOptions O;
   O.Path = Src;
   Daemon D(O);
-  Events E;
-  ASSERT_TRUE(D.checkOnce(E.sink(), /*Force=*/true));
+  Events Cold;
+  ASSERT_TRUE(D.checkOnce(Cold.sink(), /*Force=*/true));
 
+  Daemon::Peer P;
+  std::vector<std::string> Replies;
+  Daemon::LineSink Reply = [&Replies](const std::string &L) {
+    Replies.push_back(L);
+  };
   Events R;
-  EXPECT_TRUE(D.handleLine("status", R.sink()));
+  StructuredSink Sink = [&](const Event &E) {
+    R.Lines.push_back(E.toJsonLine(P.ReqId));
+  };
+
+  // A request before the handshake is refused and runs nothing.
+  EXPECT_TRUE(D.handleLine(P, reqLine(1, "status"), Reply, Sink));
+  EXPECT_TRUE(R.Lines.empty());
+  ASSERT_EQ(Replies.size(), 1u);
+  EXPECT_TRUE(isMsg(Replies[0], fleet::MsgKind::Error)) << Replies[0];
+
+  EXPECT_TRUE(D.handleLine(P, helloLine(), Reply, Sink));
+  ASSERT_EQ(Replies.size(), 2u);
+  EXPECT_TRUE(isMsg(Replies[1], fleet::MsgKind::HelloAck)) << Replies[1];
+
+  EXPECT_TRUE(D.handleLine(P, reqLine(1, "status"), Reply, Sink));
   std::string St = R.last("\"event\": \"status\"");
   ASSERT_FALSE(St.empty());
+  EXPECT_EQ(field(St, "id"), 1);
   EXPECT_EQ(field(St, "functions"), 2);
   EXPECT_NE(St.find("\"all_verified\": true"), std::string::npos);
+  EXPECT_EQ(P.ReqId, 0u) << "the id ends with its request";
 
-  EXPECT_TRUE(D.handleLine("check", R.sink()));
-  EXPECT_FALSE(R.last("\"event\": \"unchanged\"").empty());
+  EXPECT_TRUE(D.handleLine(P, reqLine(2, "check"), Reply, Sink));
+  EXPECT_EQ(field(R.last("\"event\": \"unchanged\""), "id"), 2);
 
-  EXPECT_TRUE(D.handleLine("", R.sink())) << "blank lines are ignored";
-  EXPECT_TRUE(D.handleLine("bogus", R.sink()));
-  EXPECT_NE(R.last("\"event\": \"error\"").find("unknown command"),
+  // Blank lines are ignored. Bare words (the old command set and its
+  // aliases), unknown methods and a second hello each get an error on the
+  // reply channel, and run nothing.
+  size_t EventsBefore = R.Lines.size(), RepliesBefore = Replies.size();
+  EXPECT_TRUE(D.handleLine(P, "", Reply, Sink));
+  for (const char *Bare : {"check", "verify", "status", "shutdown", "quit"})
+    EXPECT_TRUE(D.handleLine(P, Bare, Reply, Sink)) << Bare;
+  EXPECT_TRUE(D.handleLine(P, reqLine(3, "verify"), Reply, Sink));
+  EXPECT_TRUE(D.handleLine(P, helloLine(), Reply, Sink));
+  EXPECT_EQ(R.Lines.size(), EventsBefore);
+  ASSERT_EQ(Replies.size(), RepliesBefore + 7);
+  for (size_t I = RepliesBefore; I < Replies.size(); ++I)
+    EXPECT_TRUE(isMsg(Replies[I], fleet::MsgKind::Error)) << Replies[I];
+  EXPECT_NE(Replies[RepliesBefore + 5].find("unknown method 'verify'"),
             std::string::npos);
+  EXPECT_EQ(D.revision(), 1u);
 
-  EXPECT_FALSE(D.handleLine("shutdown", R.sink()));
-  EXPECT_FALSE(D.handleLine("quit", R.sink()));
+  EXPECT_FALSE(D.handleLine(P, reqLine(4, "shutdown"), Reply, Sink));
+  EXPECT_EQ(P.ReqId, 4u) << "kept for the final shutdown event";
+
+  // `bye` closes a peer; so does a hello with another protocol version.
+  Daemon::Peer Bye, Old;
+  EXPECT_TRUE(D.handleLine(Bye, helloLine(), Reply, Sink));
+  EXPECT_TRUE(D.handleLine(Bye, fleet::Bye{}.toLine(), Reply, Sink));
+  EXPECT_TRUE(Bye.Closed);
+  EXPECT_TRUE(D.handleLine(Old, helloLine(1), Reply, Sink));
+  EXPECT_TRUE(Old.Closed);
+  EXPECT_FALSE(Old.Greeted);
+  EXPECT_NE(Replies.back().find("protocol version 1 not supported"),
+            std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Stdio transport (fed through a pipe, like production's stdin)
+//===----------------------------------------------------------------------===//
+
+/// Runs \p D's stdio transport on \p Input, which is written into a pipe
+/// and closed first (it fits the pipe buffer). Returns the exit code; the
+/// output lands in \p Out.
+int runStdio(Daemon &D, const std::string &Input, std::string &Out) {
+  int Fds[2];
+  if (pipe(Fds) != 0)
+    return -1;
+  bool Wrote = write(Fds[1], Input.data(), Input.size()) ==
+               static_cast<ssize_t>(Input.size());
+  close(Fds[1]);
+  std::ostringstream OS;
+  int Rc = Wrote ? D.runStdio(Fds[0], OS) : -1;
+  close(Fds[0]);
+  Out = OS.str();
+  return Rc;
 }
 
 TEST(Daemon, StdioRoundTrip) {
@@ -379,16 +467,24 @@ TEST(Daemon, StdioRoundTrip) {
   DaemonOptions O;
   O.Path = Src;
   Daemon D(O);
-  std::istringstream In("status\ncheck\nshutdown\n");
-  std::ostringstream Out;
-  EXPECT_EQ(D.runStdio(In, Out), 0);
+  std::string Log;
+  EXPECT_EQ(runStdio(D,
+                     helloLine() + "\n" + reqLine(1, "status") + "\n" +
+                         reqLine(2, "check") + "\n" +
+                         reqLine(3, "shutdown") + "\n",
+                     Log),
+            0);
 
-  std::string Log = Out.str();
-  EXPECT_NE(Log.find("\"event\": \"revision_done\""), std::string::npos)
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 0, \"event\": \"revision_done\""),
+            std::string::npos)
       << "cold start verifies before serving requests";
-  EXPECT_NE(Log.find("\"event\": \"status\""), std::string::npos);
-  EXPECT_NE(Log.find("\"event\": \"unchanged\""), std::string::npos);
-  EXPECT_NE(Log.find("\"event\": \"shutdown\""), std::string::npos);
+  EXPECT_NE(Log.find("{\"rcc\": \"hello_ack\""), std::string::npos);
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 1, \"event\": \"status\""),
+            std::string::npos);
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 2, \"event\": \"unchanged\""),
+            std::string::npos);
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 3, \"event\": \"shutdown\""),
+            std::string::npos);
 }
 
 TEST(Daemon, StdioExitCodeReflectsVerdict) {
@@ -405,11 +501,240 @@ unsigned int inc(unsigned int x) { return x; }
   DaemonOptions O;
   O.Path = Src;
   Daemon D(O);
-  std::istringstream In("shutdown\n");
-  std::ostringstream Out;
-  EXPECT_EQ(D.runStdio(In, Out), 1);
-  EXPECT_NE(Out.str().find("\"verified\": false"), std::string::npos);
-  EXPECT_NE(Out.str().find("\"all_verified\": false"), std::string::npos);
+  std::string Log;
+  EXPECT_EQ(runStdio(D, helloLine() + "\n" + reqLine(1, "shutdown") + "\n",
+                     Log),
+            1);
+  EXPECT_NE(Log.find("\"verified\": false"), std::string::npos);
+  EXPECT_NE(Log.find("\"all_verified\": false"), std::string::npos);
+}
+
+TEST(Daemon, StdioRejectsBareCommands) {
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  writeFile(Src, kTwoFns);
+
+  DaemonOptions O;
+  O.Path = Src;
+  Daemon D(O);
+  std::string Log;
+  EXPECT_EQ(runStdio(D,
+                     helloLine() + "\ncheck\nstatus\nshutdown\n" +
+                         reqLine(1, "status") + "\n",
+                     Log),
+            0);
+  std::istringstream In(Log);
+  std::string Line;
+  unsigned Errors = 0, Status = 0, Revisions = 0;
+  while (std::getline(In, Line)) {
+    Errors += isMsg(Line, fleet::MsgKind::Error);
+    Status += Line.find("\"event\": \"status\"") != std::string::npos;
+    Revisions += Line.find("\"event\": \"revision\"") != std::string::npos;
+  }
+  EXPECT_EQ(Errors, 3u) << Log;
+  EXPECT_EQ(Revisions, 1u) << "only the cold start verified";
+  EXPECT_EQ(Status, 1u) << "the req after the bare words is served";
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 0, \"event\": \"shutdown\""),
+            std::string::npos)
+      << "EOF ends the session; no request asked for its shutdown event";
+}
+
+TEST(Daemon, StdioServesAnUnterminatedFinalLine) {
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  writeFile(Src, kTwoFns);
+
+  DaemonOptions O;
+  O.Path = Src;
+  Daemon D(O);
+  std::string Log;
+  EXPECT_EQ(runStdio(D, helloLine() + "\n" + reqLine(5, "status"), Log), 0);
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 5, \"event\": \"status\""),
+            std::string::npos)
+      << Log;
+}
+
+TEST(Daemon, StdioRejectedHandshakeEndsSession) {
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  writeFile(Src, kTwoFns);
+
+  DaemonOptions O;
+  O.Path = Src;
+  Daemon D(O);
+  std::string Log;
+  EXPECT_EQ(runStdio(D, helloLine(1) + "\n" + reqLine(1, "status") + "\n",
+                     Log),
+            0);
+  EXPECT_NE(Log.find("protocol version 1 not supported"), std::string::npos);
+  EXPECT_EQ(Log.find("\"event\": \"status\""), std::string::npos)
+      << "nothing after the rejected hello is served";
+  EXPECT_NE(Log.find("{\"v\": 2, \"id\": 0, \"event\": \"shutdown\""),
+            std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Socket transport: runSocket on a thread, clients on a real Unix socket
+//===----------------------------------------------------------------------===//
+
+/// Connects to \p Path, retrying while the daemon thread is still binding
+/// it (-1 after 5 s).
+int connectRetry(const std::string &Path) {
+  for (int I = 0; I < 500; ++I) {
+    int Fd = net::connectUnix(Path, nullptr);
+    if (Fd >= 0)
+      return Fd;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// One protocol client.
+struct SockClient {
+  net::LineConn Conn;
+
+  explicit SockClient(const std::string &Path) : Conn(connectRetry(Path)) {}
+  void send(const std::string &Line) { Conn.sendLine(Line); }
+  /// The next line, or "" after 10 s without one (or at EOF).
+  std::string next() {
+    std::string L;
+    return Conn.waitLine(L, 10000) ? L : "";
+  }
+  /// Skips lines up to the first one containing \p Needle ("" if none).
+  std::string nextWith(const std::string &Needle) {
+    for (std::string L = next(); !L.empty(); L = next())
+      if (L.find(Needle) != std::string::npos)
+        return L;
+    return "";
+  }
+};
+
+/// runSocket on a thread over kTwoFns, with a fast watch poll. Unless the
+/// test joined it, teardown stops it with a `shutdown` request from a
+/// fresh client, so a failed expectation never hangs the suite.
+class DaemonSocket : public ::testing::Test {
+protected:
+  DaemonSocket() {
+    writeFile(Src, kTwoFns);
+    T = std::thread([this] { Rc = D.runSocket(Sock); });
+  }
+  ~DaemonSocket() override {
+    if (!T.joinable())
+      return;
+    SockClient C(Sock);
+    C.send(helloLine());
+    C.send(reqLine(999, "shutdown"));
+    while (!C.next().empty())
+      ;
+    T.join();
+  }
+
+  static DaemonOptions options(const std::string &Src) {
+    DaemonOptions O;
+    O.Path = Src;
+    O.PollMs = 20;
+    return O;
+  }
+
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  std::string Sock = Dir.str() + "/d.sock";
+  Daemon D{options(Src)};
+  int Rc = -1;
+  std::thread T; // last: it uses the members above
+};
+
+TEST_F(DaemonSocket, HelloGetsHelloAck) {
+  SockClient C(Sock);
+  C.send(helloLine());
+  std::string Ack = C.next();
+  fleet::Msg M;
+  ASSERT_TRUE(fleet::parseMsg(Ack, M)) << Ack;
+  EXPECT_EQ(static_cast<int>(M.Kind), static_cast<int>(fleet::MsgKind::HelloAck));
+  EXPECT_EQ(M.A.Version, fleet::kProtocolVersion);
+  EXPECT_EQ(M.A.File, Src);
+}
+
+TEST_F(DaemonSocket, StatusReplyCarriesTheRequestId) {
+  SockClient C(Sock);
+  C.send(helloLine());
+  C.send(reqLine(7, "status"));
+  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::HelloAck));
+  std::string St = C.next();
+  EXPECT_EQ(St.rfind("{\"v\": 2, \"id\": 7, \"event\": \"status\"", 0), 0u)
+      << St;
+  EXPECT_EQ(field(St, "functions"), 2);
+}
+
+TEST_F(DaemonSocket, WrongProtocolVersionClosesOnlyThatConnection) {
+  SockClient Old(Sock), Cur(Sock);
+  Old.send(helloLine(1));
+  std::string Err = Old.next();
+  EXPECT_TRUE(isMsg(Err, fleet::MsgKind::Error)) << Err;
+  EXPECT_NE(Err.find("protocol version 1 not supported"), std::string::npos);
+  EXPECT_EQ(Old.next(), "") << "the daemon closed the rejected connection";
+
+  Cur.send(helloLine());
+  Cur.send(reqLine(1, "status"));
+  EXPECT_TRUE(isMsg(Cur.next(), fleet::MsgKind::HelloAck));
+  EXPECT_EQ(field(Cur.next(), "id"), 1) << "the daemon keeps serving others";
+}
+
+TEST_F(DaemonSocket, BareCommandGetsErrorAndRunsNothing) {
+  SockClient C(Sock);
+  C.send("check"); // before the handshake
+  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::Error));
+  C.send(helloLine());
+  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::HelloAck));
+  C.send("check"); // after it
+  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::Error));
+  // Requests are answered in order: had the bare word run a check, its
+  // `unchanged` event would come before this status reply.
+  C.send(reqLine(2, "status"));
+  std::string St = C.next();
+  EXPECT_NE(St.find("\"id\": 2, \"event\": \"status\""), std::string::npos)
+      << St;
+}
+
+TEST_F(DaemonSocket, ShutdownRequestEndsRunSocket) {
+  SockClient C(Sock);
+  C.send(helloLine());
+  C.send(reqLine(3, "shutdown"));
+  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::HelloAck));
+  EXPECT_EQ(C.next(), "{\"v\": 2, \"id\": 3, \"event\": \"shutdown\", "
+                      "\"rev\": 1}");
+  EXPECT_EQ(C.next(), "") << "the daemon closed the connection";
+  T.join(); // runSocket returned on its own
+  EXPECT_EQ(Rc, 0);
+  EXPECT_FALSE(fs::exists(Sock)) << "the socket file is removed";
+}
+
+TEST_F(DaemonSocket, RequestIdsStayWithTheirClient) {
+  SockClient A(Sock), B(Sock);
+  A.send(helloLine());
+  EXPECT_TRUE(isMsg(A.next(), fleet::MsgKind::HelloAck));
+  B.send(helloLine());
+  EXPECT_TRUE(isMsg(B.next(), fleet::MsgKind::HelloAck));
+
+  // Every subscriber sees every reply, but only the requester's copy
+  // carries the request's id.
+  B.send(reqLine(3, "status"));
+  EXPECT_EQ(field(B.nextWith("\"event\": \"status\""), "id"), 3);
+  EXPECT_EQ(field(A.nextWith("\"event\": \"status\""), "id"), 0);
+  A.send(reqLine(7, "status"));
+  EXPECT_EQ(field(A.nextWith("\"event\": \"status\""), "id"), 7);
+  EXPECT_EQ(field(B.nextWith("\"event\": \"status\""), "id"), 0)
+      << "B must not see its own earlier id on A's reply";
+
+  // A watch revision answers no request: id 0 for everybody.
+  writeFile(Src, kEditedSecond);
+  EXPECT_EQ(field(A.nextWith("\"event\": \"revision_done\""), "id"), 0);
+  EXPECT_EQ(field(B.nextWith("\"event\": \"revision_done\""), "id"), 0);
+
+  A.send(reqLine(9, "shutdown"));
+  EXPECT_EQ(field(A.nextWith("\"event\": \"shutdown\""), "id"), 9);
+  EXPECT_EQ(field(B.nextWith("\"event\": \"shutdown\""), "id"), 0);
+  T.join();
 }
 
 //===----------------------------------------------------------------------===//
@@ -475,8 +800,11 @@ TEST(Workspace, PerDocumentResultsAndStatus) {
   EXPECT_EQ(D.result(B)->Fns.size(), 1u);
   EXPECT_TRUE(D.result("/no/such/doc") == nullptr);
 
+  Daemon::Peer P;
   Events S;
-  EXPECT_TRUE(D.handleLine("status", S.sink()));
+  auto Reply = [](const std::string &) {};
+  EXPECT_TRUE(D.handleLine(P, helloLine(), Reply, S.sink()));
+  EXPECT_TRUE(D.handleLine(P, reqLine(1, "status"), Reply, S.sink()));
   EXPECT_EQ(S.count("\"event\": \"status\""), 2u) << "status is per-document";
 }
 
@@ -496,10 +824,7 @@ TEST(Workspace, OverlayShadowsDiskAndClearRestoresIt) {
   D.setOverlay(Src, kEditedSecond);
   EXPECT_TRUE(D.hasOverlay(Src));
   Events Ed;
-  StructuredSink Sink = [&Ed](const Event &E) {
-    Ed.Lines.push_back(E.toJsonLine());
-  };
-  ASSERT_TRUE(D.checkDocument(Src, Sink));
+  ASSERT_TRUE(D.checkDocument(Src, Ed.sink()));
   std::string Done = Ed.last("\"event\": \"revision_done\"");
   EXPECT_EQ(field(Done, "reverified"), 1) << "only idB changed in the buffer";
   EXPECT_EQ(field(Done, "l1_hits"), 1);
@@ -531,10 +856,7 @@ TEST(Workspace, AddRemoveDocumentsDynamically) {
   EXPECT_FALSE(D.addDocument(""));
 
   Events E;
-  StructuredSink Sink = [&E](const Event &Ev) {
-    E.Lines.push_back(Ev.toJsonLine());
-  };
-  ASSERT_TRUE(D.checkDocument(A, Sink));
+  ASSERT_TRUE(D.checkDocument(A, E.sink()));
   EXPECT_EQ(D.documents().size(), 1u);
   EXPECT_TRUE(D.lastAllVerified());
 
@@ -564,7 +886,7 @@ TEST(Workspace, CompileErrorEventCarriesSourceLocation) {
       << "frontend location must survive into the typed event";
   EXPECT_EQ(Typed[0].Diag.Loc.Line, 2u);
   // And the rendered JSON line exposes it to the line protocol too.
-  std::string L = Typed[0].toJsonLine();
+  std::string L = Typed[0].toJsonLine(0);
   EXPECT_NE(L.find("\"line\": 2"), std::string::npos);
   EXPECT_NE(L.find("\"file\": \"" + Src + "\""), std::string::npos);
 }
@@ -598,7 +920,7 @@ unsigned int inc(unsigned int x) { return x; }
       << "failures anchor at the error or the function name";
   // The JSON-lines rendering embeds Diagnostic::toJson() verbatim — the
   // same bytes verify_tool --format=json prints for this failure.
-  std::string L = Fail->toJsonLine();
+  std::string L = Fail->toJsonLine(0);
   EXPECT_NE(L.find("\"diagnostic\": " + Fail->Diag.toJson()),
             std::string::npos);
   EXPECT_NE(L.find("\"severity\": \"error\""), std::string::npos);

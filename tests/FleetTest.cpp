@@ -33,7 +33,6 @@
 #include <string>
 #include <thread>
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -267,22 +266,6 @@ TEST(Fleet, WrongVersionHandshakeRejectedFleetStillCompletes) {
   EXPECT_TRUE(PR.allVerified()); // local re-verification covered everything
 }
 
-/// Reads the next line from \p Conn, waiting up to ~5s. Empty on timeout
-/// or EOF.
-std::string nextLine(net::LineConn &Conn, std::vector<std::string> &Queue) {
-  for (int I = 0; I < 500 && Queue.empty(); ++I) {
-    struct pollfd P = {Conn.fd(), POLLIN, 0};
-    poll(&P, 1, 10);
-    if (!Conn.readLines(Queue))
-      break;
-  }
-  if (Queue.empty())
-    return "";
-  std::string L = Queue.front();
-  Queue.erase(Queue.begin());
-  return L;
-}
-
 TEST(Fleet, UnknownPortfolioModeRejectedByWorker) {
   // The portfolio mode is hash-folded, so a worker must not guess at one it
   // does not know: it would publish under keys the coordinator never probes
@@ -308,15 +291,15 @@ TEST(Fleet, UnknownPortfolioModeRejectedByWorker) {
   int Fd = ::accept(ListenFd, nullptr, nullptr);
   ::close(ListenFd);
   net::LineConn Conn(Fd);
-  std::vector<std::string> Queue;
-  std::string Greeting = nextLine(Conn, Queue);
+  std::string Greeting, Reply;
+  Conn.waitLine(Greeting, 5000);
   Conn.sendLine("{\"rcc\": \"hello_ack\", \"protocol_version\": " +
                 std::to_string(kProtocolVersion) +
                 ", \"file\": \"mono.c\", \"shared_dir\": \"l3\", "
                 "\"recheck\": true, \"portfolio\": \"race\", "
                 "\"window\": 2}");
   Conn.flushWrites();
-  std::string Reply = nextLine(Conn, Queue);
+  Conn.waitLine(Reply, 5000);
   Worker.join();
 
   Msg M;

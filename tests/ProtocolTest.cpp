@@ -6,12 +6,10 @@
 ///
 /// \file
 /// The wire contracts of protocol v2 (DESIGN.md, "Fleet & protocol v2"):
-/// every typed message round-trips through toLine/parseMsg, the v2
-/// pre-filter cleanly separates v2 lines from the legacy v1 surface,
-/// malformed input is rejected (never guessed at), and daemon events
-/// round-trip through both toJsonLine generations — with the v2 envelope
-/// wrapping a byte-identical v1 body, the compatibility property that lets
-/// v1 clients keep working without a handshake.
+/// every typed message round-trips through toLine/parseMsg, malformed
+/// input is rejected (never guessed at), and daemon events round-trip
+/// through toJsonLine behind the `{"v": 2, "id": N, ...}` envelope, whose
+/// bytes are pinned.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,21 +152,8 @@ TEST(Protocol, MalformedInputRejected) {
       parseMsg("{\"rcc\": \"jobs\", \"seq\": 1, \"fns\": [1]}", M));
 }
 
-TEST(Protocol, LooksLikeV2Filter) {
-  EXPECT_TRUE(looksLikeV2(Bye{}.toLine()));
-  EXPECT_TRUE(looksLikeV2(Hello{}.toLine()));
-  EXPECT_TRUE(looksLikeV2("  {\"rcc\": \"pull\", \"capacity\": 1}"));
-  // The entire legacy v1 surface must fall through.
-  EXPECT_FALSE(looksLikeV2("check"));
-  EXPECT_FALSE(looksLikeV2("status"));
-  EXPECT_FALSE(looksLikeV2("shutdown"));
-  EXPECT_FALSE(looksLikeV2("{\"event\": \"revision\", \"rev\": 1}"));
-  EXPECT_FALSE(looksLikeV2("{\"v\": 2, \"id\": 0}"));
-  EXPECT_FALSE(looksLikeV2(""));
-}
-
 //===--------------------------------------------------------------------===//
-// Daemon event round-trips (both protocol generations)
+// Daemon event round-trips
 //===--------------------------------------------------------------------===//
 
 using daemon::Event;
@@ -180,7 +165,7 @@ TEST(EventWire, RevisionRoundTrip) {
   E.Rev = 4;
   E.File = "demo.c";
   Event R;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Revision));
   EXPECT_EQ(R.Rev, 4u);
   EXPECT_EQ(R.File, "demo.c");
@@ -198,7 +183,7 @@ TEST(EventWire, DiagnosticRoundTrip) {
   E.Diag.Loc = {10, 3};
   E.WallMs = 1.25;
   Event R;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind),
             static_cast<int>(EventKind::Diagnostic));
   EXPECT_FALSE(R.Verified);
@@ -224,7 +209,7 @@ TEST(EventWire, RevisionDoneRoundTrip) {
   E.Failed = 1;
   E.AllVerified = false;
   Event R;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(R.Functions, 12u);
   EXPECT_EQ(R.Reverified, 3u);
   EXPECT_EQ(R.CachedFns, 9u);
@@ -242,14 +227,14 @@ TEST(EventWire, RemainingKindsRoundTrip) {
   E.File = "a.c";
   E.AllVerified = true;
   Event R;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Unchanged));
   EXPECT_TRUE(R.AllVerified);
 
   E = Event();
   E.Kind = EventKind::Status;
   E.Functions = 7;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Status));
   EXPECT_EQ(R.Functions, 7u);
 
@@ -257,7 +242,7 @@ TEST(EventWire, RemainingKindsRoundTrip) {
   E.Kind = EventKind::Error;
   E.Diag.Message = "parse error";
   E.Diag.Loc = {3, 1};
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Error));
   EXPECT_EQ(R.Diag.Message, "parse error");
   EXPECT_EQ(R.Diag.Loc.Line, 3u);
@@ -268,7 +253,7 @@ TEST(EventWire, RemainingKindsRoundTrip) {
   E.BytesAfter = 400;
   E.Evicted = 6;
   E.MaxBytes = 512;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Gc));
   EXPECT_EQ(R.BytesBefore, 1000u);
   EXPECT_EQ(R.BytesAfter, 400u);
@@ -278,12 +263,12 @@ TEST(EventWire, RemainingKindsRoundTrip) {
   E = Event();
   E.Kind = EventKind::Shutdown;
   E.Rev = 3;
-  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(), R));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R));
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Shutdown));
   EXPECT_EQ(R.Rev, 3u);
 }
 
-TEST(EventWire, V2EnvelopeWrapsIdenticalV1Body) {
+TEST(EventWire, EnvelopeCarriesTheRequestId) {
   Event E;
   E.Kind = EventKind::Status;
   E.Rev = 5;
@@ -291,25 +276,23 @@ TEST(EventWire, V2EnvelopeWrapsIdenticalV1Body) {
   E.Functions = 3;
   E.AllVerified = true;
 
-  std::string V1 = E.toJsonLine();
-  std::string V2 = E.toJsonLine(2, 77);
-  // v1 body spliced verbatim after the envelope prefix.
-  EXPECT_EQ(V2, "{\"v\": 2, \"id\": 77, " + V1.substr(1));
-  // Version 1 renders the v1 line byte-for-byte.
-  EXPECT_EQ(E.toJsonLine(1, 77), V1);
+  std::string Line = E.toJsonLine(77);
+  EXPECT_EQ(Line, "{\"v\": 2, \"id\": 77, \"event\": \"status\", \"rev\": 5, "
+                  "\"file\": \"demo.c\", \"functions\": 3, "
+                  "\"all_verified\": true}");
 
   Event R;
   uint64_t ReqId = 0;
-  ASSERT_TRUE(Event::fromJsonLine(V2, R, &ReqId));
+  ASSERT_TRUE(Event::fromJsonLine(Line, R, &ReqId));
   EXPECT_EQ(ReqId, 77u);
   EXPECT_EQ(static_cast<int>(R.Kind), static_cast<int>(EventKind::Status));
   EXPECT_EQ(R.Rev, 5u);
   EXPECT_EQ(R.Functions, 3u);
   EXPECT_TRUE(R.AllVerified);
 
-  // v1 lines parse with ReqId 0 (unsolicited broadcast).
+  // Events no request asked for carry id 0.
   ReqId = 99;
-  ASSERT_TRUE(Event::fromJsonLine(V1, R, &ReqId));
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R, &ReqId));
   EXPECT_EQ(ReqId, 0u);
 }
 
@@ -317,9 +300,18 @@ TEST(EventWire, GarbageRejected) {
   Event R;
   EXPECT_FALSE(Event::fromJsonLine("", R));
   EXPECT_FALSE(Event::fromJsonLine("not json", R));
-  EXPECT_FALSE(Event::fromJsonLine("{\"rev\": 1}", R)); // no event name
-  EXPECT_FALSE(Event::fromJsonLine("{\"event\": \"warp\", \"rev\": 1}", R));
-  EXPECT_FALSE(Event::fromJsonLine("{\"event\": \"error\"}", R)); // no message
+  // No envelope, a foreign version, or no id.
+  EXPECT_FALSE(Event::fromJsonLine("{\"event\": \"status\", \"rev\": 1}", R));
+  EXPECT_FALSE(Event::fromJsonLine(
+      "{\"v\": 1, \"id\": 0, \"event\": \"status\", \"rev\": 1}", R));
+  EXPECT_FALSE(
+      Event::fromJsonLine("{\"v\": 2, \"event\": \"status\", \"rev\": 1}", R));
+  // Inside the envelope: no event name, an unknown one, a missing field.
+  EXPECT_FALSE(Event::fromJsonLine("{\"v\": 2, \"id\": 0, \"rev\": 1}", R));
+  EXPECT_FALSE(Event::fromJsonLine(
+      "{\"v\": 2, \"id\": 0, \"event\": \"warp\", \"rev\": 1}", R));
+  EXPECT_FALSE(Event::fromJsonLine(
+      "{\"v\": 2, \"id\": 0, \"event\": \"error\"}", R)); // no message
 }
 
 } // namespace
