@@ -21,12 +21,13 @@
 #include "frontend/Lexer.h"
 
 #include <map>
-#include <set>
 
 namespace rcc::front {
 
 class Parser {
 public:
+  /// \p Tokens view the source they were lexed from, which must outlive
+  /// the parser; the returned unit owns all of its strings.
   Parser(std::vector<Token> Tokens, rcc::DiagnosticEngine &Diags)
       : Toks(std::move(Tokens)), Diags(Diags) {}
 
@@ -37,15 +38,15 @@ public:
 private:
   // Token stream helpers.
   const Token &peek(int Ahead = 0) const;
-  const Token &cur() const { return peek(0); }
-  Token advance();
-  bool atPunct(const char *P) const { return cur().isPunct(P); }
-  bool atKeyword(const char *K) const { return cur().isKeyword(K); }
-  bool eatPunct(const char *P);
-  bool eatKeyword(const char *K);
-  bool expectPunct(const char *P);
+  const Token &cur() const { return Toks[Pos]; }
+  const Token &advance();
+  bool at(Pu P) const { return cur().is(P); }
+  bool at(Kw K) const { return cur().is(K); }
+  bool eat(Pu P);
+  bool eat(Kw K);
+  bool expect(Pu P);
   void error(const std::string &Msg);
-  void skipTo(const char *P);
+  void skipTo(Pu P);
 
   // Annotations.
   std::vector<RcAnnot> parseAnnotList();
@@ -86,9 +87,9 @@ private:
   rcc::SourceLoc LastNameLoc;
   rcc::SourceLoc LastNameEnd;
 
-  std::set<std::string> StructNames;
-  std::map<std::string, CTypePtr> Typedefs;
-  CTranslationUnit *Unit = nullptr;
+  /// Typedef names seen so far; C cannot tell a type name from an
+  /// identifier without them.
+  std::map<std::string, CTypePtr, std::less<>> Typedefs;
 };
 
 } // namespace rcc::front
