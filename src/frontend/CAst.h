@@ -112,10 +112,6 @@ struct CExpr {
   CTypePtr SizeofTy;        ///< SizeofType
   std::vector<CExprPtr> Kids;
 
-  // Filled in by Sema.
-  CTypePtr Ty;
-  bool IsLValue = false;
-
   explicit CExpr(CExprKind K) : K(K) {}
 };
 

@@ -741,9 +741,10 @@ TypeRef SpecParser::typeCore() {
     std::string SpecName = ident();
     if (!eat(">"))
       error("expected '>' after fn<...");
-    auto It = Env.FnSpecs.find(SpecName);
-    if (It == Env.FnSpecs.end()) {
-      error("unknown function spec '" + SpecName + "'");
+    auto It = Env.FnTypeSpecs.find(SpecName);
+    if (It == Env.FnTypeSpecs.end()) {
+      error("fn<> needs a function-type typedef with a spec, and '" +
+            SpecName + "' is not one");
       return tyNull();
     }
     return tyFnPtr(It->second);

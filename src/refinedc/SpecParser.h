@@ -29,11 +29,15 @@
 
 namespace rcc::refinedc {
 
-/// The specification-level environment: named types, named function specs,
-/// and struct layouts (for sizeof and array element sizes).
+/// The specification-level environment: named types, function specs, the
+/// specs of function-type typedefs, and struct layouts (for sizeof and
+/// array element sizes).
 struct TypeEnv {
   std::map<std::string, std::shared_ptr<NamedTypeDef>> Named;
   std::map<std::string, std::shared_ptr<FnSpec>> FnSpecs;
+  /// What `fn<NAME>` resolves against: specs on function-type typedefs
+  /// only, so no function's spec depends on another function's.
+  std::map<std::string, std::shared_ptr<FnSpec>> FnTypeSpecs;
   std::map<std::string, const caesium::StructLayout *> Layouts;
 
   std::shared_ptr<NamedTypeDef> named(const std::string &N) const {

@@ -82,6 +82,11 @@ public:
     report(DiagLevel::Note, Loc, std::move(Message));
   }
 
+  /// Appends every diagnostic of \p Other, in order.
+  void append(const DiagnosticEngine &Other) {
+    Diags.insert(Diags.end(), Other.Diags.begin(), Other.Diags.end());
+  }
+
   /// Attaches context lines to the most recently reported diagnostic.
   void addContext(std::string Line);
 

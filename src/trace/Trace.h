@@ -207,6 +207,11 @@ public:
     return Parent * 4096 + (Index % 4095) + 1;
   }
 
+  /// The \p K-th (K >= 1) lane that derive() never returns, for a batch
+  /// that runs on the root lane ahead of the derived ones: its jobs' lanes
+  /// (derived from it) are disjoint from every other derived lane.
+  static uint64_t reserved(unsigned K) { return uint64_t{K} * 4096; }
+
 private:
   uint64_t Prev;
 };
