@@ -157,21 +157,25 @@ cmp build/check_fleet/fleet.json build/check_fleet/local.json || {
   echo "check.sh: fleet stable-json differs from the single-process run"
   exit 1; }
 
-# 9. Repository benchmark self-checks: one short traced fig7 run. perfbench
-#    checks every verdict against the corpus, that derivations replay, and
-#    that its deterministic counts repeat across rounds; any failed check
-#    shows up as "correct": false or a non-zero error_rate on the result
-#    line (the last line of its output).
-python3 perfbench/run.py --workload fig7 --seed 1 --seconds 2 --trace 1 \
-    > build/check_bench.out
-tail -n 1 build/check_bench.out | python3 -c '
+# 9. Repository benchmark self-checks: one short traced run of fig7 and
+#    one of mono_cold, whose 5,000-function unit runs the pooled front end.
+#    perfbench checks every verdict against the generator's answers, that
+#    derivations replay, and that its deterministic counts (frontend.tokens
+#    and the engine counts among them) repeat across rounds and between 1
+#    and 4 jobs; any failed check shows up as "correct": false or a
+#    non-zero error_rate on the result line (the last line of its output).
+for w in fig7 mono_cold; do
+  python3 perfbench/run.py --workload $w --seed 1 --seconds 2 --trace 1 \
+      > build/check_bench_$w.out
+  tail -n 1 build/check_bench_$w.out | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 rate = r["metrics"]["error_rate"]["value"]
 if r["correct"] is not True or rate != 0:
-    sys.exit("check.sh: perfbench fig7 self-checks failed: correct=%s "
-             "error_rate=%s" % (r["correct"], rate))
-'
+    sys.exit("check.sh: perfbench %s self-checks failed: correct=%s "
+             "error_rate=%s" % (sys.argv[1], r["correct"], rate))
+' $w
+done
 
 # 10. ASan/UBSan configuration (trace subsystem, parallel driver, the
 #    result store's deserializer, the daemon, and the LSP framing layer are

@@ -16,8 +16,10 @@
 
 #include "DerivTranscript.h"
 #include "casestudies/CaseStudies.h"
+#include "fleet/Monorepo.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
+#include "refinedc/FnHash.h"
 
 #include <gtest/gtest.h>
 #include <sstream>
@@ -210,4 +212,109 @@ TEST(ParallelVerify, RegistryNameIndex) {
   EXPECT_TRUE(R.hasRule("T-STMT"));
   EXPECT_TRUE(R.hasRule("READ-INT"));
   EXPECT_FALSE(R.hasRule("definitely_not_a_rule"));
+}
+
+//===----------------------------------------------------------------------===//
+// Large units: lowering and function specs run per function on a pool
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr unsigned kLargeUnit = 300;
+static_assert(kLargeUnit >= front::kPoolMinFunctions,
+              "the large-unit tests must exercise the pooled front end");
+
+/// \p Src with the first \p From in the block of monorepo function \p Fn
+/// (its annotations and body) replaced by \p To.
+std::string editFunction(std::string Src, unsigned Fn, const std::string &From,
+                         const std::string &To) {
+  size_t At = Src.find(fleet::monorepoFnName(Fn) + "(");
+  size_t Begin = Src.rfind("\n\n", At);
+  size_t Pos = Src.find(From, Begin);
+  EXPECT_LT(Pos, Src.find("\n\n", At)) << From << " not in " << Fn;
+  return Src.replace(Pos, From.size(), To);
+}
+
+/// The rendered diagnostics of compiling \p Src and building its
+/// environment; empty when both succeed.
+std::string frontErrors(const std::string &Src) {
+  DiagnosticEngine Diags;
+  auto AP = front::compileSource(Src, Diags);
+  if (AP) {
+    Checker C(*AP, Diags);
+    C.buildEnv();
+  }
+  return Diags.render(Src);
+}
+
+} // namespace
+
+TEST(LargeUnit, CompileAndBuildEnvAreDeterministic) {
+  const std::string Src = fleet::monorepoSource(kLargeUnit, /*FailEvery=*/7);
+  std::vector<std::string> Keys[2], Json;
+  for (int Run = 0; Run < 2; ++Run) {
+    DiagnosticEngine Diags;
+    auto AP = front::compileSource(Src, Diags);
+    ASSERT_TRUE(AP != nullptr) << Diags.render(Src);
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv()) << Diags.render(Src);
+    ASSERT_EQ(AP->Fns.size(), kLargeUnit);
+    uint64_t EnvFp = hashSpecEnvironment(*AP);
+    for (const auto &[Name, FI] : AP->Fns)
+      Keys[Run].push_back(
+          Name + " " +
+          std::to_string(hashFunctionContent(*AP, Name, EnvFp,
+                                             C.rules().fingerprint())));
+    VerifyOptions Opts;
+    Opts.Jobs = 4;
+    Json.push_back(C.verifyAll(Opts).toStableJson());
+  }
+  EXPECT_EQ(Keys[0], Keys[1]);
+  EXPECT_EQ(Json[0], Json[1]);
+}
+
+TEST(LargeUnit, LoweringErrorsKeepDeclarationOrder) {
+  std::string Src = fleet::monorepoSource(kLargeUnit);
+  for (unsigned Fn : {7u, 150u, 299u})
+    Src = editFunction(Src, Fn, "x +", "zz +");
+  EXPECT_EQ(frontErrors(Src),
+            "error: 61:20: use of undeclared identifier 'zz'\n"
+            "  |   unsigned int y = zz + 8;\n"
+            "  |                    ^\n"
+            "error: 1206:50: use of undeclared identifier 'zz'\n"
+            "  | unsigned int fn_0000150(unsigned int x) { return zz + 8; }\n"
+            "  |                                                  ^\n"
+            "error: 2398:23: use of undeclared identifier 'zz'\n"
+            "  |   if (x < 1) { return zz + 1; }\n"
+            "  |                       ^\n");
+}
+
+TEST(LargeUnit, SpecErrorsStopAtTheFirstFunctionInNameOrder) {
+  std::string Src = fleet::monorepoSource(kLargeUnit);
+  for (unsigned Fn : {120u, 40u})
+    Src = editFunction(Src, Fn, "rc::args(\"n @ int<u32>\")",
+                       "rc::args(\"n @ int<u32\")");
+  EXPECT_EQ(frontErrors(Src),
+            "error: 321:3: in spec 'n @ int<u32': expected '>' after "
+            "int<...\n"
+            "  | [[rc::args(\"n @ int<u32\")]]\n"
+            "  |   ^\n");
+}
+
+TEST(LargeUnit, PrototypeThenDefinition) {
+  const std::string Name = fleet::monorepoFnName(150);
+  const std::string Src = fleet::monorepoSource(kLargeUnit);
+  const std::string WithPrototype =
+      "unsigned int " + Name + "(unsigned int x);\n" + Src;
+  DiagnosticEngine Diags;
+  auto AP = front::compileSource(WithPrototype, Diags);
+  ASSERT_TRUE(AP != nullptr) << Diags.render(WithPrototype);
+  const front::FnInfo &FI = AP->Fns.at(Name);
+  EXPECT_TRUE(FI.HasBody);
+  EXPECT_EQ(FI.Annots.size(), 4u) << "the definition's spec";
+  EXPECT_TRUE(AP->Prog.function(Name) != nullptr);
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv()) << Diags.render(WithPrototype);
+  FnResult R = C.verifyFunction(Name, {});
+  EXPECT_TRUE(R.Verified) << R.Error;
 }

@@ -95,6 +95,60 @@ FnResult verifiedInc() {
   return R;
 }
 
+/// `inc` without its precondition: x + 1 can overflow, so it fails.
+const char *kFailingIncSource = R"(
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<u32>")]]
+[[rc::returns("{n + 1} @ int<u32>")]]
+unsigned int inc(unsigned int x) { return x + 1; }
+)";
+
+/// The function name and key of the one entry in \p Dir.
+std::pair<std::string, uint64_t> onlyEntry(const std::string &Dir) {
+  std::string Raw;
+  for (const auto &E : fs::directory_iterator(Dir))
+    if (E.path().extension() == ".rcv") {
+      std::ifstream In(E.path(), std::ios::binary);
+      Raw.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+    }
+  BinaryReader R(Raw);
+  uint32_t Magic = 0, Format = 0;
+  std::string Tool, Name;
+  uint64_t Key = 0;
+  EXPECT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
+              R.u64(Key));
+  return {Name, Key};
+}
+
+/// Caches the failing `inc` in the store directory \p Dir that \p Opts
+/// names, rewrites its entry through DiskResultStore::put as verified and
+/// trusted (a forgery whose envelope is valid), and returns what the next
+/// session reports for `inc`.
+ProgramResult verifyAfterTrustedForgery(const VerifyOptions &Opts,
+                                        const std::string &Dir) {
+  auto AP = compile(kFailingIncSource);
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    EXPECT_TRUE(C.buildEnv());
+    EXPECT_FALSE(C.verifyFunctions({"inc"}, Opts).allVerified());
+  }
+  auto [Name, Key] = onlyEntry(Dir);
+  EXPECT_EQ(Name, "inc");
+  DiskResultStore DS(Dir);
+  FnResult Entry;
+  EXPECT_TRUE(DS.get("inc", Key, Entry));
+  EXPECT_FALSE(Entry.Verified);
+  Entry.Verified = Entry.Trusted = true;
+  DS.put("inc", Key, Entry);
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  EXPECT_TRUE(C.buildEnv());
+  return C.verifyFunctions({"inc"}, Opts);
+}
+
 size_t countEntries(const std::string &Dir) {
   size_t N = 0;
   std::error_code EC;
@@ -436,6 +490,33 @@ TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
   EXPECT_EQ(countEntries(Dir.str()), 1u) << "healed entry re-published";
 }
 
+TEST(Store, TrustedFlagInAnL2EntryDoesNotVerify) {
+  TempDir Dir;
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  ProgramResult PR = verifyAfterTrustedForgery(Opts, Dir.str());
+  ASSERT_EQ(PR.Fns.size(), 1u);
+  EXPECT_FALSE(PR.Fns[0].Verified);
+  EXPECT_FALSE(PR.Fns[0].Trusted);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.ReplayFailures, 1u);
+}
+
+TEST(Store, TrustedFlagInAnL3EntryDoesNotVerify) {
+  // The fleet coordinator's closing pass reads the shared L3 this way.
+  TempDir Dir;
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.SharedDir = Dir.str();
+  ProgramResult PR = verifyAfterTrustedForgery(Opts, Dir.str());
+  ASSERT_EQ(PR.Fns.size(), 1u);
+  EXPECT_FALSE(PR.Fns[0].Verified);
+  EXPECT_FALSE(PR.Fns[0].Trusted);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.ReplayFailures, 1u);
+}
+
 TEST(Store, EntryWithOlderFormatIsACleanMissAndReVerified) {
   TempDir Dir;
   auto AP = compile(kIncSource);
@@ -527,6 +608,47 @@ TEST(Store, EditedSpecForcesMiss) {
   EXPECT_EQ(PR.CacheHits, 0u) << "edited spec must not reuse the old proof";
   EXPECT_EQ(PR.CacheMisses, 1u);
   EXPECT_TRUE(PR.allVerified());
+}
+
+TEST(Store, EditedFnTypedefSpecReVerifiesItsUser) {
+  // fn<step_t> names a function-type typedef, whose annotations are part
+  // of every content key: editing the typedef's spec must miss the warm
+  // entry of the function that takes a fn<step_t>.
+  auto Source = [](const char *StepReturns) {
+    return std::string(R"(
+typedef
+[[rc::parameters("x: nat")]]
+[[rc::args("x @ int<size_t>")]]
+[[rc::returns(")") + StepReturns + R"(")]]
+[[rc::requires("{x <= 100}")]]
+size_t step_t(size_t);
+
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<size_t>", "fn<step_t>")]]
+[[rc::returns("{n + 2} @ int<size_t>")]]
+[[rc::requires("{n <= 10}")]]
+size_t twostep(size_t n, step_t* f) { return f(f(n)); }
+)";
+  };
+  TempDir Dir;
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  auto Run = [&](const std::string &Src) {
+    auto AP = compile(Src);
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    EXPECT_TRUE(C.buildEnv()) << Diags.render(Src);
+    return C.verifyFunctions({"twostep"}, Opts);
+  };
+  const std::string Before = Source("{x + 1} @ int<size_t>");
+  EXPECT_TRUE(Run(Before).allVerified());
+  EXPECT_EQ(Run(Before).CacheHits, 1u) << "the warm run is served from L2";
+
+  ProgramResult Edited = Run(Source("{x + 2} @ int<size_t>"));
+  EXPECT_EQ(Edited.CacheHits, 0u);
+  EXPECT_EQ(Edited.CacheMisses, 1u);
+  EXPECT_FALSE(Edited.allVerified()) << "f(f(n)) is now n + 4";
 }
 
 TEST(Store, SessionFingerprintCoversRegisteredRules) {
