@@ -31,43 +31,12 @@ if echo "$out" | grep -q '"cache_hits": 0'; then
   echo "check.sh: warm cache run reported zero hits"; exit 1
 fi
 
-# 4. Rule-dispatch gate: over the full figure-7 corpus, (nearly) every
-#    multi-rule lookup must be served by the discrimination index. A rule
-#    registered with a too-coarse RuleKey degrades dispatch back to a full
-#    scan; this catches that regression at merge time. The whitelist budget
-#    (currently 0 observed) allows a couple of stragglers so an intentional
-#    wildcard rule added with cause does not hard-block CI.
-rm -rf build/check_dispatch && mkdir -p build/check_dispatch
-(cd build/check_dispatch && ../bench/figure7_table > /dev/null)
-python3 - build/check_dispatch/BENCH_figure7.json <<'PYEOF'
-import json, sys
-j = json.load(open(sys.argv[1]))
-m = j["metrics"]
-fallbacks = m["engine.rule.scan_fallbacks"]
-budget = 2
-if fallbacks > budget:
-    sys.exit(f"check.sh: engine.rule.scan_fallbacks = {fallbacks} "
-             f"exceeds whitelist budget {budget} — a rule's RuleKey is "
-             f"too coarse (see DESIGN.md, 'Rule dispatch & memoized "
-             f"subsumption')")
-if m["engine.rule.index_hits"] == 0:
-    sys.exit("check.sh: discrimination index served zero lookups")
-# Portfolio ablation gate: the bit-vector backend must discharge every
-# word-level side condition the bitmap row needs lemmas for when the
-# portfolio is off (DESIGN.md, "Solver portfolio").
-bm = next(r for r in j["rows"] if r["name"] == "Bitmap word")
-if bm["side_cond_manual"] != 0 or bm["side_cond_manual_off"] == 0:
-    sys.exit(f"check.sh: bitmap portfolio ablation regressed: "
-             f"manual(on)={bm['side_cond_manual']} "
-             f"manual(off)={bm['side_cond_manual_off']}")
-PYEOF
-
-# 5. Portfolio gates (DESIGN.md, "Solver portfolio"): --portfolio=on must
+# 4. Portfolio gates (DESIGN.md, "Solver portfolio"): --portfolio=on must
 #    produce byte-identical deterministic traces across --jobs=1 / --jobs=4,
 #    across repeated runs, and vs --portfolio=off on proved-by-default
 #    goals (demo.c) — the fixed-priority attribution guarantee. The bitmap
-#    ablation (bit-vector backend clears the manual count) is gated on the
-#    figure-7 artifact in step 4's python block above.
+#    ablation (bit-vector backend clears the manual count) is gated in
+#    ctest by Figure7.BitvectorBackendReplacesBitmapLemmas.
 rm -rf build/check_portfolio && mkdir -p build/check_portfolio
 ./build/examples/verify_tool --deterministic-trace --portfolio=on --jobs=4 \
     --trace=build/check_portfolio/on_j4.json examples/demo.c > /dev/null
@@ -84,7 +53,7 @@ cmp build/check_portfolio/on_j4.json build/check_portfolio/on_j4_rep.json || {
 cmp build/check_portfolio/on_j4.json build/check_portfolio/off.json || {
   echo "check.sh: on trace differs from off on proved-by-default goals"; exit 1; }
 
-# 6. Daemon smoke: start verifyd --stdio on a copy of the demo, wait for
+# 5. Daemon smoke: start verifyd --stdio on a copy of the demo, wait for
 #    the cold-start revision, edit one function in place, force a check,
 #    and assert exactly that one function was re-verified (the daemon's
 #    warm-L1 acceptance path), then shut down cleanly. The daemon speaks
@@ -122,13 +91,13 @@ wait $dpid
 grep -q '"id": 2, "event": "shutdown"' "$dout"
 scripts/connect_smoke.sh ./build/examples/verifyd ./build/examples/verify_tool
 
-# 7. LSP smoke: a scripted editor session against a real rcc-lsp process
+# 6. LSP smoke: a scripted editor session against a real rcc-lsp process
 #    over stdio Content-Length framing (initialize -> didOpen with a
 #    failing function -> located publishDiagnostics -> fixed didSave ->
 #    empty clear -> shutdown/exit, plus exit-before-shutdown exiting 1).
 scripts/lsp_smoke.sh ./build/examples/rcc-lsp
 
-# 8. Fleet smoke: a real coordinator + two forked workers over a shared L3
+# 7. Fleet smoke: a real coordinator + two forked workers over a shared L3
 #    store must produce byte-identical stable-json against a single-process
 #    run of the same file — the fleet's drop-in-replacement contract
 #    (DESIGN.md, "Fleet & protocol v2"). One worker is slowed so both
@@ -157,7 +126,7 @@ cmp build/check_fleet/fleet.json build/check_fleet/local.json || {
   echo "check.sh: fleet stable-json differs from the single-process run"
   exit 1; }
 
-# 9. Repository benchmark self-checks: one short traced run of fig7 and
+# 8. Repository benchmark self-checks: one short traced run of fig7 and
 #    one of mono_cold, whose 5,000-function unit runs the pooled front end.
 #    perfbench checks every verdict against the generator's answers, that
 #    derivations replay, and that its deterministic counts (frontend.tokens
@@ -177,7 +146,7 @@ if r["correct"] is not True or rate != 0:
 ' $w
 done
 
-# 10. ASan/UBSan configuration (trace subsystem, parallel driver, the
+# 9. ASan/UBSan configuration (trace subsystem, parallel driver, the
 #    result store's deserializer, the daemon, and the LSP framing layer are
 #    the main customers: data races on buffers, lifetime of cached
 #    pointers, attacker-controlled cache and frame bytes, revision/session
@@ -194,7 +163,7 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   # The sanitized LSP smoke drives the whole daemon/LSP stack end to end.
   scripts/lsp_smoke.sh ./build-asan/examples/rcc-lsp
 
-  # 11. TSan configuration for the code that runs threads: the parallel
+  # 10. TSan configuration for the code that runs threads: the parallel
   #    driver (test_parallel), the thread pool (test_support) and the store
   #    tiers that concurrent jobs probe and publish to (test_store), plus
   #    the solver backends every job runs (test_bitvector,

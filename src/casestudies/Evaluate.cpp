@@ -9,7 +9,6 @@
 #include "caesium/Interp.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
-#include "support/ThreadPool.h"
 #include "support/Util.h"
 
 #include <sstream>
@@ -21,7 +20,7 @@ using namespace rcc::refinedc;
 Fig7Row rcc::casestudies::evaluateCaseStudy(const CaseStudy &CS,
                                             const EvalOptions &Opts) {
   // Null-safe: when Opts.Trace is unset, an ambient session installed by a
-  // caller (e.g. evaluateAll's pool propagating its own) stays in effect.
+  // caller stays in effect.
   trace::SessionScope TraceScope(Opts.Trace);
   Fig7Row Row;
   Row.Name = CS.Name;
@@ -43,7 +42,6 @@ Fig7Row rcc::casestudies::evaluateCaseStudy(const CaseStudy &CS,
   VerifyOptions VO;
   VO.Backtracking = Opts.Backtracking;
   VO.Recheck = Opts.RunProofCheck && !Opts.Backtracking;
-  VO.Jobs = Opts.Jobs;
   VO.Portfolio = Opts.Portfolio;
   ProgramResult PR = C.verifyFunctions(CS.Functions, VO);
 
@@ -79,16 +77,9 @@ Fig7Row rcc::casestudies::evaluateCaseStudy(const CaseStudy &CS,
 }
 
 std::vector<Fig7Row> rcc::casestudies::evaluateAll(const EvalOptions &Opts) {
-  trace::SessionScope TraceScope(Opts.Trace);
-  const std::vector<CaseStudy> &All = allCaseStudies();
-  std::vector<Fig7Row> Rows(All.size());
-  // Parallelism across whole case studies (each has its own Checker
-  // session); inner verification stays serial to avoid oversubscribing.
-  EvalOptions Inner = Opts;
-  Inner.Jobs = 1;
-  ThreadPool Pool(ThreadPool::resolveJobs(Opts.Jobs));
-  Pool.parallelFor(All.size(),
-                   [&](size_t I) { Rows[I] = evaluateCaseStudy(All[I], Inner); });
+  std::vector<Fig7Row> Rows;
+  for (const CaseStudy &CS : allCaseStudies())
+    Rows.push_back(evaluateCaseStudy(CS, Opts));
   return Rows;
 }
 

@@ -57,12 +57,9 @@ struct Fig7Row {
 struct EvalOptions {
   bool Backtracking = false; ///< ablation baseline
   bool RunProofCheck = true;
-  /// Concurrent verification jobs (VerifyOptions::Jobs). evaluateAll
-  /// additionally spreads whole case studies across this many jobs.
-  unsigned Jobs = 1;
-  /// Trace session to record the evaluation into (null: tracing off). The
-  /// bench tools use this to source their BENCH_*.json artifacts from the
-  /// session's MetricsRegistry.
+  /// Trace session to record the evaluation into (null: tracing off).
+  /// figure7_table uses this to source its BENCH_figure7.json artifact from
+  /// the session's MetricsRegistry.
   trace::TraceSession *Trace = nullptr;
   /// Pure-solver leaf dispatch (VerifyOptions::Portfolio). The bench tools
   /// evaluate Off vs. On to measure how many Figure 7 "manual" side

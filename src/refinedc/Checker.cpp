@@ -32,16 +32,6 @@ Checker::Checker(const front::AnnotatedProgram &AP,
                  rcc::DiagnosticEngine &Diags)
     : AP(AP), Diags(Diags) {
   registerStandardRules(Rules);
-  // Dispatch-mode override for benchmarking and equivalence testing:
-  // "linear" restores the pre-index full scan (scripts/bench_engine.sh uses
-  // it as the baseline), "crosscheck" runs both paths per lookup and counts
-  // disagreements. Results are identical in every mode by construction.
-  if (const char *D = std::getenv("RCC_DISPATCH")) {
-    if (std::strcmp(D, "linear") == 0)
-      Rules.setMode(lithium::RuleRegistry::DispatchMode::Linear);
-    else if (std::strcmp(D, "crosscheck") == 0)
-      Rules.setMode(lithium::RuleRegistry::DispatchMode::CrossCheck);
-  }
   // The trusted in-memory tier is part of every session; configureStore
   // attaches the persistent tiers per run.
   L1 = std::make_shared<store::MemoryResultStore>();

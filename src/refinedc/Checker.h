@@ -132,8 +132,7 @@ public:
   /// Selects how rule lookups assemble candidates (Indexed by default; see
   /// RuleRegistry::DispatchMode). Every mode selects the same rules — the
   /// dispatch-equivalence property test runs the corpus in CrossCheck to
-  /// prove it — so no cache invalidation is needed. Also settable via the
-  /// RCC_DISPATCH environment variable ("linear" / "crosscheck").
+  /// prove it — so no cache invalidation is needed.
   void setDispatchMode(lithium::RuleRegistry::DispatchMode M) {
     Rules.setMode(M);
   }

@@ -33,10 +33,18 @@ TypeKind kind2(Engine &E, const Judgment &J) {
 }
 
 /// Value-level equality side condition between two refinements (nullptr
-/// refinement on the target means "unconstrained").
-GoalRef refnEqGoal(TermRef Actual, TermRef Want, GoalRef K) {
+/// refinement on the target means "unconstrained"). An unrefined source
+/// cannot establish a wanted refinement: the rule fails at \p J instead.
+GoalRef refnEqGoal(Engine &E, const Judgment &J, TermRef Actual,
+                   TermRef Want, GoalRef K) {
   if (!Want || Actual == Want)
     return K;
+  if (!Actual) {
+    E.fail("cannot prove refinement " + Want->str() +
+               " for an unrefined type",
+           J.Loc);
+    return nullptr;
+  }
   ResList H = {ResAtom::pure(mkEq(Actual, Want))};
   return gStar(std::move(H), K);
 }
@@ -118,7 +126,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          },
          [](Engine &E, const Judgment &J) -> GoalRef {
            TypeRef A = stripC(E, J.T1), B = stripC(E, J.T2);
-           return refnEqGoal(A->Refn, B->Refn, J.KGoal);
+           return refnEqGoal(E, J, A->Refn, B->Refn, J.KGoal);
          },
          RuleKey::onPair({TypeKind::Named}, {TypeKind::Named})});
   // Unfolding is deliberately *below* the structural recomposition rules
@@ -165,7 +173,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
                     J.Loc);
              return nullptr;
            }
-           return refnEqGoal(A->Refn, B->Refn, J.KGoal);
+           return refnEqGoal(E, J, A->Refn, B->Refn, J.KGoal);
          },
          RuleKey::onPair({TypeKind::Int}, {TypeKind::Int})});
   R.add({Name("S-BOOL"), JK, 50,
@@ -222,7 +230,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
            GoalRef Inner =
                mkSubsumeL(Ptr, A->Children[0], B->Children[0], J.KGoal,
                           J.Loc);
-           return refnEqGoal(Ptr, B->Refn, Inner);
+           return refnEqGoal(E, J, Ptr, B->Refn, Inner);
          },
          RuleKey::onPair({TypeKind::Own}, {TypeKind::Own})});
 
@@ -386,7 +394,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          },
          [](Engine &E, const Judgment &J) -> GoalRef {
            TypeRef A = stripC(E, J.T1), B = stripC(E, J.T2);
-           return refnEqGoal(A->Refn, B->Refn, J.KGoal);
+           return refnEqGoal(E, J, A->Refn, B->Refn, J.KGoal);
          },
          RuleKey::onPair({TypeKind::ValueOf, TypeKind::Place},
                          {TypeKind::ValueOf, TypeKind::Place})});
@@ -402,7 +410,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
            TermRef L = A->Refn;
            GoalRef Collect =
                gStar({ResAtom::loc(L, B->Children[0])}, J.KGoal);
-           return refnEqGoal(L, B->Refn, Collect);
+           return refnEqGoal(E, J, L, B->Refn, Collect);
          },
          RuleKey::onPair({TypeKind::Place}, {TypeKind::Own})});
 
@@ -607,7 +615,7 @@ void registerLocOnly(RuleRegistry &R) {
                     J.Loc);
              return nullptr;
            }
-           return refnEqGoal(A->Refn, B->Refn, J.KGoal);
+           return refnEqGoal(E, J, A->Refn, B->Refn, J.KGoal);
          },
          RuleKey::onPair({TypeKind::Array}, {TypeKind::Array})});
 

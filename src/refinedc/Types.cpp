@@ -118,7 +118,8 @@ std::string RType::str() const {
   case TypeKind::Place:
     return "place(" + Refn->str() + ")";
   case TypeKind::Array:
-    return Refn->str() + " @ array<" + Children[0]->str() + ">";
+    Ref(("array<" + Children[0]->str() + ">").c_str());
+    return OS.str();
   case TypeKind::AtomicBool:
     Ref("atomicbool");
     return OS.str();

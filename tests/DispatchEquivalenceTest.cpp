@@ -115,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllCaseStudies, DispatchEquivalence,
     ::testing::Values("slist", "queue", "bsearch", "tsalloc", "pagealloc",
                       "bst_layered", "bst_direct", "hashmap", "mpool",
-                      "spinlock", "barrier"),
+                      "spinlock", "barrier", "bitmap"),
     [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
 
 //===----------------------------------------------------------------------===//

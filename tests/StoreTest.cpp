@@ -8,12 +8,13 @@
 /// The contracts of the tiered result store (DESIGN.md, "Persistent
 /// verification store"): lossless serialization that re-interns pure terms,
 /// corruption rejected as a miss (never a crash), cross-session reuse with
-/// replay-established trust, fingerprint self-invalidation, and tier
-/// promotion.
+/// replay-established trust, re-verifying only the edited function,
+/// fingerprint self-invalidation, and tier promotion.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "DerivTranscript.h"
+#include "casestudies/CaseStudies.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
 #include "refinedc/ProofChecker.h"
@@ -394,6 +395,56 @@ TEST(Store, SecondSessionIsServedFromDiskAndReplayed) {
   EXPECT_EQ(PR2.L1Hits, 1u);
   EXPECT_EQ(PR2.L2Hits, 0u);
   EXPECT_EQ(PR2.ReplayedHits, 0u);
+}
+
+TEST(Store, OneFunctionEditReVerifiesOnlyThatFunction) {
+  // The incremental workflow on slist: four fresh sessions that share only
+  // the cache directory. The edit widens whitespace on one line inside
+  // slist_pop, so the line count and every other function's content hash
+  // stay the same.
+  const casestudies::CaseStudy *CS = casestudies::caseStudy("slist");
+  ASSERT_NE(CS, nullptr);
+  ASSERT_EQ(CS->Functions.size(), 3u);
+  const std::string Needle = "  size_t v = h->value;";
+  std::string Edited = CS->Source;
+  size_t At = Edited.find(Needle);
+  ASSERT_NE(At, std::string::npos);
+  Edited.replace(At, Needle.size(), "  size_t v =  h->value;");
+
+  TempDir Dir;
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  auto Run = [&](const std::string &Src) {
+    auto AP = compile(Src);
+    if (!AP)
+      return ProgramResult();
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    EXPECT_TRUE(C.buildEnv()) << Diags.render(Src);
+    ProgramResult PR = C.verifyFunctions(CS->Functions, Opts);
+    for (const FnResult &R : PR.Fns)
+      EXPECT_TRUE(R.Verified && R.Rechecked && R.RecheckOk) << R.Name;
+    return PR;
+  };
+
+  ProgramResult Cold = Run(CS->Source);
+  EXPECT_EQ(Cold.CacheMisses, 3u);
+
+  ProgramResult Warm = Run(CS->Source);
+  EXPECT_EQ(Warm.CacheMisses, 0u);
+  EXPECT_EQ(Warm.L2Hits, 3u);
+  EXPECT_EQ(Warm.ReplayedHits, 3u);
+
+  ProgramResult AfterEdit = Run(Edited);
+  EXPECT_EQ(AfterEdit.CacheMisses, 1u);
+  EXPECT_EQ(AfterEdit.L2Hits, 2u);
+  EXPECT_EQ(AfterEdit.ReplayedHits, 2u);
+  for (const FnResult &R : AfterEdit.Fns)
+    EXPECT_EQ(R.CacheHit, R.Name != "slist_pop") << R.Name;
+
+  ProgramResult WarmAgain = Run(Edited);
+  EXPECT_EQ(WarmAgain.CacheMisses, 0u);
 }
 
 TEST(Store, NoRecheckDowngradesToHashTrust) {

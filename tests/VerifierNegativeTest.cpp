@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "caesium/Interp.h"
+#include "casestudies/CaseStudies.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
 
@@ -34,6 +35,34 @@ std::string rejects(const std::string &Src, const std::string &Fn) {
   EXPECT_TRUE(C.buildEnv()) << Diags.render(Src);
   FnResult R = C.verifyFunction(Fn, {});
   return R.Verified ? std::string() : R.Error;
+}
+
+/// The source of case study \p Id with \p From replaced by \p To.
+std::string editedCaseStudy(const char *Id, const std::string &From,
+                            const std::string &To) {
+  const casestudies::CaseStudy *CS = casestudies::caseStudy(Id);
+  EXPECT_NE(CS, nullptr) << Id;
+  if (!CS)
+    return "";
+  std::string Src = CS->Source;
+  size_t At = Src.find(From);
+  EXPECT_NE(At, std::string::npos) << Id << ": edit anchor not found";
+  if (At != std::string::npos)
+    Src.replace(At, From.size(), To);
+  return Src;
+}
+
+/// Verifies \p Fn and expects a failure whose diagnostic has a location.
+void expectLocatedFailure(const std::string &Src, const std::string &Fn) {
+  DiagnosticEngine Diags;
+  auto AP = front::compileSource(Src, Diags);
+  ASSERT_TRUE(AP != nullptr) << Diags.render(Src);
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv()) << Diags.render(Src);
+  FnResult R = C.verifyFunction(Fn, {});
+  EXPECT_FALSE(R.Verified);
+  ASSERT_FALSE(R.Diags.empty()) << R.Error;
+  EXPECT_TRUE(R.Diags.front().Loc.isValid()) << R.Error;
 }
 
 bool interpTrapsUB(const std::string &Src, uint64_t Seeds = 16) {
@@ -353,4 +382,40 @@ size_t inc(size_t x);
   ASSERT_EQ(PR.Fns.size(), 1u);
   EXPECT_EQ(PR.Fns[0].Name, "inc");
   EXPECT_FALSE(PR.Fns[0].Verified);
+}
+
+//===----------------------------------------------------------------------===//
+// A refined type written without its refinement: each input used to crash
+// the verifier on a null refinement. Each must now fail with a location.
+//===----------------------------------------------------------------------===//
+
+TEST(Negative, UnrefinedNamedTypeArgumentFailsWithALocation) {
+  // S-NAMED-SAME compared the unrefined slist_t argument with the refined
+  // one in the postcondition.
+  const casestudies::CaseStudy *CS = casestudies::caseStudy("slist");
+  ASSERT_NE(CS, nullptr);
+  expectLocatedFailure(CS->Source + R"(
+[[rc::parameters("s: {gmultiset nat}", "p: loc")]]
+[[rc::args("p @ &own<slist_t>")]]
+[[rc::ensures("own p : s @ slist_t")]]
+void claim_any(slist_t* l) { }
+)",
+                       "claim_any");
+}
+
+TEST(Negative, UnrefinedWandTargetFailsWithALocation) {
+  expectLocatedFailure(
+      editedCaseStudy("bst_direct",
+                      "t: p @ &own<wand<own cp : cs @ tree_t, s @ tree_t>>",
+                      "t: p @ &own<wand<own cp : cs @ tree_t, tree_t>>"),
+      "tree_contains");
+}
+
+TEST(Negative, UnrefinedArrayInvariantFailsWithALocation) {
+  // Rendering the failure's context printed the array type, whose
+  // refinement is null.
+  expectLocatedFailure(
+      editedCaseStudy("bsearch", "\"arr: a @ &own<xs @ array<int<size_t>>>\"",
+                      "\"arr: a @ &own<array<int<size_t>>>\""),
+      "bsearch_pos");
 }
