@@ -126,14 +126,17 @@ cmp build/check_fleet/fleet.json build/check_fleet/local.json || {
   echo "check.sh: fleet stable-json differs from the single-process run"
   exit 1; }
 
-# 8. Repository benchmark self-checks: one short traced run of fig7 and
-#    one of mono_cold, whose 5,000-function unit runs the pooled front end.
-#    perfbench checks every verdict against the generator's answers, that
-#    derivations replay, and that its deterministic counts (frontend.tokens
-#    and the engine counts among them) repeat across rounds and between 1
-#    and 4 jobs; any failed check shows up as "correct": false or a
-#    non-zero error_rate on the result line (the last line of its output).
-for w in fig7 mono_cold; do
+# 8. Repository benchmark self-checks: one short traced run of each
+#    workload. mono_cold's 5,000-function unit runs the pooled front end;
+#    mono_edit's fresh session on a populated store keys every function in
+#    its job and serves almost all of them through the disk tier's read
+#    path. perfbench checks every verdict against the generator's answers,
+#    that derivations replay, and that its deterministic counts
+#    (frontend.tokens, the engine counts, store.hits and store.lookups
+#    among them) repeat across rounds and between 1 and 4 jobs; any failed
+#    check shows up as "correct": false or a non-zero error_rate on the
+#    result line (the last line of its output).
+for w in fig7 mono_cold mono_edit; do
   python3 perfbench/run.py --workload $w --seed 1 --seconds 2 --trace 1 \
       > build/check_bench_$w.out
   tail -n 1 build/check_bench_$w.out | python3 -c '

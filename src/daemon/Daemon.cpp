@@ -7,7 +7,7 @@
 #include "daemon/Daemon.h"
 
 #include "fleet/Protocol.h"
-#include "refinedc/FnHash.h"
+#include "support/Hash.h"
 #include "support/Socket.h"
 #include "support/Util.h"
 #include "trace/Trace.h"
@@ -287,7 +287,7 @@ bool Daemon::checkDoc(Document &D, const StructuredSink &Sink, bool Force) {
   }
 
   // Content hash: `touch` without an edit is not a revision.
-  uint64_t Hash = refinedc::ContentHasher().mix(Source).get();
+  uint64_t Hash = ContentHasher().mix(Source).get();
   if (D.Rev > 0 && Hash == D.LastHash) {
     if (Force) {
       Event E;

@@ -7,6 +7,7 @@
 #include "lithium/Engine.h"
 
 #include "caesium/Ast.h"
+#include "support/Hash.h"
 #include "support/Util.h"
 
 #include <algorithm>
@@ -149,40 +150,26 @@ void RuleRegistry::add(Rule R) {
 uint64_t RuleRegistry::fingerprint() const {
   if (Fp)
     return Fp;
-  // FNV-1a over the dispatch schema, in registration order (deterministic:
-  // registration happens in the Checker constructor).
-  uint64_t H = 1469598103934665603ull;
-  auto mix = [&H](uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (8 * I)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  };
-  auto mixStr = [&H](const std::string &S) {
-    for (char C : S) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 1099511628211ull;
-    }
-    H ^= 0xff; // terminator, so "ab"+"c" != "a"+"bc"
-    H *= 1099511628211ull;
-  };
-  mixStr("rule-dispatch-v2"); // format salt: bump on dispatch-semantics change
-  mix(NumRulesTotal);
+  // The dispatch schema, in registration order (deterministic: registration
+  // happens in the Checker constructor).
+  ContentHasher H;
+  H.mix("rule-dispatch-v2"); // format salt: bump on dispatch-semantics change
+  H.mix(NumRulesTotal);
   for (const auto &[K, T] : Kinds) {
     for (const Rule &R : T.All) {
-      mixStr(R.Name);
-      mix(static_cast<uint64_t>(R.Kind));
-      mix(static_cast<uint64_t>(static_cast<int64_t>(R.Priority)));
-      mix(R.Key.Diagonal ? 1 : 0);
-      mix(R.Key.Head.size());
+      H.mix(R.Name);
+      H.mix(static_cast<uint64_t>(R.Kind));
+      H.mix(static_cast<uint64_t>(static_cast<int64_t>(R.Priority)));
+      H.mix(R.Key.Diagonal ? 1 : 0);
+      H.mix(R.Key.Head.size());
       for (uint16_t V : R.Key.Head)
-        mix(V);
-      mix(R.Key.Want.size());
+        H.mix(V);
+      H.mix(R.Key.Want.size());
       for (uint16_t V : R.Key.Want)
-        mix(V);
+        H.mix(V);
     }
   }
-  Fp = H ? H : 1; // reserve 0 for "not cached"
+  Fp = H.get() ? H.get() : 1; // reserve 0 for "not cached"
   return Fp;
 }
 

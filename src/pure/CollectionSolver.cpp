@@ -132,8 +132,7 @@ TermRef applyRewrites(TermRef T, const std::map<TermRef, TermRef> &Map,
   }
   if (!Changed)
     return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                      std::move(NewArgs));
+  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
 }
 
 /// Membership cases of element \p X in normal form \p NF: either X equals an

@@ -48,8 +48,7 @@ TermRef EvarEnv::resolve(TermRef T) const {
     NewArgs.push_back(NA);
     for (unsigned J = I + 1; J < N; ++J)
       NewArgs.push_back(resolve(T->arg(J)));
-    return arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                        std::move(NewArgs));
+    return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
   }
   return T;
 }

@@ -361,7 +361,7 @@ TermRef Simplifier::simplify(TermRef T) const {
     NewArgs.push_back(NA);
   }
   TermRef R = Changed ? arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                                     std::move(NewArgs))
+                                     NewArgs)
                       : T;
   return simplifyNode(R);
 }

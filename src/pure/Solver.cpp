@@ -267,8 +267,7 @@ static TermRef replaceIte(TermRef T, TermRef Ite, bool Then) {
   }
   if (!Changed)
     return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                      std::move(NewArgs));
+  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
 }
 
 SolveResult PureSolver::proveCore(std::vector<TermRef> Hyps, TermRef Goal,
@@ -467,11 +466,7 @@ SolveResult PureSolver::prove(const std::vector<TermRef> &Hyps, TermRef Goal,
     // the leaf dispatch's priority order.
     if (R.Proved)
       MR.counter("solver.engine." + R.Engine).add(1);
-    MR.counter("solver.time_us")
-        .add(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - T0)
-                .count()));
+    MR.duration("solver.time_us").add(std::chrono::steady_clock::now() - T0);
   }
   return R;
 }

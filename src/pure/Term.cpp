@@ -6,6 +6,7 @@
 
 #include "pure/Term.h"
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 
@@ -121,27 +122,40 @@ const char *rcc::pure::kindName(TermKind K) {
   return "?";
 }
 
-size_t TermArena::KeyHash::operator()(const Key &Ky) const {
+size_t TermArena::KeyHash::operator()(const KeyView &Ky) const {
   size_t H = std::hash<int>()(static_cast<int>(Ky.K)) * 31 +
              std::hash<int>()(static_cast<int>(Ky.S));
-  H = H * 31 + std::hash<std::string>()(Ky.Name);
+  H = H * 31 + std::hash<std::string_view>()(Ky.Name);
   H = H * 31 + std::hash<int64_t>()(Ky.Num);
   for (TermRef A : Ky.Args)
     H = H * 31 + std::hash<const void *>()(A);
   return H;
 }
 
-TermRef TermArena::make(TermKind K, Sort S, std::string Name, int64_t Num,
-                        std::vector<TermRef> Args) {
-  Key Ky{K, S, Name, Num, Args};
+size_t TermArena::KeyHash::operator()(TermRef T) const {
+  return (*this)(
+      KeyView{T->kind(), T->sort(), T->name(), T->num(), T->args()});
+}
+
+bool TermArena::KeyEq::operator()(const KeyView &Ky, TermRef T) const {
+  return Ky.K == T->kind() && Ky.S == T->sort() && Ky.Num == T->num() &&
+         Ky.Name == T->name() &&
+         std::equal(Ky.Args.begin(), Ky.Args.end(), T->args().begin(),
+                    T->args().end());
+}
+
+TermRef TermArena::make(TermKind K, Sort S, std::string_view Name,
+                        int64_t Num, std::span<const TermRef> Args) {
+  const KeyView Ky{K, S, Name, Num, Args};
   Shard &Sh = Shards[KeyHash()(Ky) % NumShards];
   std::lock_guard<std::mutex> G(Sh.M);
   auto It = Sh.Unique.find(Ky);
   if (It != Sh.Unique.end())
-    return It->second;
-  Sh.Storage.push_back(Term(K, S, std::move(Name), Num, std::move(Args)));
+    return *It;
+  Sh.Storage.push_back(Term(K, S, std::string(Name), Num,
+                            std::vector<TermRef>(Args.begin(), Args.end())));
   TermRef T = &Sh.Storage.back();
-  Sh.Unique.emplace(std::move(Ky), T);
+  Sh.Unique.insert(T);
   return T;
 }
 
@@ -314,7 +328,7 @@ TermRef rcc::pure::mkExists(const std::string &Binder, Sort BSort,
 
 TermRef rcc::pure::mkApp(const std::string &Fn, Sort ResultSort,
                          std::vector<TermRef> Args) {
-  return arena().make(TermKind::App, ResultSort, Fn, 0, std::move(Args));
+  return arena().make(TermKind::App, ResultSort, Fn, 0, Args);
 }
 
 //===----------------------------------------------------------------------===//
@@ -519,8 +533,7 @@ template <typename LeafFn> TermRef rebuild(TermRef T, LeafFn &&OnLeaf) {
   }
   if (!Changed)
     return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                      std::move(NewArgs));
+  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
 }
 
 unsigned FreshCounter = 0;
@@ -557,8 +570,7 @@ TermRef rcc::pure::substVar(TermRef T, const std::string &Name, TermRef Repl) {
   }
   if (!Changed)
     return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                      std::move(NewArgs));
+  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
 }
 
 TermRef rcc::pure::substVars(

@@ -26,9 +26,13 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace rcc::pure {
@@ -173,35 +177,53 @@ using TermRef = const Term *;
 /// deques, whose elements never move, so handing out `TermRef`s outside the
 /// lock is safe. Terms are never freed; nothing else about a published Term
 /// is ever mutated.
+///
+/// `make` borrows its name and arguments: the unique-table holds only
+/// `TermRef`s and is searched with a view of the requested fields, so a
+/// lookup that finds its term allocates nothing, and each term's name and
+/// argument vector exist once, inside the Term.
 class TermArena {
 public:
-  TermRef make(TermKind K, Sort S, std::string Name, int64_t Num,
-               std::vector<TermRef> Args);
+  TermRef make(TermKind K, Sort S, std::string_view Name, int64_t Num,
+               std::span<const TermRef> Args);
+  TermRef make(TermKind K, Sort S, std::string_view Name, int64_t Num,
+               std::initializer_list<TermRef> Args) {
+    return make(K, S, Name, Num, std::span<const TermRef>(Args));
+  }
 
   /// Number of distinct terms allocated (for tests / stats).
   size_t size() const;
 
 private:
-  struct Key {
+  /// The fields `make` is asked for, borrowed from the caller.
+  struct KeyView {
     TermKind K;
     Sort S;
-    std::string Name;
+    std::string_view Name;
     int64_t Num;
-    std::vector<TermRef> Args;
-    bool operator==(const Key &O) const {
-      return K == O.K && S == O.S && Num == O.Num && Name == O.Name &&
-             Args == O.Args;
-    }
+    std::span<const TermRef> Args;
   };
+  /// Hashes and compares a stored TermRef and a KeyView alike, so the table
+  /// can be searched without building a Term.
   struct KeyHash {
-    size_t operator()(const Key &Ky) const;
+    using is_transparent = void;
+    size_t operator()(const KeyView &Ky) const;
+    size_t operator()(TermRef T) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(TermRef A, TermRef B) const { return A == B; }
+    bool operator()(const KeyView &Ky, TermRef T) const;
+    bool operator()(TermRef T, const KeyView &Ky) const {
+      return (*this)(Ky, T);
+    }
   };
 
   static constexpr size_t NumShards = 32;
   struct Shard {
     mutable std::mutex M;
     std::deque<Term> Storage;
-    std::unordered_map<Key, TermRef, KeyHash> Unique;
+    std::unordered_set<TermRef, KeyHash, KeyEq> Unique;
   };
   Shard Shards[NumShards];
 };

@@ -9,6 +9,7 @@
 #include "caesium/Ast.h"
 #include "refinedc/FnHash.h"
 #include "refinedc/ProofChecker.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include "support/Util.h"
 #include "trace/Export.h"
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 using namespace rcc;
 using namespace rcc::refinedc;
@@ -641,16 +643,11 @@ FnResult Checker::verifyFunction(const std::string &Name,
   return Res;
 }
 
-uint64_t Checker::fnContentHash(const std::string &Name,
-                                const VerifyOptions &Opts) const {
-  if (!EnvFingerprintValid) {
-    EnvFingerprint = hashSpecEnvironment(AP);
-    EnvFingerprintValid = true;
-  }
-  // Session fingerprint: anything a user extension can mutate between runs
-  // (registered typing rules, simplifier rules) plus every option that
-  // changes the result — Jobs is deliberately excluded, results are
-  // job-count-independent by construction.
+uint64_t Checker::sessionFingerprint(const VerifyOptions &Opts) const {
+  // Anything a user extension can mutate between runs (registered typing
+  // rules, simplifier rules) plus every option that changes the result —
+  // Jobs is deliberately excluded, results are job-count-independent by
+  // construction.
   ContentHasher H;
   // The registry fingerprint covers every rule's name, kind, priority and
   // dispatch key (plus a dispatch-format salt), so persisted results also
@@ -670,7 +667,7 @@ uint64_t Checker::fnContentHash(const std::string &Name,
       // Off lacks the bit-vector backend and must not reuse portfolio-era
       // cache entries.
       .mix(static_cast<uint64_t>(Opts.Portfolio != pure::PortfolioMode::Off));
-  return hashFunctionContent(AP, Name, EnvFingerprint, H.get());
+  return H.get();
 }
 
 void Checker::invalidateCache() {
@@ -679,7 +676,6 @@ void Checker::invalidateCache() {
   // rule count and simplifier rule names, so a mutated session simply
   // misses on every old entry).
   L1->clear();
-  EnvFingerprintValid = false;
 }
 
 void Checker::adoptStoreTiers(
@@ -729,6 +725,7 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
   size_t T = 0;
   if (!Store.get(Name, Key, R, T))
     return false;
+  R.WallMillis = 0.0; // no check ran for this result
 
   if (Store.trusted(T)) {
     // The in-memory tier this process populated. The key does not encode
@@ -774,10 +771,8 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
       ProofChecker PC(Rules);
       bool Ok = PC.check(R.Deriv, Lemmas).Ok;
       auto T1 = std::chrono::steady_clock::now();
-      RS.ReplayUs[TI].fetch_add(
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(T1 - T0)
-                  .count()),
+      RS.ReplayNs[TI].fetch_add(
+          static_cast<uint64_t>(std::chrono::nanoseconds(T1 - T0).count()),
           std::memory_order_relaxed);
       RS.Replays[TI].fetch_add(1, std::memory_order_relaxed);
       if (!Ok) {
@@ -797,7 +792,6 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
   }
 
   R.CacheHit = true;
-  R.WallMillis = 0.0; // no check ran for this result
   HitTier = T;
   Out = std::move(R);
   return true;
@@ -831,14 +825,14 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   configureStore(Opts);
   const bool UseStore = !Opts.NoCache;
 
-  // Content hashes key the store only, so a run without one skips them.
-  // They are computed up front, serially: this forces the lazy environment
-  // fingerprint before any job runs and keeps the hashing out of the
-  // parallel section's hot path.
-  std::vector<uint64_t> Hashes(Names.size());
-  if (UseStore)
-    for (size_t I = 0; I < Names.size(); ++I)
-      Hashes[I] = fnContentHash(Names[I], Opts);
+  // Content keys key the store only, so a run without one skips them. The
+  // two fingerprints every key folds in are computed once per run; each
+  // function's own key is computed by its job.
+  uint64_t EnvFp = 0, SessionFp = 0;
+  if (UseStore) {
+    EnvFp = hashSpecEnvironment(AP);
+    SessionFp = sessionFingerprint(Opts);
+  }
 
   PR.Fns.resize(Names.size());
   constexpr size_t kMiss = ~static_cast<size_t>(0);
@@ -852,16 +846,25 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
     CorruptBase[T] =
         Store.tier(T).counters().CorruptDrops.load(std::memory_order_relaxed);
 
-  // Each job consults the store at job start (probe + replay) and
-  // publishes at job end, through the same interface regardless of tier.
+  // Each job keys its function, consults the store at job start (probe +
+  // replay) and publishes at job end, through the same interface regardless
+  // of tier.
   ThreadPool Pool(PR.JobsUsed);
   Pool.parallelFor(Names.size(), [&](size_t I) {
-    if (!UseStore ||
-        !probeStore(Names[I], Hashes[I], Opts, PR.Fns[I], HitTier[I], RS)) {
+    if (!UseStore) {
       PR.Fns[I] = verifyFunction(Names[I], Opts);
-      if (UseStore)
-        Store.put(Names[I], Hashes[I], PR.Fns[I]);
+      return;
     }
+    const uint64_t Key = hashFunctionContent(AP, Names[I], EnvFp, SessionFp);
+    if (probeStore(Names[I], Key, Opts, PR.Fns[I], HitTier[I], RS))
+      return;
+    FnResult &R = PR.Fns[I];
+    R = verifyFunction(Names[I], Opts);
+    // The store keeps verdicts, not timings: a hit did no work, and an
+    // entry's bytes then depend only on its function, never on the run.
+    const double Wall = std::exchange(R.WallMillis, 0.0);
+    Store.put(Names[I], Key, R);
+    R.WallMillis = Wall;
   });
 
   for (size_t I = 0; I < Names.size(); ++I) {
@@ -883,15 +886,15 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
         ++PR.L2Hits;
     }
   }
-  uint64_t ReplaysTotal = 0, ReplayFailuresTotal = 0, ReplayUsTotal = 0;
+  uint64_t ReplaysTotal = 0, ReplayFailuresTotal = 0, ReplayNsTotal = 0;
   for (size_t T = 0; T < RunStoreStats::kMaxTiers; ++T) {
     ReplaysTotal += RS.Replays[T].load();
     ReplayFailuresTotal += RS.ReplayFailures[T].load();
-    ReplayUsTotal += RS.ReplayUs[T].load();
+    ReplayNsTotal += RS.ReplayNs[T].load();
   }
   PR.ReplayedHits = static_cast<unsigned>(ReplaysTotal);
   PR.ReplayFailures = static_cast<unsigned>(ReplayFailuresTotal);
-  PR.ReplayMillis = static_cast<double>(ReplayUsTotal) / 1000.0;
+  PR.ReplayMillis = static_cast<double>(ReplayNsTotal) / 1e6;
   for (size_t T = 1; T < Store.numTiers(); ++T)
     if (!Store.trusted(T))
       PR.CorruptDrops += static_cast<unsigned>(
@@ -940,7 +943,8 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
         MR.counter(Prefix + ".replays").add(RS.Replays[TI].load());
         MR.counter(Prefix + ".replay_failures")
             .add(RS.ReplayFailures[TI].load());
-        MR.counter(Prefix + ".replay_us").add(RS.ReplayUs[TI].load());
+        MR.duration(Prefix + ".replay_us")
+            .add(std::chrono::nanoseconds(RS.ReplayNs[TI].load()));
         MR.counter(Prefix + ".corrupt_drops")
             .add(Store.tier(T).counters().CorruptDrops.load(
                      std::memory_order_relaxed) -

@@ -160,10 +160,11 @@ private:
   std::optional<LoopInv> parseLoopInv(const std::vector<front::RcAnnot> &As,
                                       const SpecScope &Scope,
                                       rcc::DiagnosticEngine &Diags) const;
-  /// Content hash of one function's verification problem under Opts; 0 is
-  /// never returned (reserved for "uncacheable").
-  uint64_t fnContentHash(const std::string &Name,
-                         const VerifyOptions &Opts) const;
+  /// Fingerprint of everything in this session, besides the program, that
+  /// a result depends on under \p Opts: the rule registry, the simplifier
+  /// rules and the options that change verdicts. Every content key folds it
+  /// in (hashFunctionContent).
+  uint64_t sessionFingerprint(const VerifyOptions &Opts) const;
   void invalidateCache();
 
   /// (Re)builds the tiered store for this run: the session L1 always, plus
@@ -175,7 +176,7 @@ private:
   /// position in the stack (tier 0 — trusted L1 — never replays).
   struct RunStoreStats {
     static constexpr size_t kMaxTiers = 8;
-    std::atomic<uint64_t> ReplayUs[kMaxTiers] = {};
+    std::atomic<uint64_t> ReplayNs[kMaxTiers] = {};
     std::atomic<uint64_t> Replays[kMaxTiers] = {};
     std::atomic<uint64_t> ReplayFailures[kMaxTiers] = {};
   };
@@ -198,12 +199,6 @@ private:
   pure::PureSolver SolverProto;
   ResList GlobalAtoms;
   unsigned PureLines = 0;
-
-  /// Spec-environment fingerprint (struct/typedef/global annotations),
-  /// computed lazily; folded into every function's content hash as the
-  /// conservative "named-type closure" component.
-  mutable uint64_t EnvFingerprint = 0;
-  mutable bool EnvFingerprintValid = false;
 
   /// The session result store, composed as a uniform tier stack. L1
   /// (in-memory, trusted) always exists; L2 (private on-disk) and L3 (the

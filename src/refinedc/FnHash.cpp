@@ -7,6 +7,7 @@
 #include "refinedc/FnHash.h"
 
 #include "caesium/Ast.h"
+#include "support/Hash.h"
 
 #include <set>
 

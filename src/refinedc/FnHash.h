@@ -27,31 +27,6 @@
 
 namespace rcc::refinedc {
 
-/// Incremental FNV-1a (64-bit) over heterogeneous fields, with length
-/// framing so that field boundaries cannot alias ("ab","c" vs "a","bc").
-class ContentHasher {
-public:
-  ContentHasher &mix(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      step(static_cast<uint8_t>(V >> (8 * I)));
-    return *this;
-  }
-  ContentHasher &mix(const std::string &S) {
-    mix(static_cast<uint64_t>(S.size()));
-    for (char C : S)
-      step(static_cast<uint8_t>(C));
-    return *this;
-  }
-  uint64_t get() const { return H; }
-
-private:
-  void step(uint8_t B) {
-    H ^= B;
-    H *= 1099511628211ull;
-  }
-  uint64_t H = 14695981039346656037ull;
-};
-
 /// Fingerprint of the whole spec environment: every struct, typedef, and
 /// global annotation (the conservative named-type-closure component shared
 /// by all functions of one session).

@@ -12,9 +12,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace rcc;
@@ -27,36 +32,58 @@ namespace fs = std::filesystem;
 // MemoryResultStore
 //===----------------------------------------------------------------------===//
 
+MemoryResultStore::Shard &MemoryResultStore::shardOf(const std::string &Name) {
+  return Shards[std::hash<std::string>()(Name) % kShards];
+}
+
 bool MemoryResultStore::get(const std::string &Name, uint64_t Key,
                             FnResult &Out) {
-  std::lock_guard<std::mutex> G(M);
-  auto It = Entries.find(Name);
-  if (It == Entries.end() || It->second.first != Key) {
+  Shard &S = shardOf(Name);
+  std::shared_ptr<const FnResult> Hit;
+  {
+    std::lock_guard<std::mutex> G(S.M);
+    auto It = S.Entries.find(Name);
+    if (It != S.Entries.end() && It->second.first == Key)
+      Hit = It->second.second;
+  }
+  if (!Hit) {
     Counters.Misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  Out = It->second.second;
+  Out = *Hit;
   Counters.Hits.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void MemoryResultStore::put(const std::string &Name, uint64_t Key,
                             const FnResult &R) {
-  std::lock_guard<std::mutex> G(M);
-  Entries[Name] = {Key, R};
+  Entry New{Key, std::make_shared<const FnResult>(R)};
+  Shard &S = shardOf(Name);
+  {
+    std::lock_guard<std::mutex> G(S.M);
+    std::swap(S.Entries[Name], New);
+  }
   Counters.Puts.fetch_add(1, std::memory_order_relaxed);
+  // New now holds the replaced entry, if any; it is freed here, unlocked.
 }
 
 void MemoryResultStore::drop(const std::string &Name, uint64_t Key) {
-  std::lock_guard<std::mutex> G(M);
-  auto It = Entries.find(Name);
-  if (It != Entries.end() && It->second.first == Key)
-    Entries.erase(It);
+  Shard &S = shardOf(Name);
+  Entry Old;
+  std::lock_guard<std::mutex> G(S.M);
+  auto It = S.Entries.find(Name);
+  if (It != S.Entries.end() && It->second.first == Key) {
+    Old = std::move(It->second);
+    S.Entries.erase(It);
+  }
 }
 
 void MemoryResultStore::clear() {
-  std::lock_guard<std::mutex> G(M);
-  Entries.clear();
+  for (Shard &S : Shards) {
+    std::unordered_map<std::string, Entry> Old;
+    std::lock_guard<std::mutex> G(S.M);
+    Old.swap(S.Entries);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -66,14 +93,19 @@ void MemoryResultStore::clear() {
 // Entry envelope (all fields length-framed / fixed-width, see Serialize.h):
 //
 //   magic "RCVS" | format version | tool version | name | key |
-//   payload (serialized FnResult) | FNV-1a checksum of the payload
+//   payload (serialized FnResult) | checksum of the payload (checksumBytes)
 //
-// Any deviation — wrong magic/version/tool, name or key mismatch (filename
+// Any deviation — a file that is not a regular file or is implausibly
+// large, wrong magic/version/tool, name or key mismatch (filename
 // collisions after sanitization), checksum failure, truncation, trailing
 // bytes — rejects the entry, counts a corrupt drop, and unlinks the file so
 // the slot heals on the next put.
 
 static constexpr uint32_t kEntryMagic = 0x53564352; // "RCVS"
+
+/// The largest file `get` reads. Real entries are a few kilobytes; a larger
+/// file is rejected before anything is allocated for it.
+static constexpr off_t kMaxEntryBytes = off_t(16) << 20;
 
 DiskResultStore::DiskResultStore(std::string D, std::string L)
     : Dir(std::move(D)), Label(std::move(L)),
@@ -105,18 +137,40 @@ std::string DiskResultStore::entryPath(const std::string &Name,
   return Dir + "/" + Safe + "." + KeyHex + ".rcv";
 }
 
+namespace {
+
+/// Closes a descriptor on scope exit.
+class FdCloser {
+public:
+  explicit FdCloser(int Fd) : Fd(Fd) {}
+  ~FdCloser() { ::close(Fd); }
+  FdCloser(const FdCloser &) = delete;
+  FdCloser &operator=(const FdCloser &) = delete;
+
+private:
+  int Fd;
+};
+
+/// Reads exactly \p N bytes from \p Fd into \p Buf.
+bool readExactly(int Fd, char *Buf, size_t N) {
+  while (N > 0) {
+    ssize_t Got = ::read(Fd, Buf, N);
+    if (Got < 0 && errno == EINTR)
+      continue;
+    if (Got <= 0)
+      return false;
+    Buf += Got;
+    N -= static_cast<size_t>(Got);
+  }
+  return true;
+}
+
+} // namespace
+
 bool DiskResultStore::get(const std::string &Name, uint64_t Key,
                           FnResult &Out) {
   trace::Span LoadSpan(trace::Category::Cache, LoadSpanName);
-  std::string Path = entryPath(Name, Key);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Counters.Misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  In.close();
+  const std::string Path = entryPath(Name, Key);
 
   // Rejected entries count a corrupt drop and are unlinked so the slot
   // heals on the next put. The checker mirrors the counter delta into the
@@ -130,21 +184,43 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
     return false;
   };
 
+  // Anyone who can write the directory can plant a file at an entry path
+  // (a shared L3 especially), so only a regular file of bounded size is
+  // read, in one read of exactly its size. O_NOFOLLOW refuses a symlink
+  // (ELOOP), and O_NONBLOCK keeps the open of a FIFO from waiting for a
+  // writer; fstat then rejects everything that is not a regular file.
+  const int Fd =
+      ::open(Path.c_str(), O_RDONLY | O_NONBLOCK | O_NOFOLLOW | O_CLOEXEC);
+  if (Fd < 0) {
+    if (errno == ELOOP)
+      return Reject();
+    Counters.Misses.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  FdCloser Close(Fd);
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode) ||
+      St.st_size > kMaxEntryBytes)
+    return Reject();
+  std::string Data(static_cast<size_t>(St.st_size), '\0');
+  if (!readExactly(Fd, Data.data(), Data.size()))
+    return Reject();
+
   BinaryReader R(Data);
   uint32_t Magic, Format;
-  std::string Tool, EntryName, Payload;
+  std::string_view Tool, EntryName, Payload;
   uint64_t EntryKey, Checksum;
   if (!R.u32(Magic) || Magic != kEntryMagic)
     return Reject();
   if (!R.u32(Format) || Format != kFormatVersion)
     return Reject();
-  if (!R.str(Tool) || Tool != versionString())
+  if (!R.view(Tool) || Tool != versionString())
     return Reject();
-  if (!R.str(EntryName) || EntryName != Name)
+  if (!R.view(EntryName) || EntryName != Name)
     return Reject();
   if (!R.u64(EntryKey) || EntryKey != Key)
     return Reject();
-  if (!R.str(Payload) || !R.u64(Checksum) || !R.atEnd())
+  if (!R.view(Payload) || !R.u64(Checksum) || !R.atEnd())
     return Reject();
   if (Checksum != checksumBytes(Payload))
     return Reject();
@@ -154,8 +230,7 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
   // Refresh the entry's mtime so the GC's LRU order reflects use recency,
   // not just creation time. Best effort: a read-only cache directory still
   // serves hits, it just ages like FIFO.
-  std::error_code EC;
-  fs::last_write_time(Path, fs::file_time_type::clock::now(), EC);
+  (void)::futimens(Fd, nullptr);
 
   Counters.Hits.fetch_add(1, std::memory_order_relaxed);
   return true;

@@ -49,10 +49,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace rcc::store {
@@ -98,7 +98,10 @@ protected:
 };
 
 /// L1: the in-memory session tier (one entry per function name, exactly
-/// the semantics of the pre-store session cache).
+/// the semantics of the pre-store session cache). Entries are sharded by
+/// name hash, so concurrent jobs rarely wait on one another, and each
+/// result sits behind a shared pointer, so the copies `put` and `get` make
+/// happen outside the shard's lock.
 class MemoryResultStore final : public ResultStore {
 public:
   bool get(const std::string &Name, uint64_t Key,
@@ -110,8 +113,14 @@ public:
   const char *tierName() const override { return "l1"; }
 
 private:
-  std::mutex M;
-  std::map<std::string, std::pair<uint64_t, refinedc::FnResult>> Entries;
+  using Entry = std::pair<uint64_t, std::shared_ptr<const refinedc::FnResult>>;
+  static constexpr size_t kShards = 16;
+  struct Shard {
+    std::mutex M;
+    std::unordered_map<std::string, Entry> Entries;
+  };
+  Shard &shardOf(const std::string &Name);
+  Shard Shards[kShards];
 };
 
 /// Outcome of one GC pass over a cache directory.

@@ -7,6 +7,7 @@
 #include "store/Serialize.h"
 
 #include "pure/Term.h"
+#include "support/Hash.h"
 
 #include <cstring>
 #include <unordered_map>
@@ -83,13 +84,21 @@ bool BinaryReader::f64(double &V) {
 }
 
 bool BinaryReader::str(std::string &V) {
+  std::string_view View;
+  if (!view(View))
+    return false;
+  V.assign(View);
+  return true;
+}
+
+bool BinaryReader::view(std::string_view &V) {
   uint32_t N;
   if (!u32(N))
     return false;
   const char *B;
   if (!take(N, B))
     return false;
-  V.assign(B, N);
+  V = std::string_view(B, N);
   return true;
 }
 
@@ -106,12 +115,7 @@ bool BinaryReader::boolean(bool &V) {
 }
 
 uint64_t rcc::store::checksumBytes(std::string_view Data) {
-  uint64_t H = 14695981039346656037ull;
-  for (char C : Data) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
+  return ContentHasher().mix(Data).get();
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,7 +188,8 @@ private:
 class TermTableReader {
 public:
   /// Parses the table, interning every entry in the process arena. Returns
-  /// false on any malformed entry.
+  /// false on any malformed entry. Names and arguments are borrowed from the
+  /// input, so an entry whose term is already interned allocates nothing.
   bool parse(BinaryReader &R) {
     uint32_t N;
     if (!R.u32(N))
@@ -194,12 +199,13 @@ public:
     if (N > R.remaining() / 18)
       return false;
     Table.reserve(N);
+    std::vector<pure::TermRef> Args;
     for (uint32_t I = 0; I < N; ++I) {
       uint8_t Kind, Sort;
-      std::string Name;
+      std::string_view Name;
       int64_t Num;
       uint32_t NArgs;
-      if (!R.u8(Kind) || !R.u8(Sort) || !R.str(Name) || !R.i64(Num) ||
+      if (!R.u8(Kind) || !R.u8(Sort) || !R.view(Name) || !R.i64(Num) ||
           !R.u32(NArgs))
         return false;
       if (Kind > static_cast<uint8_t>(pure::TermKind::App) ||
@@ -207,8 +213,7 @@ public:
         return false;
       if (NArgs > R.remaining() / 4)
         return false;
-      std::vector<pure::TermRef> Args;
-      Args.reserve(NArgs);
+      Args.clear();
       for (uint32_t A = 0; A < NArgs; ++A) {
         uint32_t Id;
         if (!R.u32(Id))
@@ -218,9 +223,8 @@ public:
         Args.push_back(Table[Id]);
       }
       Table.push_back(pure::arena().make(static_cast<pure::TermKind>(Kind),
-                                         static_cast<pure::Sort>(Sort),
-                                         std::move(Name), Num,
-                                         std::move(Args)));
+                                         static_cast<pure::Sort>(Sort), Name,
+                                         Num, Args));
     }
     return true;
   }

@@ -28,7 +28,7 @@
 ///
 /// Integers are little-endian fixed-width; strings and payloads are length-
 /// framed (u32 length, then bytes), mirroring the framing discipline of the
-/// content hasher (FnHash.h) so field boundaries cannot alias.
+/// content hasher (support/Hash.h) so field boundaries cannot alias.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +45,7 @@ namespace rcc::store {
 
 /// Version of the serialized FnResult payload and of the entry envelope.
 /// Bump on ANY change to either layout; a version mismatch is a miss.
-constexpr uint32_t kFormatVersion = 3;
+constexpr uint32_t kFormatVersion = 4;
 
 /// Append-only little-endian binary writer with length framing.
 class BinaryWriter {
@@ -88,6 +88,9 @@ public:
   bool i64(int64_t &V);
   bool f64(double &V);
   bool str(std::string &V);
+  /// A length-framed string like `str`, borrowed from the buffer instead
+  /// of copied.
+  bool view(std::string_view &V);
   bool boolean(bool &V);
 
   bool ok() const { return !Failed; }
@@ -102,10 +105,11 @@ private:
   bool Failed = false;
 };
 
-/// FNV-1a over a byte buffer: the (non-cryptographic) corruption checksum
-/// of on-disk entries. The threat model is bit rot and truncation, not an
-/// adversary — trust in loaded results comes from the ProofChecker replay,
-/// not from this checksum (DESIGN.md, "Persistent verification store").
+/// The content hash (support/Hash.h) of a byte buffer: the corruption
+/// checksum of on-disk entries. The threat model is bit rot and truncation,
+/// not an adversary — trust in loaded results comes from the ProofChecker
+/// replay, not from this checksum (DESIGN.md, "Persistent verification
+/// store").
 uint64_t checksumBytes(std::string_view Data);
 
 /// Serializes \p R (including its Derivation and all referenced terms)

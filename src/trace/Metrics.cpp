@@ -26,11 +26,21 @@ Gauge &MetricsRegistry::gauge(const std::string &Name) {
   return *Slot;
 }
 
+Duration &MetricsRegistry::duration(const std::string &Name) {
+  std::lock_guard<std::mutex> G(M);
+  std::unique_ptr<Duration> &Slot = Durations[Name];
+  if (!Slot)
+    Slot = std::make_unique<Duration>();
+  return *Slot;
+}
+
 std::map<std::string, uint64_t> MetricsRegistry::counters() const {
   std::lock_guard<std::mutex> G(M);
   std::map<std::string, uint64_t> Out;
   for (const auto &[Name, C] : Counters)
     Out[Name] = C->get();
+  for (const auto &[Name, D] : Durations)
+    Out[Name] += D->micros();
   return Out;
 }
 

@@ -15,8 +15,8 @@
 ///
 /// Determinism contract: counters incremented from verification jobs are
 /// per-function sums of deterministic work, so their totals are independent
-/// of the job count and schedule. Duration-valued counters use the `_us`
-/// name suffix by convention; deterministic exports (Export.h) zero them.
+/// of the job count and schedule. Durations are `Duration`s registered under
+/// a `_us` name; deterministic exports (Export.h) zero them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 #define RCC_TRACE_METRICS_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -42,6 +43,20 @@ public:
 
 private:
   std::atomic<uint64_t> V{0};
+};
+
+/// A duration summed in nanoseconds. Snapshots report it in microseconds,
+/// converted once from the sum, so no call's sub-microsecond remainder is
+/// lost.
+class Duration {
+public:
+  void add(std::chrono::nanoseconds D) {
+    Ns.fetch_add(static_cast<uint64_t>(D.count()), std::memory_order_relaxed);
+  }
+  uint64_t micros() const { return Ns.load(std::memory_order_relaxed) / 1000; }
+
+private:
+  std::atomic<uint64_t> Ns{0};
 };
 
 /// A last-value gauge with a lock-free `takeMax` for high-water marks.
@@ -67,9 +82,12 @@ class MetricsRegistry {
 public:
   Counter &counter(const std::string &Name);
   Gauge &gauge(const std::string &Name);
+  /// A duration; \p Name ends in `_us`, the unit snapshots report.
+  Duration &duration(const std::string &Name);
 
   /// Sorted snapshots (std::map iteration order), the basis of every
-  /// deterministic export.
+  /// deterministic export. Durations appear among the counters, in
+  /// microseconds.
   std::map<std::string, uint64_t> counters() const;
   std::map<std::string, int64_t> gauges() const;
 
@@ -87,6 +105,7 @@ private:
   mutable std::mutex M;
   std::map<std::string, std::unique_ptr<Counter>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>> Gauges;
+  std::map<std::string, std::unique_ptr<Duration>> Durations;
 };
 
 } // namespace rcc::trace

@@ -18,11 +18,19 @@
 #include "casestudies/CaseStudies.h"
 #include "fleet/Monorepo.h"
 #include "frontend/Frontend.h"
+#include "pure/Term.h"
 #include "refinedc/Checker.h"
 #include "refinedc/FnHash.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
+#include <thread>
+#include <unistd.h>
 
 using namespace rcc;
 using namespace rcc::refinedc;
@@ -240,6 +248,17 @@ std::string editFunction(std::string Src, unsigned Fn, const std::string &From,
   return Src.replace(Pos, From.size(), To);
 }
 
+/// The name and bytes of every entry file a run published into \p Dir.
+std::map<std::string, std::string> entryFiles(const std::string &Dir) {
+  std::map<std::string, std::string> Out;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    std::ifstream In(E.path(), std::ios::binary);
+    Out[E.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(In), std::istreambuf_iterator<char>());
+  }
+  return Out;
+}
+
 /// The rendered diagnostics of compiling \p Src and building its
 /// environment; empty when both succeed.
 std::string frontErrors(const std::string &Src) {
@@ -322,4 +341,82 @@ TEST(LargeUnit, PrototypeThenDefinition) {
   ASSERT_TRUE(C.buildEnv()) << Diags.render(WithPrototype);
   FnResult R = C.verifyFunction(Name, {});
   EXPECT_TRUE(R.Verified) << R.Error;
+}
+
+TEST(LargeUnit, StoreEntriesDoNotDependOnTheJobCount) {
+  // Each job keys its own function, so keys and entries must come out the
+  // same whichever job computed them: identical file names (the keys) and
+  // identical bytes, failing functions' entries included.
+  const std::string Src = fleet::monorepoSource(kLargeUnit, /*FailEvery=*/7);
+  struct TempRoot {
+    std::filesystem::path Path =
+        std::filesystem::temp_directory_path() /
+        ("rcc_jobs_keys_" + std::to_string(::getpid()));
+    ~TempRoot() { std::filesystem::remove_all(Path); }
+  } Root;
+  std::map<std::string, std::string> Serial;
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
+    const std::string Dir =
+        (Root.Path / ("j" + std::to_string(Jobs))).string();
+    DiagnosticEngine Diags;
+    auto AP = front::compileSource(Src, Diags);
+    ASSERT_TRUE(AP != nullptr) << Diags.render(Src);
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv()) << Diags.render(Src);
+    VerifyOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Recheck = true;
+    Opts.CacheDir = Dir;
+    ProgramResult PR = C.verifyAll(Opts);
+    ASSERT_EQ(PR.CacheMisses, kLargeUnit);
+    std::map<std::string, std::string> Entries = entryFiles(Dir);
+    ASSERT_EQ(Entries.size(), kLargeUnit);
+    if (Jobs == 1) {
+      Serial = std::move(Entries);
+      continue;
+    }
+    auto Mismatch = std::mismatch(Serial.begin(), Serial.end(),
+                                  Entries.begin(), Entries.end());
+    EXPECT_TRUE(Mismatch.first == Serial.end())
+        << "at " << Jobs << " jobs, entry " << Mismatch.first->first
+        << " differs or is missing";
+  }
+}
+
+TEST(ParallelVerify, ConcurrentMakeInternsEachTermOnce) {
+  // Four threads build the same terms, in rotated orders so they race on
+  // the same keys. Names are longer than the short-string buffer and the
+  // applications take three and four arguments, so every lookup borrows a
+  // heap name and an argument list.
+  using namespace rcc::pure;
+  constexpr unsigned kThreads = 4, kGroups = 64, kTermsPerGroup = 6;
+  auto Build = [](unsigned G) {
+    const std::string Tag = "concurrent_make_group_" + std::to_string(G);
+    TermRef X = mkVar(Tag + "_x", Sort::Nat);
+    TermRef Z = mkVar(Tag + "_z", Sort::Nat);
+    TermRef L = mkVar(Tag + "_list", Sort::List);
+    TermRef F = mkApp("concurrent_make_function", Sort::Nat, {X, Z, X});
+    TermRef U = mkLUpdate(L, X, F);
+    return mkApp("concurrent_make_function", Sort::Nat, {U, F, Z, X});
+  };
+  const size_t Before = arena().size();
+  std::vector<std::vector<TermRef>> Made(kThreads,
+                                         std::vector<TermRef>(kGroups));
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I < kGroups; ++I) {
+        const unsigned G = (I + T * kGroups / kThreads) % kGroups;
+        Made[T][G] = Build(G);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(arena().size() - Before, size_t(kGroups) * kTermsPerGroup);
+  for (unsigned T = 1; T < kThreads; ++T)
+    EXPECT_EQ(Made[T], Made[0]) << "thread " << T;
+  for (unsigned G = 0; G < kGroups; ++G)
+    EXPECT_EQ(Build(G), Made[0][G]) << "a later make finds the same term";
+  EXPECT_EQ(arena().size() - Before, size_t(kGroups) * kTermsPerGroup);
 }

@@ -24,9 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <thread>
+
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace rcc;
@@ -582,9 +587,10 @@ TEST(Store, EntryWithOlderFormatIsACleanMissAndReVerified) {
   }
   ASSERT_EQ(countEntries(Dir.str()), 1u);
 
-  // Re-stamp the entry as format 2 (the layout whose steps also carried
-  // rendered text). Magic, tool version, name, key and checksum stay valid,
-  // and the payload would even parse: only the version field differs.
+  // Re-stamp the entry as format 3 (the layout whose checksum was a
+  // byte-at-a-time FNV-1a). Magic, tool version, name, key and checksum
+  // stay valid, and the payload would even parse: only the version field
+  // differs.
   fs::path EntryPath;
   for (const auto &E : fs::directory_iterator(Dir.str()))
     if (E.path().extension() == ".rcv")
@@ -602,10 +608,10 @@ TEST(Store, EntryWithOlderFormatIsACleanMissAndReVerified) {
   ASSERT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
               R.u64(Key) && R.str(Payload) && R.u64(Checksum));
   ASSERT_EQ(Format, kFormatVersion);
-  ASSERT_EQ(kFormatVersion, 3u);
+  ASSERT_EQ(kFormatVersion, 4u);
   BinaryWriter W;
   W.u32(Magic);
-  W.u32(2);
+  W.u32(3);
   W.str(Tool);
   W.str(Name);
   W.u64(Key);
@@ -741,6 +747,115 @@ TEST(Store, NoCacheBypassesEveryTier) {
   EXPECT_EQ(PR.CacheHits, 0u) << "--no-cache must re-verify";
   EXPECT_EQ(PR.CacheMisses, 1u);
   EXPECT_EQ(countEntries(Dir.str()), 0u) << "--no-cache must not write";
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile files at entry paths (anyone who can write a shared L3 can plant
+// them)
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Publishes `inc` into a fresh cache directory, lets \p Plant put a file
+/// of its choosing at the entry's path, and checks that the next session
+/// drops it as corrupt, re-verifies `inc` and publishes a regular entry in
+/// its place.
+void expectPlantedEntryIsReVerified(
+    const std::function<void(const std::string &)> &Plant) {
+  TempDir Dir;
+  auto AP = compile(kIncSource);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    ASSERT_TRUE(C.verifyFunctions({"inc"}, Opts).allVerified());
+  }
+  auto [Name, Key] = onlyEntry(Dir.str());
+  const std::string Path = DiskResultStore(Dir.str()).entryPath(Name, Key);
+  ASSERT_TRUE(fs::remove(Path));
+  Plant(Path);
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.CacheMisses, 1u);
+  EXPECT_EQ(PR.CorruptDrops, 1u);
+  EXPECT_TRUE(PR.allVerified());
+  EXPECT_TRUE(PR.allRechecksOk());
+  EXPECT_TRUE(fs::is_regular_file(fs::symlink_status(Path)))
+      << "the re-verified result is published as a regular file";
+}
+} // namespace
+
+TEST(Store, FifoAtAnEntryPathIsDroppedNotWaitedOn) {
+  // Opening a FIFO for reading waits for a writer that never comes.
+  expectPlantedEntryIsReVerified([](const std::string &Path) {
+    ASSERT_EQ(::mkfifo(Path.c_str(), 0600), 0);
+  });
+}
+
+TEST(Store, SymlinkAtAnEntryPathIsDroppedNotFollowed) {
+  // Followed, the link reads zeros until memory runs out.
+  expectPlantedEntryIsReVerified([](const std::string &Path) {
+    fs::create_symlink("/dev/zero", Path);
+  });
+}
+
+//===----------------------------------------------------------------------===//
+// The sharded in-memory tier under concurrent jobs (run under TSan by
+// scripts/check.sh)
+//===----------------------------------------------------------------------===//
+
+TEST(Store, MemoryTierServesConcurrentPutGetAndDrop) {
+  MemoryResultStore S;
+  constexpr unsigned kThreads = 4, kNames = 64, kRounds = 200;
+  auto NameOf = [](unsigned I) { return "fn_" + std::to_string(I); };
+  std::atomic<unsigned> Gets{0}, BadHits{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&, T] {
+      FnResult R;
+      for (unsigned Round = 0; Round < kRounds; ++Round)
+        for (unsigned I = T; I < kNames + T; ++I) {
+          const std::string Name = NameOf(I % kNames);
+          const uint64_t Key = I % 3;
+          R.Name = Name;
+          R.EvarsInstantiated = static_cast<unsigned>(Key);
+          S.put(Name, Key, R);
+          FnResult Out;
+          if (S.get(Name, Key, Out) &&
+              (Out.Name != Name || Out.EvarsInstantiated != Key))
+            ++BadHits;
+          ++Gets;
+          if ((I + Round) % 5 == 0)
+            S.drop(Name, Key);
+        }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(BadHits.load(), 0u) << "a hit returned another entry's result";
+  EXPECT_EQ(S.counters().Puts.load(), Gets.load());
+  EXPECT_EQ(S.counters().Hits.load() + S.counters().Misses.load(), Gets.load());
+  // Afterwards the store still serves every name it is given.
+  for (unsigned I = 0; I < kNames; ++I) {
+    FnResult R;
+    R.Name = NameOf(I);
+    S.put(R.Name, 7, R);
+  }
+  for (unsigned I = 0; I < kNames; ++I) {
+    FnResult Out;
+    ASSERT_TRUE(S.get(NameOf(I), 7, Out));
+    EXPECT_EQ(Out.Name, NameOf(I));
+    EXPECT_FALSE(S.get(NameOf(I), 8, Out));
+  }
+  S.clear();
+  FnResult Out;
+  EXPECT_FALSE(S.get(NameOf(0), 7, Out));
 }
 
 //===----------------------------------------------------------------------===//
