@@ -169,16 +169,20 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   # 10. TSan configuration for the code that runs threads: the parallel
   #    driver (test_parallel), the thread pool (test_support) and the store
   #    tiers that concurrent jobs probe and publish to (test_store), plus
-  #    the solver backends every job runs (test_bitvector,
-  #    test_linear_overflow). TSan also reports any pool thread still
-  #    running at exit.
+  #    the terms and solvers every job runs (test_pure_term and
+  #    test_pure_solver, whose concurrent substitution and solver tests
+  #    run several threads, test_bitvector, test_linear_overflow). TSan
+  #    also reports any pool thread still running at exit.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
   cmake --build build-tsan -j --target test_parallel test_support \
-      test_store test_bitvector test_linear_overflow
+      test_store test_pure_term test_pure_solver test_bitvector \
+      test_linear_overflow
   ./build-tsan/tests/test_parallel
   ./build-tsan/tests/test_support
   ./build-tsan/tests/test_store
+  ./build-tsan/tests/test_pure_term
+  ./build-tsan/tests/test_pure_solver
   ./build-tsan/tests/test_bitvector
   ./build-tsan/tests/test_linear_overflow
 fi

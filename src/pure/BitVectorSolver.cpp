@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 using namespace rcc::pure;
@@ -27,6 +26,12 @@ namespace {
 /// Variable order is the integer order of variable ids (the blaster assigns
 /// ids bit-position-major so vectors compared bit-by-bit interleave).
 ///
+/// Both tables are flat open-addressing arrays with linear probing: the
+/// unique table holds node indices (the node vector holds the keys), the
+/// ite cache holds (cond, then, else, result) rows. Each starts at a few KB
+/// and doubles once half full, so a small problem allocates little and a
+/// lookup touches one or two cache lines.
+///
 /// The engine is budgeted: once the node count passes the budget, `Exhausted`
 /// latches and every result is garbage — callers must check `exhausted()`
 /// before trusting any ref. That keeps the hot loop free of error plumbing
@@ -35,7 +40,9 @@ class Bdd {
 public:
   static constexpr uint32_t F = 0, T = 1;
 
-  explicit Bdd(size_t NodeBudget) : Budget(NodeBudget) {
+  explicit Bdd(size_t NodeBudget)
+      : Unique(1024, Free), Cache(256, IteRow{Free, 0, 0, 0}),
+        Budget(NodeBudget) {
     Nodes.push_back({Terminal, 0, 0}); // F
     Nodes.push_back({Terminal, 1, 1}); // T
   }
@@ -60,42 +67,67 @@ public:
       return Then;
     if (Then == T && Else == F)
       return Cond;
-    IteKey K{Cond, Then, Else};
-    auto It = IteCache.find(K);
-    if (It != IteCache.end())
-      return It->second;
+    const size_t Mask = Cache.size() - 1;
+    for (size_t I = hash(Cond, Then, Else) & Mask;
+         Cache[I].C != Free; I = (I + 1) & Mask)
+      if (Cache[I].C == Cond && Cache[I].G == Then && Cache[I].H == Else)
+        return Cache[I].R;
     int32_t V = std::min({topVar(Cond), topVar(Then), topVar(Else)});
     uint32_t Lo = ite(cof(Cond, V, false), cof(Then, V, false),
                       cof(Else, V, false));
     uint32_t Hi =
         ite(cof(Cond, V, true), cof(Then, V, true), cof(Else, V, true));
     uint32_t R = mk(V, Lo, Hi);
-    IteCache.emplace(K, R);
+    // The recursion may have grown the cache: probe again to insert.
+    insertRow(IteRow{Cond, Then, Else, R});
+    if (++CacheUsed * 2 > Cache.size()) {
+      std::vector<IteRow> Old = std::move(Cache);
+      Cache.assign(Old.size() * 2, IteRow{Free, 0, 0, 0});
+      for (const IteRow &Row : Old)
+        if (Row.C != Free)
+          insertRow(Row);
+    }
     return R;
   }
 
 private:
   static constexpr int32_t Terminal = INT32_MAX;
+  static constexpr uint32_t Free = UINT32_MAX;
 
   struct Node {
     int32_t Var;
     uint32_t Lo, Hi;
   };
-  struct IteKey {
-    uint32_t C, G, H;
-    bool operator==(const IteKey &O) const {
-      return C == O.C && G == O.G && H == O.H;
-    }
+  struct IteRow {
+    uint32_t C, G, H, R;
   };
-  struct IteKeyHash {
-    size_t operator()(const IteKey &K) const {
-      uint64_t X = (uint64_t(K.C) << 32) ^ (uint64_t(K.G) << 11) ^ K.H;
-      X ^= X >> 33;
-      X *= 0xff51afd7ed558ccdULL;
-      X ^= X >> 33;
-      return size_t(X);
-    }
-  };
+
+  static size_t hash(uint32_t A, uint32_t B, uint32_t C) {
+    uint64_t X = (((uint64_t(A) << 32) | B) * 0x9e3779b97f4a7c15ULL) ^ C;
+    X ^= X >> 29;
+    X *= 0xbf58476d1ce4e5b9ULL;
+    X ^= X >> 32;
+    return size_t(X);
+  }
+
+  /// Puts \p Row in the first free ite-cache slot of its probe run.
+  void insertRow(const IteRow &Row) {
+    const size_t Mask = Cache.size() - 1;
+    size_t I = hash(Row.C, Row.G, Row.H) & Mask;
+    while (Cache[I].C != Free)
+      I = (I + 1) & Mask;
+    Cache[I] = Row;
+  }
+
+  /// Puts node \p N in the first free unique-table slot of its probe run.
+  void insertNode(uint32_t N) {
+    const Node &Nd = Nodes[N];
+    const size_t Mask = Unique.size() - 1;
+    size_t I = hash(uint32_t(Nd.Var), Nd.Lo, Nd.Hi) & Mask;
+    while (Unique[I] != Free)
+      I = (I + 1) & Mask;
+    Unique[I] = N;
+  }
 
   int32_t topVar(uint32_t N) const { return Nodes[N].Var; }
 
@@ -109,36 +141,32 @@ private:
   uint32_t mk(int32_t V, uint32_t Lo, uint32_t Hi) {
     if (Lo == Hi)
       return Lo;
-    NodeKey Key{V, Lo, Hi};
-    auto It = Unique.find(Key);
-    if (It != Unique.end())
-      return It->second;
+    const size_t Mask = Unique.size() - 1;
+    size_t I = hash(uint32_t(V), Lo, Hi) & Mask;
+    for (; Unique[I] != Free; I = (I + 1) & Mask) {
+      const Node &Nd = Nodes[Unique[I]];
+      if (Nd.Var == V && Nd.Lo == Lo && Nd.Hi == Hi)
+        return Unique[I];
+    }
     if (Nodes.size() >= Budget) {
       Exhausted = true;
       return F;
     }
     Nodes.push_back({V, Lo, Hi});
     uint32_t R = uint32_t(Nodes.size() - 1);
-    Unique.emplace(Key, R);
+    Unique[I] = R;
+    if ((Nodes.size() - 2) * 2 > Unique.size()) {
+      Unique.assign(Unique.size() * 2, Free);
+      for (uint32_t N = 2; N < Nodes.size(); ++N)
+        insertNode(N);
+    }
     return R;
   }
 
-  struct NodeKey {
-    int32_t Var;
-    uint32_t Lo, Hi;
-    bool operator==(const NodeKey &O) const {
-      return Var == O.Var && Lo == O.Lo && Hi == O.Hi;
-    }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey &K) const {
-      return IteKeyHash{}(IteKey{uint32_t(K.Var), K.Lo, K.Hi});
-    }
-  };
-
   std::vector<Node> Nodes;
-  std::unordered_map<NodeKey, uint32_t, NodeKeyHash> Unique;
-  std::unordered_map<IteKey, uint32_t, IteKeyHash> IteCache;
+  std::vector<uint32_t> Unique; ///< node index per slot, Free if empty
+  std::vector<IteRow> Cache;    ///< C == Free marks an empty row
+  size_t CacheUsed = 0;
   size_t Budget;
   bool Exhausted = false;
 };
@@ -396,25 +424,29 @@ private:
     return !Fail;
   }
 
-  /// x * 2^e as a variable left shift (width grows by MaxE).
+  /// x * 2^e as a variable left shift: one multiplexer stage per exponent
+  /// bit, stage i shifting by 2^i when bit i is set. The output is x
+  /// widened by MaxE bits, exact for every e <= MaxE; the exponent's bound
+  /// is part of the formula, so larger e never reach the verdict.
   Vec varShl(const Vec &A, const Vec &E, int64_t MaxE) {
     Vec Out(A.size() + size_t(MaxE), Bdd::F);
-    for (int64_t K = 0; K <= MaxE; ++K) {
-      uint32_t IsK = eqConst(E, K);
-      for (size_t I = 0; I < A.size(); ++I)
-        Out[I + size_t(K)] =
-            B.orOp(Out[I + size_t(K)], B.andOp(IsK, A[I]));
+    std::copy(A.begin(), A.end(), Out.begin());
+    for (size_t S = 0; S < E.size(); ++S) {
+      const size_t Amt = size_t(1) << S;
+      for (size_t I = Out.size(); I-- > 0;)
+        Out[I] = B.ite(E[S], I >= Amt ? Out[I - Amt] : Bdd::F, Out[I]);
     }
     return Out;
   }
 
-  /// x / 2^e as a variable right shift.
-  Vec varShr(const Vec &A, const Vec &E, int64_t MaxE) {
-    Vec Out(A.size(), Bdd::F);
-    for (int64_t K = 0; K <= MaxE; ++K) {
-      uint32_t IsK = eqConst(E, K);
-      for (size_t I = 0; I < A.size(); ++I)
-        Out[I] = B.orOp(Out[I], B.andOp(IsK, bit(A, I + size_t(K))));
+  /// x / 2^e as a variable right shift, one stage per exponent bit.
+  Vec varShr(const Vec &A, const Vec &E) {
+    Vec Out = A;
+    for (size_t S = 0; S < E.size(); ++S) {
+      const size_t Amt = size_t(1) << S;
+      for (size_t I = 0; I < Out.size(); ++I)
+        Out[I] = B.ite(E[S], Amt < Out.size() - I ? Out[I + Amt] : Bdd::F,
+                       Out[I]);
     }
     return Out;
   }
@@ -482,7 +514,7 @@ private:
         int64_t MaxE;
         if (!exponent(D->arg(0), EV, MaxE))
           return failVec();
-        return varShr(vec(A), EV, MaxE);
+        return varShr(vec(A), EV);
       }
       if (D->isConst() && D->num() > 0 && (D->num() & (D->num() - 1)) == 0) {
         Vec AV = vec(A);

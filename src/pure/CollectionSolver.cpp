@@ -120,19 +120,7 @@ TermRef applyRewrites(TermRef T, const std::map<TermRef, TermRef> &Map,
   auto It = Map.find(T);
   if (It != Map.end())
     return applyRewrites(It->second, Map, Depth + 1);
-  if (T->numArgs() == 0)
-    return T;
-  std::vector<TermRef> NewArgs;
-  NewArgs.reserve(T->numArgs());
-  bool Changed = false;
-  for (TermRef A : T->args()) {
-    TermRef NA = applyRewrites(A, Map, Depth);
-    Changed |= (NA != A);
-    NewArgs.push_back(NA);
-  }
-  if (!Changed)
-    return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
+  return mapArgs(T, [&](TermRef A) { return applyRewrites(A, Map, Depth); });
 }
 
 /// Membership cases of element \p X in normal form \p NF: either X equals an

@@ -34,23 +34,7 @@ TermRef EvarEnv::resolve(TermRef T) const {
       return T;
     return resolve(It->second);
   }
-  // Arguments are rebuilt only from the first one that changes, so an
-  // already-resolved term (the common case) costs no allocation.
-  const unsigned N = T->numArgs();
-  for (unsigned I = 0; I < N; ++I) {
-    TermRef NA = resolve(T->arg(I));
-    if (NA == T->arg(I))
-      continue;
-    std::vector<TermRef> NewArgs;
-    NewArgs.reserve(N);
-    for (unsigned J = 0; J < I; ++J)
-      NewArgs.push_back(T->arg(J));
-    NewArgs.push_back(NA);
-    for (unsigned J = I + 1; J < N; ++J)
-      NewArgs.push_back(resolve(T->arg(J)));
-    return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
-  }
-  return T;
+  return mapArgs(T, [this](TermRef A) { return resolve(A); });
 }
 
 bool EvarEnv::hasUnresolved(TermRef T) const {

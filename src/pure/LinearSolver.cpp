@@ -10,8 +10,7 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
-#include <set>
+#include <unordered_map>
 
 using namespace rcc::pure;
 
@@ -20,14 +19,15 @@ namespace {
 using Wide = __int128;
 
 /// Sticky per-thread overflow witness. Solver verdicts are trusted leaves of
-/// the proof (the ProofChecker replays rule applications, not side-condition
-/// proofs), so wrapped coefficient arithmetic here could discharge a false
-/// VC. Every arithmetic step routes through the *Chk helpers below; the flag
-/// is cleared only at the public entry points (prove / inconsistent), which
-/// AND their result with !Overflowed. Internal probes (tightenNatSubs,
-/// addCongruences, Ne splits) deliberately do NOT save/restore it: wrapped
-/// intermediates can leak into shared state (Lin.Side), so once anything
-/// wraps the only sound answer for the whole call is Unknown.
+/// the proof: ProofChecker::check re-proves every side condition, but with a
+/// fresh PureSolver running this same code, so a wrap here would discharge a
+/// false VC in the search and again in the replay. Every arithmetic step
+/// routes through the *Chk helpers below; the flag is cleared only at the
+/// public entry points (prove / inconsistent), which AND their result with
+/// !Overflowed. Internal probes (tightenNatSubs, addCongruences, Ne splits)
+/// deliberately do NOT save/restore it: wrapped intermediates can leak into
+/// shared state (Lin.Side), so once anything wraps the only sound answer for
+/// the whole call is Unknown.
 thread_local bool Overflowed = false;
 
 inline Wide addChk(Wide A, Wide B) {
@@ -50,12 +50,14 @@ inline Wide negChk(Wide A) {
 }
 
 /// A linear expression: sum of Coeff * Atom plus a constant. Atoms are
-/// arbitrary (nonlinear) terms treated opaquely.
+/// arbitrary (nonlinear) terms treated opaquely, named by their index in
+/// the Linearizer's atom table, which numbers them in the order it first
+/// meets them. Indices, unlike addresses, are the same in every process.
 struct LinExpr {
-  std::map<TermRef, Wide> Coeffs;
+  std::map<unsigned, Wide> Coeffs;
   Wide Const = 0;
 
-  void add(TermRef Atom, Wide C) {
+  void add(unsigned Atom, Wide C) {
     if (C == 0)
       return;
     Wide &Slot = Coeffs[Atom];
@@ -95,19 +97,23 @@ public:
     return E;
   }
 
+  /// The index of an atom this linearizer has met.
+  unsigned atomId(TermRef T) const { return AtomIds.at(T); }
+
 private:
-  std::map<TermRef, bool> SeenAtoms;
+  std::unordered_map<TermRef, unsigned> AtomIds;
 
   void atom(TermRef T, LinExpr &E, Wide Sign) {
-    E.add(T, Sign);
-    if (SeenAtoms.count(T))
+    auto [It, New] = AtomIds.try_emplace(T, unsigned(AtomIds.size()));
+    const unsigned Id = It->second; // the visits below may rehash AtomIds
+    E.add(Id, Sign);
+    if (!New)
       return;
-    SeenAtoms[T] = true;
     // Nat-sorted atoms are non-negative; so are lengths and sizes.
     if (T->sort() == Sort::Nat || T->kind() == TermKind::LLen ||
         T->kind() == TermKind::MSize) {
       Constraint C;
-      C.E.add(T, -1); // -T <= 0 i.e. T >= 0
+      C.E.add(Id, -1); // -T <= 0 i.e. T >= 0
       Side.push_back(std::move(C));
     }
     // Truncated Nat subtraction: T = a - b contributes T >= a - b, T <= a.
@@ -120,11 +126,11 @@ private:
       Constraint Lo;
       Lo.E.addExpr(A, 1);
       Lo.E.addExpr(B, -1);
-      Lo.E.add(T, -1);
+      Lo.E.add(Id, -1);
       Side.push_back(std::move(Lo));
       // T - a <= 0
       Constraint Hi;
-      Hi.E.add(T, 1);
+      Hi.E.add(Id, 1);
       Hi.E.addExpr(A, -1);
       Side.push_back(std::move(Hi));
     }
@@ -132,7 +138,7 @@ private:
     if (T->kind() == TermKind::Mod && T->arg(1)->isConst() &&
         T->arg(1)->num() > 0) {
       Constraint Hi;
-      Hi.E.add(T, 1);
+      Hi.E.add(Id, 1);
       Hi.E.Const = 1 - Wide(T->arg(1)->num()); // T <= m-1
       Side.push_back(std::move(Hi));
     }
@@ -145,12 +151,12 @@ private:
       LinExpr X;
       visit(T->arg(0), X, 1);
       Constraint Lo; // c*q - x <= 0
-      Lo.E.add(T, C);
+      Lo.E.add(Id, C);
       Lo.E.addExpr(X, -1);
       Side.push_back(std::move(Lo));
       Constraint Hi; // x - c*q - (c-1) <= 0
       Hi.E.addExpr(X, 1);
-      Hi.E.add(T, -C);
+      Hi.E.add(Id, -C);
       Hi.E.Const = 1 - C;
       Side.push_back(std::move(Hi));
     }
@@ -162,11 +168,11 @@ private:
       for (const LinExpr *Branch : {&A, &B}) {
         Constraint C;
         if (T->kind() == TermKind::Min2) {
-          C.E.add(T, 1);
+          C.E.add(Id, 1);
           C.E.addExpr(*Branch, -1); // min <= branch
         } else {
           C.E.addExpr(*Branch, 1);
-          C.E.add(T, -1); // branch <= max
+          C.E.add(Id, -1); // branch <= max
         }
         Side.push_back(std::move(C));
       }
@@ -221,12 +227,36 @@ bool infeasible(std::vector<Constraint> Cs) {
   // small round cap is incomplete the moment lemma instantiation inflates
   // the atom count (dozens of cheap one-sided atoms starve the atom that
   // carries the contradiction); MaxConstraints bounds the blowup instead.
-  std::set<TermRef> InitialAtoms;
+  unsigned NumIds = 0;
   for (const Constraint &C : Cs)
-    for (const auto &[A, Co] : C.E.Coeffs)
-      InitialAtoms.insert(A);
+    if (!C.E.isConst())
+      NumIds = std::max(NumIds, C.E.Coeffs.rbegin()->first + 1);
+  struct Tally {
+    int Up = 0, Lo = 0;
+    bool Listed = false;
+  };
+  std::vector<Tally> Counts(NumIds);
+  std::vector<unsigned> Order; // atoms by first appearance in Cs
+  auto tally = [&] {
+    for (unsigned A : Order)
+      Counts[A] = Tally();
+    Order.clear();
+    for (const Constraint &C : Cs)
+      for (const auto &[A, Co] : C.E.Coeffs) {
+        Tally &T = Counts[A];
+        if (!T.Listed) {
+          T.Listed = true;
+          Order.push_back(A);
+        }
+        if (Co > 0)
+          T.Up++; // appears as upper bound on A
+        else
+          T.Lo++;
+      }
+  };
+  tally();
   const int MaxRounds =
-      std::min<int>(512, static_cast<int>(InitialAtoms.size()) + 1);
+      std::min<int>(512, static_cast<int>(Order.size()) + 1);
 
   for (int Round = 0; Round < MaxRounds; ++Round) {
     // Constant-only constraints: check satisfiability; drop satisfied ones.
@@ -243,20 +273,16 @@ bool infeasible(std::vector<Constraint> Cs) {
     if (Cs.empty())
       return false;
 
-    // Pick the atom minimizing (#upper * #lower) to eliminate.
-    std::map<TermRef, std::pair<int, int>> Counts;
-    for (const Constraint &C : Cs)
-      for (const auto &[A, Co] : C.E.Coeffs) {
-        if (Co > 0)
-          Counts[A].first++; // appears as upper bound on A
-        else
-          Counts[A].second++;
-      }
-    TermRef Best = nullptr;
+    // Pick the atom minimizing (#upper * #lower) to eliminate. Ties go to
+    // the atom that appears first in the constraint list, so a call that
+    // hits MaxConstraints answers the same in every process.
+    if (Round > 0)
+      tally();
+    unsigned Best = 0;
     long BestCost = -1;
-    for (const auto &[A, UpLo] : Counts) {
-      long Cost = static_cast<long>(UpLo.first) * UpLo.second;
-      if (!Best || Cost < BestCost) {
+    for (unsigned A : Order) {
+      long Cost = static_cast<long>(Counts[A].Up) * Counts[A].Lo;
+      if (BestCost < 0 || Cost < BestCost) {
         Best = A;
         BestCost = Cost;
       }
@@ -366,7 +392,7 @@ void tightenNatSubs(Linearizer &Lin, std::vector<Constraint> &Base) {
       if (!infeasible(std::move(Test)))
         continue;
       Constraint Hi; // T - m + 1 <= 0
-      Hi.E.add(T, 1);
+      Hi.E.add(Lin.atomId(T), 1);
       Hi.E.addExpr(M, -1);
       Hi.E.Const = addChk(Hi.E.Const, 1);
       Base.push_back(std::move(Hi));
@@ -393,7 +419,7 @@ void tightenNatSubs(Linearizer &Lin, std::vector<Constraint> &Base) {
         continue;
       // Add t >= a - b is already present; add t <= a - b to make it exact.
       Constraint Eq;
-      Eq.E.add(T, 1);
+      Eq.E.add(Lin.atomId(T), 1);
       Eq.E.addExpr(A, -1);
       Eq.E.addExpr(B, 1);
       Base.push_back(std::move(Eq));
@@ -404,40 +430,62 @@ void tightenNatSubs(Linearizer &Lin, std::vector<Constraint> &Base) {
   }
 }
 
-/// Core entailment: Facts /\ not(A <= B + Slack) infeasible?
-/// not(a <= b) over integers is b + 1 <= a, i.e. b - a + 1 <= 0.
-bool proveLe(const std::vector<TermRef> &Facts, TermRef A, TermRef B,
-             Wide Strict) {
-  Linearizer Lin;
-  std::vector<Constraint> Cs = collectFacts(Facts, Lin);
+/// Core entailment over a linearized, tightened system: is
+/// Cs /\ not(A <= B) (Strict = 0) or Cs /\ not(A < B) (Strict = 1)
+/// infeasible? not(a <= b) over integers is b + 1 <= a, i.e.
+/// b - a + 1 <= 0.
+bool refutesNegation(const Linearizer &Lin, const std::vector<Constraint> &Cs,
+                     const LinExpr &A, const LinExpr &B, Wide Strict) {
+  std::vector<Constraint> Sys = Cs;
   Constraint Neg;
-  Neg.E.addExpr(Lin.run(B), 1);
-  Neg.E.addExpr(Lin.run(A), -1);
-  // Strict=0: prove a<=b; Strict=1: prove a<b
+  Neg.E.addExpr(B, 1);
+  Neg.E.addExpr(A, -1);
   Neg.E.Const = addChk(Neg.E.Const, 1 - Strict);
-  tightenNatSubs(Lin, Cs);
-  Cs.push_back(std::move(Neg));
-  for (Constraint &C : Lin.Side)
-    Cs.push_back(std::move(C));
-  return infeasible(std::move(Cs));
+  Sys.push_back(std::move(Neg));
+  Sys.insert(Sys.end(), Lin.Side.begin(), Lin.Side.end());
+  return infeasible(std::move(Sys));
 }
 
-/// Non-clearing core of `inconsistent`, for recursive use inside a solve
-/// (the public wrapper resets the overflow flag; internal callers must not,
-/// or an earlier wrap would be forgotten).
-bool inconsistentCore(const std::vector<TermRef> &Facts) {
-  Linearizer Lin;
-  std::vector<Constraint> Cs = collectFacts(Facts, Lin);
-  for (Constraint &C : Lin.Side)
-    Cs.push_back(std::move(C));
-  return infeasible(std::move(Cs));
+/// Proves a comparison goal by refuting its negation against the facts'
+/// system \p Cs, linearizing the goal into \p Lin once for both
+/// directions an (in)equality needs. False for any other goal.
+bool refutesNegatedGoal(Linearizer &Lin, std::vector<Constraint> &Cs,
+                        TermRef Goal) {
+  TermKind K = Goal->kind();
+  if (K != TermKind::Le && K != TermKind::Lt && K != TermKind::Eq &&
+      K != TermKind::Ne)
+    return false;
+  TermRef A = Goal->arg(0), B = Goal->arg(1);
+  bool Num = A->sort() == Sort::Nat || A->sort() == Sort::Int ||
+             B->sort() == Sort::Nat || B->sort() == Sort::Int;
+  if ((K == TermKind::Eq || K == TermKind::Ne) && !Num)
+    return false;
+  LinExpr LB = Lin.run(B);
+  LinExpr LA = Lin.run(A);
+  tightenNatSubs(Lin, Cs);
+  switch (K) {
+  case TermKind::Le:
+    return refutesNegation(Lin, Cs, LA, LB, 0);
+  case TermKind::Lt:
+    return refutesNegation(Lin, Cs, LA, LB, 1);
+  case TermKind::Eq:
+    return refutesNegation(Lin, Cs, LA, LB, 0) &&
+           refutesNegation(Lin, Cs, LB, LA, 0);
+  default: // Ne
+    return refutesNegation(Lin, Cs, LA, LB, 1) ||
+           refutesNegation(Lin, Cs, LB, LA, 1);
+  }
 }
 
 } // namespace
 
 bool LinearSolver::inconsistent(const std::vector<TermRef> &Facts) {
   Overflowed = false;
-  bool R = inconsistentCore(Facts);
+  Linearizer Lin;
+  std::vector<Constraint> Cs = collectFacts(Facts, Lin);
+  for (Constraint &C : Lin.Side)
+    Cs.push_back(std::move(C));
+  bool R = infeasible(std::move(Cs));
   if (Overflowed) {
     trace::count("solver.linear.overflow_bailouts");
     return false;
@@ -547,32 +595,17 @@ static bool proveWithNeSplits(const std::vector<TermRef> &Facts0,
 static bool proveNoSplit(const std::vector<TermRef> &Facts, TermRef Goal) {
   if (Goal->isTrue())
     return true;
-  // A contradictory context proves anything. (Core variant: must not reset
-  // the overflow flag mid-solve.)
-  if (inconsistentCore(Facts))
+  // The facts are linearized once; the goal's refutation extends their
+  // system, so remember where the facts' own constraints end.
+  Linearizer Lin;
+  std::vector<Constraint> Cs = collectFacts(Facts, Lin);
+  const size_t NumFactCs = Cs.size(), NumFactSide = Lin.Side.size();
+  if (refutesNegatedGoal(Lin, Cs, Goal))
     return true;
-  switch (Goal->kind()) {
-  case TermKind::Le:
-    return proveLe(Facts, Goal->arg(0), Goal->arg(1), 0);
-  case TermKind::Lt:
-    return proveLe(Facts, Goal->arg(0), Goal->arg(1), 1);
-  case TermKind::Eq: {
-    TermRef A = Goal->arg(0), B = Goal->arg(1);
-    bool Num = A->sort() == Sort::Nat || A->sort() == Sort::Int ||
-               B->sort() == Sort::Nat || B->sort() == Sort::Int;
-    if (!Num)
-      return false;
-    return proveLe(Facts, A, B, 0) && proveLe(Facts, B, A, 0);
-  }
-  case TermKind::Ne: {
-    TermRef A = Goal->arg(0), B = Goal->arg(1);
-    bool Num = A->sort() == Sort::Nat || A->sort() == Sort::Int ||
-               B->sort() == Sort::Nat || B->sort() == Sort::Int;
-    if (!Num)
-      return false;
-    return proveLe(Facts, A, B, 1) || proveLe(Facts, B, A, 1);
-  }
-  default:
-    return false;
-  }
+  // A contradictory context proves anything. Contradictory facts also
+  // refute every negated goal (barring FM's caps), so this facts-only
+  // check runs last, on exactly the facts' own constraints.
+  Cs.resize(NumFactCs);
+  Cs.insert(Cs.end(), Lin.Side.begin(), Lin.Side.begin() + NumFactSide);
+  return infeasible(std::move(Cs));
 }

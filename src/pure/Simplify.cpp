@@ -352,18 +352,7 @@ TermRef Simplifier::simplify(TermRef T) const {
       return mkTrue();
     return R;
   }
-  std::vector<TermRef> NewArgs;
-  NewArgs.reserve(T->numArgs());
-  bool Changed = false;
-  for (TermRef A : T->args()) {
-    TermRef NA = simplify(A);
-    Changed |= (NA != A);
-    NewArgs.push_back(NA);
-  }
-  TermRef R = Changed ? arena().make(T->kind(), T->sort(), T->name(), T->num(),
-                                     NewArgs)
-                      : T;
-  return simplifyNode(R);
+  return simplifyNode(mapArgs(T, [this](TermRef A) { return simplify(A); }));
 }
 
 std::vector<TermRef> Simplifier::expandHyp(TermRef H) const {

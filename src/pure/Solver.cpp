@@ -61,7 +61,7 @@ std::vector<TermRef> PureSolver::preprocessHyps(std::vector<TermRef> Hyps,
   // assumptions (e.g. xs = [] substitutes xs away).
   for (int Iter = 0; Iter < 6; ++Iter) {
     std::string Name;
-    TermRef Repl = nullptr;
+    TermRef Repl = nullptr, Def = nullptr;
     for (TermRef H : Out) {
       if (H->kind() != TermKind::Eq)
         continue;
@@ -70,17 +70,38 @@ std::vector<TermRef> PureSolver::preprocessHyps(std::vector<TermRef> Hyps,
           A != B) {
         Name = A->name();
         Repl = B;
+        Def = H;
         break;
       }
       if (B->kind() == TermKind::Var && !containsFreeVar(A, B->name()) &&
           A != B && A->kind() != TermKind::Var) {
         Name = B->name();
         Repl = A;
+        Def = H;
         break;
       }
     }
     if (!Repl)
       break;
+    // A variable free only in its own defining equation rewrites nothing
+    // else: the round would drop that equation (it becomes true) and
+    // re-simplify every other hypothesis and the goal to themselves, so
+    // just move the equation to the back. Once it is there, every later
+    // round would pick it again and change nothing.
+    if (!containsFreeVar(Goal, Name) &&
+        std::none_of(Out.begin(), Out.end(), [&](TermRef H) {
+          return H != Def && containsFreeVar(H, Name);
+        })) {
+      std::vector<TermRef> Next;
+      for (TermRef H : Out)
+        if (H != Def)
+          Next.push_back(H);
+      Next.push_back(mkEq(mkVar(Name, Repl->sort()), Repl));
+      if (Next == Out)
+        break;
+      Out = std::move(Next);
+      continue;
+    }
     std::vector<TermRef> Next;
     for (TermRef H : Out) {
       TermRef S = Simp.simplify(substVar(H, Name, Repl));
@@ -256,18 +277,7 @@ static TermRef findIte(TermRef T) {
 static TermRef replaceIte(TermRef T, TermRef Ite, bool Then) {
   if (T == Ite)
     return Then ? Ite->arg(1) : Ite->arg(2);
-  if (T->numArgs() == 0)
-    return T;
-  std::vector<TermRef> NewArgs;
-  bool Changed = false;
-  for (TermRef A : T->args()) {
-    TermRef NA = replaceIte(A, Ite, Then);
-    Changed |= (NA != A);
-    NewArgs.push_back(NA);
-  }
-  if (!Changed)
-    return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
+  return mapArgs(T, [&](TermRef A) { return replaceIte(A, Ite, Then); });
 }
 
 SolveResult PureSolver::proveCore(std::vector<TermRef> Hyps, TermRef Goal,

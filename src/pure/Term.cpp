@@ -523,33 +523,26 @@ template <typename LeafFn> TermRef rebuild(TermRef T, LeafFn &&OnLeaf) {
     return R ? R : T;
   }
   // Binders are handled by the callers (which need capture management).
-  std::vector<TermRef> NewArgs;
-  NewArgs.reserve(T->numArgs());
-  bool Changed = false;
-  for (TermRef A : T->args()) {
-    TermRef NA = rebuild(A, OnLeaf);
-    Changed |= (NA != A);
-    NewArgs.push_back(NA);
-  }
-  if (!Changed)
-    return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
+  return mapArgs(T, [&](TermRef A) { return rebuild(A, OnLeaf); });
 }
-
-unsigned FreshCounter = 0;
 } // namespace
 
 TermRef rcc::pure::substVar(TermRef T, const std::string &Name, TermRef Repl) {
   if (T->kind() == TermKind::Var)
     return T->name() == Name ? Repl : T;
-  if (T->numArgs() == 0)
-    return T;
   if (T->isBinder()) {
-    if (T->name() == Name)
-      return T; // shadowed
+    if (T->name() == Name || !containsFreeVar(T->arg(0), Name))
+      return T; // shadowed, or nothing to substitute
     if (containsFreeVar(Repl, T->name())) {
-      // Rename the binder to avoid capture.
-      std::string Fresh = T->name() + "!" + std::to_string(++FreshCounter);
+      // Rename the binder to avoid capture, to the first name!k that
+      // neither the body nor the replacement mentions freely.
+      std::string Fresh;
+      for (unsigned K = 1;; ++K) {
+        Fresh = T->name() + "!" + std::to_string(K);
+        if (!containsFreeVar(T->arg(0), Fresh) &&
+            !containsFreeVar(Repl, Fresh))
+          break;
+      }
       TermRef FreshVar = mkVar(Fresh, T->binderSort());
       TermRef Body = substVar(T->arg(0), T->name(), FreshVar);
       Body = substVar(Body, Name, Repl);
@@ -560,17 +553,7 @@ TermRef rcc::pure::substVar(TermRef T, const std::string &Name, TermRef Repl) {
       return T;
     return arena().make(T->kind(), T->sort(), T->name(), T->num(), {Body});
   }
-  std::vector<TermRef> NewArgs;
-  NewArgs.reserve(T->numArgs());
-  bool Changed = false;
-  for (TermRef A : T->args()) {
-    TermRef NA = substVar(A, Name, Repl);
-    Changed |= (NA != A);
-    NewArgs.push_back(NA);
-  }
-  if (!Changed)
-    return T;
-  return arena().make(T->kind(), T->sort(), T->name(), T->num(), NewArgs);
+  return mapArgs(T, [&](TermRef A) { return substVar(A, Name, Repl); });
 }
 
 TermRef rcc::pure::substVars(

@@ -297,7 +297,41 @@ TermRef mkApp(const std::string &Fn, Sort ResultSort,
 // Traversals
 //===----------------------------------------------------------------------===//
 
-/// Capture-avoiding substitution of free variable \p Name by \p Repl.
+/// Rebuilds \p T with each argument replaced by `F(arg)`, calling F on the
+/// arguments in order. When every argument maps to itself this returns
+/// \p T and allocates nothing; otherwise the new arguments sit in a stack
+/// buffer (a heap one only past four arguments) until `make` hash-conses
+/// them.
+template <typename Fn> TermRef mapArgs(TermRef T, Fn &&F) {
+  const unsigned N = T->numArgs();
+  unsigned I = 0;
+  TermRef First = nullptr;
+  for (; I < N; ++I)
+    if ((First = F(T->arg(I))) != T->arg(I))
+      break;
+  if (I == N)
+    return T;
+  constexpr unsigned Inline = 4;
+  TermRef Small[Inline] = {};
+  std::vector<TermRef> Large;
+  TermRef *Buf = Small;
+  if (N > Inline) {
+    Large.resize(N);
+    Buf = Large.data();
+  }
+  for (unsigned J = 0; J < I; ++J)
+    Buf[J] = T->arg(J);
+  Buf[I] = First;
+  for (unsigned J = I + 1; J < N; ++J)
+    Buf[J] = F(T->arg(J));
+  return arena().make(T->kind(), T->sort(), T->name(), T->num(),
+                      std::span<const TermRef>(Buf, N));
+}
+
+/// Capture-avoiding substitution of free variable \p Name by \p Repl. A
+/// binder that would capture \p Repl is renamed to the first `name!k`
+/// (k = 1, 2, ...) free in neither its body nor \p Repl, so the result
+/// depends only on the terms.
 TermRef substVar(TermRef T, const std::string &Name, TermRef Repl);
 
 /// Simultaneous substitution.

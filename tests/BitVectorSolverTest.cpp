@@ -168,37 +168,21 @@ bool evalP(TermRef P, const std::map<std::string, int64_t> &Env) {
   }
 }
 
-TEST(BitVectorDifferential, AgreesWithBruteForceOnSmallWidths) {
-  // x in [0,15], y in [0,7], e in [0,3]. Enumerate a family of word-level
-  // terms and comparison goals; check the solver against full enumeration.
+/// Checks the solver against full enumeration of x in [0,15], y in [0,7]
+/// and e in [0,EMax], on every comparison between two of \p Exprs and
+/// between one of them and a constant of \p Rhs.
+void agreesWithBruteForce(int64_t EMax, const std::vector<TermRef> &Exprs,
+                          const std::vector<int64_t> &Rhs) {
   TermRef X = nvar("x"), Y = nvar("y"), E = nvar("e");
   std::vector<TermRef> Facts = {mkLe(X, mkNat(15)), mkLe(Y, mkNat(7)),
-                                mkLe(E, mkNat(3))};
-
-  std::vector<TermRef> Exprs = {
-      X,
-      Y,
-      land(X, Y),
-      lor(X, Y),
-      lxor(X, Y),
-      pow2(E),
-      mkAdd(land(X, Y), Y),
-      lor(land(X, mkNat(12)), Y),
-      lxor(X, pow2(E)),
-      mkMul(Y, pow2(E)),
-      mkDiv(X, pow2(E)),
-      mkMod(X, mkNat(8)),
-      mkAdd(X, mkMul(Y, mkNat(3))),
-      land(lxor(X, Y), lor(X, Y)),
-  };
-  std::vector<int64_t> Rhs = {0, 1, 7, 8, 15, 22, 36, 56, 120};
+                                mkLe(E, mkNat(EMax))};
 
   int Checked = 0, ProvedCnt = 0;
   auto checkGoal = [&](TermRef Goal) {
     bool Valid = true;
     for (int64_t XV = 0; XV <= 15 && Valid; ++XV)
       for (int64_t YV = 0; YV <= 7 && Valid; ++YV)
-        for (int64_t EV = 0; EV <= 3 && Valid; ++EV) {
+        for (int64_t EV = 0; EV <= EMax && Valid; ++EV) {
           std::map<std::string, int64_t> Env{
               {"x", XV}, {"y", YV}, {"e", EV}};
           if (!evalP(Goal, Env))
@@ -207,11 +191,13 @@ TEST(BitVectorDifferential, AgreesWithBruteForceOnSmallWidths) {
     bool Proved = BitVectorSolver::prove(Facts, Goal);
     // Soundness: never prove an invalid goal.
     if (!Valid) {
-      EXPECT_FALSE(Proved) << "unsound: " << Goal->str();
+      EXPECT_FALSE(Proved) << "unsound: " << Goal->str() << " (e <= " << EMax
+                           << ")";
     }
     // Completeness on exactly-translatable small problems.
     if (Valid) {
-      EXPECT_TRUE(Proved) << "incomplete: " << Goal->str();
+      EXPECT_TRUE(Proved) << "incomplete: " << Goal->str() << " (e <= "
+                          << EMax << ")";
     }
     ++Checked;
     ProvedCnt += Proved;
@@ -230,6 +216,58 @@ TEST(BitVectorDifferential, AgreesWithBruteForceOnSmallWidths) {
   // Make sure the battery exercises both verdicts.
   EXPECT_GT(ProvedCnt, 0);
   EXPECT_LT(ProvedCnt, Checked);
+}
+
+TEST(BitVectorDifferential, AgreesWithBruteForceOnSmallWidths) {
+  // e <= 3 fills e's 2-bit vector. Enumerate a family of word-level terms
+  // and comparison goals; check the solver against full enumeration.
+  TermRef X = nvar("x"), Y = nvar("y"), E = nvar("e");
+  agreesWithBruteForce(3,
+                       {
+                           X,
+                           Y,
+                           land(X, Y),
+                           lor(X, Y),
+                           lxor(X, Y),
+                           pow2(E),
+                           mkAdd(land(X, Y), Y),
+                           lor(land(X, mkNat(12)), Y),
+                           lxor(X, pow2(E)),
+                           mkMul(Y, pow2(E)),
+                           mkDiv(X, pow2(E)),
+                           mkMod(X, mkNat(8)),
+                           mkAdd(X, mkMul(Y, mkNat(3))),
+                           land(lxor(X, Y), lor(X, Y)),
+                       },
+                       {0, 1, 7, 8, 15, 22, 36, 56, 120});
+}
+
+/// Shifts whose exponent bound leaves values of e's vector out of range:
+/// e <= 5 and e <= 9 use 3- and 4-bit vectors, where the shifters' stages
+/// could produce values for e = 6, 7 or e = 10..15 that the domain
+/// constraint must exclude. Some shifted operands are wider than x and y,
+/// so right shifts move in bits from above x's width.
+std::vector<TermRef> shiftExprs() {
+  TermRef X = nvar("x"), Y = nvar("y"), E = nvar("e");
+  return {
+      X,
+      Y,
+      pow2(E),
+      lxor(X, pow2(E)),
+      mkMul(Y, pow2(E)),
+      mkDiv(X, pow2(E)),
+      mkMul(mkAdd(X, Y), pow2(E)),
+      mkDiv(mkMul(X, mkNat(64)), pow2(E)),
+      mkDiv(mkAdd(mkMul(X, mkNat(16)), Y), pow2(E)),
+      mkDiv(mkMul(Y, pow2(E)), pow2(E)),
+  };
+}
+
+TEST(BitVectorDifferential, ShiftsAgreeWithBruteForceBelowAFullVector) {
+  const std::vector<int64_t> Rhs = {0,  1,   7,   8,   15,   22,  36,
+                                    56, 120, 255, 960, 1000, 4095};
+  agreesWithBruteForce(5, shiftExprs(), Rhs);
+  agreesWithBruteForce(9, shiftExprs(), Rhs);
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace rcc::pure;
 
 namespace {
@@ -237,6 +239,60 @@ TEST(PureSolver, HypothesisSubstitution) {
   SolveResult R = PS.prove({mkEq(Xs, mkLNil()), mkEq(Ys, Xs)},
                            mkEq(mkLLen(Ys), mkNat(0)), Env);
   EXPECT_TRUE(R.Proved) << R.FailureReason;
+}
+
+TEST(PureSolver, LoneDefiningEquationsStayHypotheses) {
+  // k and m occur only in their own defining equations, so substituting
+  // them rewrites nothing; the equations stay usable as facts.
+  PureSolver PS;
+  EvarEnv Env;
+  TermRef K = nvar("k"), M = nvar("m"), A = nvar("a"), B = nvar("b");
+  std::vector<TermRef> Hyps = {mkEq(K, mkAdd(A, B)), mkLe(A, mkNat(2)),
+                               mkEq(M, mkNat(4)), mkLe(B, mkNat(3))};
+  SolveResult R = PS.prove(Hyps, mkLe(mkAdd(A, B), mkNat(5)), Env);
+  EXPECT_TRUE(R.Proved) << R.FailureReason;
+  EXPECT_FALSE(PS.prove(Hyps, mkLe(mkAdd(A, B), mkNat(4)), Env).Proved);
+  // Once the goal mentions k, its equation substitutes into the goal.
+  EXPECT_TRUE(PS.prove(Hyps, mkLe(K, mkNat(5)), Env).Proved);
+}
+
+TEST(PureSolver, ConcurrentSolversAgree) {
+  // Every job runs its own PureSolver over the shared term arena; four
+  // solvers proving the same goals at once must agree with one alone.
+  TermRef N = nvar("n"), A = nvar("a"), I = nvar("i"), K = nvar("k");
+  TermRef Pow = mkApp("pow2", Sort::Nat, {I});
+  const std::vector<std::pair<std::vector<TermRef>, TermRef>> Problems = {
+      {{mkLe(N, A)}, mkEq(mkIte(mkLe(N, A), mkSub(A, N), A), mkSub(A, N))},
+      {{mkLt(I, mkNat(32))}, mkLe(Pow, mkNat(4294967295LL))},
+      {{mkLt(I, mkNat(33))}, mkLe(Pow, mkNat(4294967295LL))},
+      {{mkEq(K, mkAdd(N, A)), mkNe(N, A), mkLe(N, A)}, mkLt(N, A)},
+      {{mkLe(N, A)}, mkLe(A, N)},
+  };
+  auto solveAll = [&] {
+    PureSolver PS;
+    std::vector<bool> Out;
+    for (const auto &[Hyps, Goal] : Problems) {
+      EvarEnv Env;
+      Out.push_back(PS.prove(Hyps, Goal, Env).Proved);
+    }
+    return Out;
+  };
+  const std::vector<bool> Expected = solveAll();
+  EXPECT_EQ(Expected, (std::vector<bool>{true, true, false, true, false}));
+  std::vector<std::vector<bool>> Got(4);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < Got.size(); ++T)
+    Threads.emplace_back([&, T] {
+      std::vector<bool> First = solveAll();
+      bool Stable = true;
+      for (int Rep = 1; Rep < 20; ++Rep)
+        Stable &= solveAll() == First;
+      Got[T] = Stable ? First : std::vector<bool>();
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (const std::vector<bool> &R : Got)
+    EXPECT_EQ(R, Expected);
 }
 
 TEST(PureSolver, MultisetNeedsExtraSolverAndIsCountedManual) {

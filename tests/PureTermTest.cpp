@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace rcc::pure;
 
 TEST(Term, HashConsingGivesPointerEquality) {
@@ -43,6 +46,63 @@ TEST(Term, SubstShadowedBinderUnchanged) {
   TermRef Body = mkLe(mkVar("k", Sort::Nat), mkNat(3));
   TermRef F = mkForall("k", Sort::Nat, Body);
   EXPECT_EQ(substVar(F, "k", mkNat(7)), F);
+}
+
+TEST(Term, SubstWithoutFreeOccurrenceRenamesNothing) {
+  // i is not free under the binder, so even a replacement that mentions
+  // the binder leaves the term as it is.
+  TermRef J = mkVar("j", Sort::Nat);
+  TermRef F = mkForall("j", Sort::Nat, mkLt(mkVar("k", Sort::Nat), J));
+  EXPECT_EQ(substVar(F, "i", J), F);
+}
+
+TEST(Term, CaptureAvoidingRenameDependsOnlyOnTheTerms) {
+  // forall j. i < j with i := j: the binder is renamed, and to the same
+  // name every time, so the same substitution gives the same term.
+  TermRef I = mkVar("i", Sort::Nat), J = mkVar("j", Sort::Nat);
+  TermRef F = mkForall("j", Sort::Nat, mkLt(I, J));
+  TermRef R = substVar(F, "i", J);
+  EXPECT_EQ(R->str(), "forall j!1 : nat. (j < j!1)");
+  EXPECT_EQ(substVar(F, "i", J), R);
+}
+
+TEST(Term, CaptureAvoidingRenameSkipsNamesInUse) {
+  // j!1 is free in the body and j!2 in the replacement: the first name
+  // free in neither is j!3.
+  TermRef I = mkVar("i", Sort::Nat), J = mkVar("j", Sort::Nat);
+  TermRef F = mkForall("j", Sort::Nat,
+                       mkLt(mkAdd(I, mkVar("j!1", Sort::Nat)), J));
+  TermRef R = substVar(F, "i", mkAdd(J, mkVar("j!2", Sort::Nat)));
+  ASSERT_EQ(R->kind(), TermKind::Forall);
+  EXPECT_EQ(R->name(), "j!3");
+  EXPECT_TRUE(containsFreeVar(R, "j!1"));
+  EXPECT_TRUE(containsFreeVar(R, "j!2"));
+}
+
+TEST(Term, ConcurrentSubstitutionsAgree) {
+  // Jobs substitute concurrently; the renamed binder must not depend on
+  // which thread gets there first.
+  TermRef I = mkVar("i", Sort::Nat), J = mkVar("j", Sort::Nat);
+  TermRef F = mkForall("j", Sort::Nat, mkLt(I, J));
+  TermRef Expected = substVar(F, "i", J);
+  std::atomic<bool> Go{false};
+  std::vector<TermRef> Got(4, nullptr);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < Got.size(); ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load())
+        std::this_thread::yield();
+      TermRef First = substVar(F, "i", J);
+      bool Stable = true;
+      for (int K = 0; K < 200; ++K)
+        Stable &= substVar(F, "i", J) == First;
+      Got[T] = Stable ? First : nullptr;
+    });
+  Go.store(true);
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (TermRef R : Got)
+    EXPECT_EQ(R, Expected);
 }
 
 TEST(Term, CollectEVars) {
@@ -92,6 +152,21 @@ TEST(Simplify, ConstantFolding) {
   EXPECT_EQ(S.simplify(mkSub(mkInt(2), mkInt(5))), mkInt(-3));
   EXPECT_EQ(S.simplify(mkLe(mkNat(2), mkNat(3))), mkTrue());
   EXPECT_EQ(S.simplify(mkMul(mkVar("x", Sort::Nat), mkNat(0))), mkNat(0));
+}
+
+TEST(Simplify, UnchangedTermsAreReturnedAsIs) {
+  // A term already in normal form comes back as the same pointer, and
+  // simplifying it creates no term; a changed argument of a wide
+  // application is rebuilt in place.
+  Simplifier S;
+  TermRef X = mkVar("x", Sort::Nat), Y = mkVar("y", Sort::Nat);
+  TermRef Wide = mkApp("f", Sort::Nat, {X, Y, X, Y, X});
+  TermRef T = mkAnd(mkLe(mkAdd(X, Y), mkNat(7)), mkLt(X, Wide));
+  size_t Before = arena().size();
+  EXPECT_EQ(S.simplify(T), T);
+  EXPECT_EQ(arena().size(), Before);
+  TermRef Padded = mkApp("f", Sort::Nat, {X, Y, X, Y, mkAdd(X, mkNat(0))});
+  EXPECT_EQ(S.simplify(Padded), Wide);
 }
 
 TEST(Simplify, AlgebraicIdentities) {
