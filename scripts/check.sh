@@ -167,7 +167,8 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   scripts/lsp_smoke.sh ./build-asan/examples/rcc-lsp
 
   # 10. TSan configuration for the code that runs threads: the parallel
-  #    driver (test_parallel), the thread pool (test_support) and the store
+  #    driver and the process-wide rule library every session reads
+  #    (test_parallel), the thread pool (test_support) and the store
   #    tiers that concurrent jobs probe and publish to (test_store), plus
   #    the terms and solvers every job runs (test_pure_term and
   #    test_pure_solver, whose concurrent substitution and solver tests

@@ -99,7 +99,30 @@ uint32_t RuleRegistry::discriminatorOf(const Judgment &J) {
   return 0;
 }
 
+RuleRegistry::RuleRegistry(const RuleRegistry &O)
+    : Mode(O.Mode), Fp(O.Fp) {
+  std::vector<const Rule *> All;
+  for (const auto &[K, T] : O.Kinds)
+    for (const Rule &R : T.All)
+      All.push_back(&R);
+  std::sort(All.begin(), All.end(),
+            [](const Rule *A, const Rule *B) { return A->Seq < B->Seq; });
+  for (const Rule *R : All)
+    insert(*R);
+}
+
+void RuleRegistry::add(std::vector<Rule> Rs) {
+  for (Rule &R : Rs)
+    insert(std::move(R));
+  Fp = hashSchema();
+}
+
 void RuleRegistry::add(Rule R) {
+  insert(std::move(R));
+  Fp = hashSchema();
+}
+
+void RuleRegistry::insert(Rule R) {
   if (!Names.insert(R.Name).second) {
     std::fprintf(stderr,
                  "rcc: duplicate typing rule registration '%s' — rule names "
@@ -111,7 +134,6 @@ void RuleRegistry::add(Rule R) {
   KindTable &T = Kinds[R.Kind];
   T.All.push_back(std::move(R));
   const Rule &Stored = T.All.back();
-  Fp = 0;
   ++NumRulesTotal;
 
   const RuleKey &K = Stored.Key;
@@ -147,11 +169,8 @@ void RuleRegistry::add(Rule R) {
       bucket(packPair(H, W));
 }
 
-uint64_t RuleRegistry::fingerprint() const {
-  if (Fp)
-    return Fp;
-  // The dispatch schema, in registration order (deterministic: registration
-  // happens in the Checker constructor).
+uint64_t RuleRegistry::hashSchema() const {
+  // The dispatch schema, per judgment kind in registration order.
   ContentHasher H;
   H.mix("rule-dispatch-v2"); // format salt: bump on dispatch-semantics change
   H.mix(NumRulesTotal);
@@ -169,8 +188,7 @@ uint64_t RuleRegistry::fingerprint() const {
         H.mix(V);
     }
   }
-  Fp = H.get() ? H.get() : 1; // reserve 0 for "not cached"
-  return Fp;
+  return H.get();
 }
 
 template <typename F>
@@ -254,32 +272,8 @@ const Rule *RuleRegistry::lookup(Engine &E, const Judgment &J,
     return S;
   };
 
-  const bool UseIndex = Mode != DispatchMode::Linear;
-  const bool IsSub = J.K == JudgKind::SubsumeV || J.K == JudgKind::SubsumeL;
-  uint64_t MemoKey = 0;
-  bool CanMemo = false;
-  if (UseIndex && IsSub && J.T1 && J.T2) {
-    uint64_t S1 = E.shapeId(E.resolveTy(J.T1));
-    uint64_t S2 = E.shapeId(E.resolveTy(J.T2));
-    MemoKey = (uint64_t(J.K == JudgKind::SubsumeL) << 63) | (S1 << 32) | S2;
-    CanMemo = true;
-    auto MIt = E.SubsumeMemo.find(MemoKey);
-    if (MIt != E.SubsumeMemo.end()) {
-      ++ES.MemoHits;
-      ++ES.IndexHits;
-      if (Mode == DispatchMode::CrossCheck) {
-        std::string E2;
-        SelectState S = runScan(E2);
-        if (S.Best != MIt->second || S.Ambiguous)
-          XMismatch.fetch_add(1, std::memory_order_relaxed);
-      }
-      return MIt->second;
-    }
-    ++ES.MemoMisses;
-  }
-
   SelectState S;
-  if (!UseIndex) {
+  if (Mode == DispatchMode::Linear) {
     S = runScan(Err);
   } else {
     S = runIndexed(Err);
@@ -296,8 +290,6 @@ const Rule *RuleRegistry::lookup(Engine &E, const Judgment &J,
   }
   if (S.Ambiguous)
     return nullptr;
-  if (CanMemo)
-    E.SubsumeMemo.emplace(MemoKey, S.Best);
   return S.Best;
 }
 
@@ -379,63 +371,6 @@ std::vector<std::string> Engine::renderContext() const {
     Out.push_back(R.str());
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Shape interning (subsumption memo keys)
-//===----------------------------------------------------------------------===//
-
-static void mixShape(uint64_t &H, uint64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= (V >> (8 * I)) & 0xff;
-    H *= 1099511628211ull;
-  }
-}
-
-/// Structural hash of a canonical type, refining typeEqual: it mixes exactly
-/// the fields typeEqual compares, with term/layout/def/spec identity taken
-/// as the pointer (which is what typeEqual compares them by). In particular
-/// it must NOT mix fields typeEqual ignores (BinderSort), or typeEqual
-/// shapes could land in different interner buckets.
-static uint64_t hashShape(const RType &T) {
-  uint64_t H = 1469598103934665603ull;
-  mixShape(H, static_cast<uint64_t>(T.K));
-  mixShape(H, reinterpret_cast<uintptr_t>(T.Refn));
-  mixShape(H, reinterpret_cast<uintptr_t>(T.Size));
-  mixShape(H, reinterpret_cast<uintptr_t>(T.WandLoc));
-  mixShape(H, (uint64_t(T.Ity.ByteSize) << 1) | (T.Ity.Signed ? 1 : 0));
-  mixShape(H, reinterpret_cast<uintptr_t>(T.Layout));
-  mixShape(H, reinterpret_cast<uintptr_t>(T.Def.get()));
-  mixShape(H, reinterpret_cast<uintptr_t>(T.Spec.get()));
-  mixShape(H, T.ElemSize);
-  for (char C : T.Binder)
-    mixShape(H, static_cast<unsigned char>(C));
-  for (char C : T.ElemBinder)
-    mixShape(H, static_cast<unsigned char>(C));
-  mixShape(H, T.Children.size());
-  for (const TypeRef &C : T.Children)
-    mixShape(H, hashShape(*C));
-  auto MixRes = [&H](const ResList &L) {
-    mixShape(H, L.size());
-    for (const ResAtom &A : L) {
-      mixShape(H, static_cast<uint64_t>(A.K));
-      mixShape(H, reinterpret_cast<uintptr_t>(A.Subject));
-      mixShape(H, reinterpret_cast<uintptr_t>(A.Prop));
-      mixShape(H, A.Ty ? hashShape(*A.Ty) : 0);
-    }
-  };
-  MixRes(T.HTrue);
-  MixRes(T.HFalse);
-  return H;
-}
-
-uint32_t Engine::shapeId(const TypeRef &T) {
-  auto &Bucket = ShapeBuckets[hashShape(*T)];
-  for (const auto &[Shape, Id] : Bucket)
-    if (typeEqual(Shape, T))
-      return Id;
-  Bucket.emplace_back(T, NextShapeId);
-  return NextShapeId++;
 }
 
 //===----------------------------------------------------------------------===//

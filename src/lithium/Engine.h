@@ -54,8 +54,7 @@ inline constexpr uint32_t NumTypeKinds =
 
 /// Declarative dispatch key: the goal-head discriminators a rule can fire
 /// on, declared at registration time so the registry can index rules rather
-/// than scanning every Matches lambda (DESIGN.md, "Rule dispatch & memoized
-/// subsumption").
+/// than scanning every Matches lambda (DESIGN.md, "Rule dispatch").
 ///
 /// The discriminator of a judgment depends on its kind:
 ///  - IfJ/ReadJ/WriteJ/CASJ/CallJ: the TypeKind of the scrutinee T1 after
@@ -75,9 +74,8 @@ inline constexpr uint32_t NumTypeKinds =
 /// Contract (checked by the CrossCheck dispatch mode over the case-study
 /// corpus): the key must OVER-approximate Matches — whenever Matches(E, J)
 /// holds, the key must cover discriminatorOf(J) — and Matches must be PURE
-/// (no Engine mutation): the index skips guard evaluations per goal and the
-/// subsumption memo skips them across goals, so an effectful guard would
-/// make dispatch observable in the derivation.
+/// (no Engine mutation): the index skips guard evaluations, so an effectful
+/// guard would make dispatch observable in the derivation.
 struct RuleKey {
   std::vector<uint16_t> Head; ///< accepted first-dimension values ([] = any)
   std::vector<uint16_t> Want; ///< accepted want-TypeKinds (subsume only)
@@ -141,6 +139,10 @@ struct Rule {
 /// Internally a discrimination index: per judgment kind, a bucket map from
 /// head discriminator to the (registration-ordered) rules keyed on it, plus
 /// the list of wildcard rules. A lookup merges bucket + wildcards by Seq.
+///
+/// A registry holds no lazily filled state: add() hashes the dispatch schema
+/// as it registers, so a registry that no one adds to (the process-wide
+/// standard library) is read-only and may be shared between threads.
 class RuleRegistry {
 public:
   /// How lookups assemble their candidate set. Indexed is the production
@@ -149,9 +151,18 @@ public:
   /// and counts disagreements (test-only — guards run twice).
   enum class DispatchMode : uint8_t { Indexed, Linear, CrossCheck };
 
-  /// Registers a rule. A duplicate rule name is a hard error (diagnosed
-  /// abort): names key derivation replay and profile attribution, and a
-  /// collision would silently shadow one rule in both.
+  RuleRegistry() = default;
+  /// Registers every rule of \p O again, in registration order, so the
+  /// copy's index points into its own storage. Sessions copy the shared
+  /// library before they change their rules.
+  RuleRegistry(const RuleRegistry &O);
+  RuleRegistry &operator=(const RuleRegistry &) = delete;
+
+  /// Registers rules in order, then hashes the dispatch schema once. A
+  /// duplicate rule name is a hard error (diagnosed abort): names key
+  /// derivation replay and profile attribution, and a collision would
+  /// silently shadow one rule in both.
+  void add(std::vector<Rule> Rs);
   void add(Rule R);
 
   /// Finds the unique applicable rule (highest priority wins; an unresolved
@@ -172,10 +183,10 @@ public:
   bool hasRule(const std::string &Name) const { return Names.count(Name); }
 
   /// Hash of the full dispatch schema (rule names, kinds, priorities, keys,
-  /// plus a dispatch-format salt). Folded into session fingerprints so
-  /// persisted results self-invalidate across any rule-set or dispatch
-  /// change, including memo-relevant key edits.
-  uint64_t fingerprint() const;
+  /// plus a dispatch-format salt), as of the last add(). Folded into session
+  /// fingerprints so persisted results self-invalidate across any rule-set
+  /// or dispatch change.
+  uint64_t fingerprint() const { return Fp; }
 
   void setMode(DispatchMode M) { Mode = M; }
   DispatchMode mode() const { return Mode; }
@@ -197,6 +208,9 @@ private:
     bool AnyIndexed = false;
   };
 
+  /// Indexes one rule (add() without the schema hash).
+  void insert(Rule R);
+  uint64_t hashSchema() const;
   /// The dispatch discriminator of a judgment (see RuleKey).
   static uint32_t discriminatorOf(const Judgment &J);
   /// Calls Fn on each candidate for discriminator D — the D-bucket merged
@@ -212,8 +226,7 @@ private:
   unsigned NextSeq = 0;
   DispatchMode Mode = DispatchMode::Indexed;
   mutable std::atomic<uint64_t> XMismatch{0};
-  /// Cached fingerprint (0 = recompute); add() invalidates.
-  mutable uint64_t Fp = 0;
+  uint64_t Fp = hashSchema();
 };
 
 /// One recorded proof step, for statistics and for replay by the proof
@@ -243,8 +256,6 @@ struct EngineStats {
   uint64_t IndexHits = 0;      ///< lookups served from the discrimination index
   uint64_t ScanFallbacks = 0;  ///< multi-rule lookups the index could not prune
   uint64_t MatchesEvals = 0;   ///< Matches-guard invocations
-  uint64_t MemoHits = 0;       ///< subsume dispatch answered by the memo
-  uint64_t MemoMisses = 0;     ///< subsume dispatch that had to select
 };
 
 /// Opaque verification context: the checker derives from this so that rules
@@ -340,17 +351,6 @@ public:
   pure::PureSolver &solver() { return Solver; }
   EngineStats &stats() { return Stats; }
 
-  // --- Subsumption dispatch memo (engine lifetime) ---
-  /// Interns a canonical (already resolveTy'd) type shape: structurally
-  /// hashed, with hash buckets verified by typeEqual, so equal ids are
-  /// exactly typeEqual shapes. Keys SubsumeMemo.
-  uint32_t shapeId(const TypeRef &T);
-  /// (SubsumeV/SubsumeL, have-shape, want-shape) → the uniquely selected
-  /// rule. Sound because every subsume Matches guard is a pure function of
-  /// the resolved operand types up to typeEqual (the RuleKey contract); a
-  /// hit skips guard evaluation only — the rule still Applies and records,
-  /// so derivations are unchanged. Maintained by RuleRegistry::lookup.
-  std::unordered_map<uint64_t, const Rule *> SubsumeMemo;
   TermRef resolve(TermRef T) { return Solver.simplifier().simplify(Evars.resolve(T)); }
   TypeRef resolveTy(TypeRef T) { return refinedc::resolveType(T, Evars); }
 
@@ -378,12 +378,6 @@ private:
   EngineStats &Stats;
   Derivation *Deriv;
   unsigned FreshCounter = 0;
-
-  /// Shape-interner buckets: structural hash → (shape, id) pairs, linear
-  /// within a bucket under typeEqual (collision-safe by construction).
-  std::unordered_map<uint64_t, std::vector<std::pair<TypeRef, uint32_t>>>
-      ShapeBuckets;
-  uint32_t NextShapeId = 0;
 
   /// Cached trace counters (see the constructor); indexed by GoalKind.
   trace::Counter *CtGoal[7] = {};

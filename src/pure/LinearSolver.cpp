@@ -9,7 +9,7 @@
 #include "trace/Trace.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <unordered_map>
 
 using namespace rcc::pure;
@@ -49,21 +49,28 @@ inline Wide negChk(Wide A) {
   return R;
 }
 
+/// One term of a linear expression: an atom and its nonzero coefficient.
+using Coeff = std::pair<unsigned, Wide>;
+/// Orders sorted terms against an atom, for std::lower_bound.
+constexpr auto BelowAtom = [](const Coeff &T, unsigned A) {
+  return T.first < A;
+};
+
 /// A linear expression: sum of Coeff * Atom plus a constant. Atoms are
 /// arbitrary (nonlinear) terms treated opaquely, named by their index in
 /// the Linearizer's atom table, which numbers them in the order it first
 /// meets them. Indices, unlike addresses, are the same in every process.
 struct LinExpr {
-  std::map<unsigned, Wide> Coeffs;
+  std::vector<Coeff> Coeffs; ///< sorted by atom; no zero coefficient
   Wide Const = 0;
 
   void add(unsigned Atom, Wide C) {
-    if (C == 0)
-      return;
-    Wide &Slot = Coeffs[Atom];
-    Slot = addChk(Slot, C);
-    if (Slot == 0)
-      Coeffs.erase(Atom);
+    auto It = std::lower_bound(Coeffs.begin(), Coeffs.end(), Atom, BelowAtom);
+    if (It == Coeffs.end() || It->first != Atom)
+      It = Coeffs.insert(It, {Atom, 0});
+    It->second = addChk(It->second, C);
+    if (It->second == 0)
+      Coeffs.erase(It);
   }
   void addExpr(const LinExpr &O, Wide Scale) {
     Const = addChk(Const, mulChk(O.Const, Scale));
@@ -218,9 +225,75 @@ private:
   }
 };
 
-/// Fourier–Motzkin infeasibility test for a system of constraints E <= 0.
-bool infeasible(std::vector<Constraint> Cs) {
+/// Fourier–Motzkin's system of rows E <= 0. Each row's terms sit in one
+/// shared buffer, sorted by atom, so a round copies and merges flat runs
+/// and two systems alternate as the rounds' buffers.
+struct RowSystem {
+  struct Row {
+    uint32_t Begin, End; ///< the row's terms in Terms
+    Wide Const;
+  };
+  std::vector<Coeff> Terms;
+  std::vector<Row> Rows;
+
+  std::span<const Coeff> terms(const Row &R) const {
+    return {Terms.data() + R.Begin, Terms.data() + R.End};
+  }
+  void push(std::span<const Coeff> Ts, Wide Const) {
+    const auto Begin = static_cast<uint32_t>(Terms.size());
+    Terms.insert(Terms.end(), Ts.begin(), Ts.end());
+    Rows.push_back({Begin, static_cast<uint32_t>(Terms.size()), Const});
+  }
+  /// Appends CL * U + CU * L, with every zero coefficient dropped.
+  void pushCombination(std::span<const Coeff> U, Wide CL, Wide UConst,
+                       std::span<const Coeff> L, Wide CU, Wide LConst) {
+    const auto Begin = static_cast<uint32_t>(Terms.size());
+    auto I = U.begin(), J = L.begin();
+    while (I != U.end() || J != L.end()) {
+      Coeff T;
+      if (J == L.end() || (I != U.end() && I->first < J->first)) {
+        T = {I->first, mulChk(I->second, CL)};
+        ++I;
+      } else if (I == U.end() || J->first < I->first) {
+        T = {J->first, mulChk(J->second, CU)};
+        ++J;
+      } else {
+        T = {I->first,
+             addChk(mulChk(I->second, CL), mulChk(J->second, CU))};
+        ++I;
+        ++J;
+      }
+      if (T.second != 0)
+        Terms.push_back(T);
+    }
+    Rows.push_back({Begin, static_cast<uint32_t>(Terms.size()),
+                    addChk(mulChk(UConst, CL), mulChk(LConst, CU))});
+  }
+};
+
+/// The coefficient of \p Atom in the sorted terms \p Ts (0 if absent).
+Wide coeffOf(std::span<const Coeff> Ts, unsigned Atom) {
+  auto It = std::lower_bound(Ts.begin(), Ts.end(), Atom, BelowAtom);
+  return It != Ts.end() && It->first == Atom ? It->second : 0;
+}
+
+/// Fourier–Motzkin infeasibility test for the system of constraints E <= 0
+/// formed by \p Parts, one after another.
+bool infeasible(std::initializer_list<std::span<const Constraint>> Parts) {
   constexpr size_t MaxConstraints = 4000;
+
+  // Constant-only constraints: check satisfiability; drop satisfied ones.
+  // Every row a round adds has an atom, so this is needed only once.
+  RowSystem Cs, Next;
+  for (std::span<const Constraint> P : Parts)
+    for (const Constraint &C : P) {
+      if (!C.E.isConst())
+        Cs.push(C.E.Coeffs, C.E.Const);
+      else if (C.E.Const > 0)
+        return true; // c <= 0 with c > 0: contradiction
+    }
+  Next.Rows.reserve(Cs.Rows.size());
+  Next.Terms.reserve(Cs.Terms.size());
 
   // Each round eliminates one atom and elimination never introduces new
   // atoms, so #atoms rounds always suffice to decide the system. A fixed
@@ -228,9 +301,8 @@ bool infeasible(std::vector<Constraint> Cs) {
   // the atom count (dozens of cheap one-sided atoms starve the atom that
   // carries the contradiction); MaxConstraints bounds the blowup instead.
   unsigned NumIds = 0;
-  for (const Constraint &C : Cs)
-    if (!C.E.isConst())
-      NumIds = std::max(NumIds, C.E.Coeffs.rbegin()->first + 1);
+  for (const RowSystem::Row &R : Cs.Rows)
+    NumIds = std::max(NumIds, Cs.Terms[R.End - 1].first + 1);
   struct Tally {
     int Up = 0, Lo = 0;
     bool Listed = false;
@@ -241,36 +313,26 @@ bool infeasible(std::vector<Constraint> Cs) {
     for (unsigned A : Order)
       Counts[A] = Tally();
     Order.clear();
-    for (const Constraint &C : Cs)
-      for (const auto &[A, Co] : C.E.Coeffs) {
-        Tally &T = Counts[A];
-        if (!T.Listed) {
-          T.Listed = true;
-          Order.push_back(A);
-        }
-        if (Co > 0)
-          T.Up++; // appears as upper bound on A
-        else
-          T.Lo++;
+    for (const auto &[A, Co] : Cs.Terms) {
+      Tally &T = Counts[A];
+      if (!T.Listed) {
+        T.Listed = true;
+        Order.push_back(A);
       }
+      if (Co > 0)
+        T.Up++; // appears as upper bound on A
+      else
+        T.Lo++;
+    }
   };
   tally();
   const int MaxRounds =
       std::min<int>(512, static_cast<int>(Order.size()) + 1);
 
+  // The rows holding the eliminated atom, with its coefficient there.
+  std::vector<std::pair<uint32_t, Wide>> Upper, Lower;
   for (int Round = 0; Round < MaxRounds; ++Round) {
-    // Constant-only constraints: check satisfiability; drop satisfied ones.
-    std::vector<Constraint> Vars;
-    for (Constraint &C : Cs) {
-      if (C.E.isConst()) {
-        if (C.E.Const > 0)
-          return true; // c <= 0 with c > 0: contradiction
-        continue;
-      }
-      Vars.push_back(std::move(C));
-    }
-    Cs = std::move(Vars);
-    if (Cs.empty())
+    if (Cs.Rows.empty())
       return false;
 
     // Pick the atom minimizing (#upper * #lower) to eliminate. Ties go to
@@ -288,39 +350,42 @@ bool infeasible(std::vector<Constraint> Cs) {
       }
     }
 
-    // Partition on Best's coefficient sign.
-    std::vector<Constraint> Upper, Lower, Rest;
-    for (Constraint &C : Cs) {
-      auto It = C.E.Coeffs.find(Best);
-      if (It == C.E.Coeffs.end())
-        Rest.push_back(std::move(C));
-      else if (It->second > 0)
-        Upper.push_back(std::move(C));
+    // Partition on Best's coefficient sign: the rows without Best carry
+    // over in order, ahead of the combinations.
+    Upper.clear();
+    Lower.clear();
+    Next.Terms.clear();
+    Next.Rows.clear();
+    for (uint32_t I = 0; I < Cs.Rows.size(); ++I) {
+      const RowSystem::Row &R = Cs.Rows[I];
+      Wide C = coeffOf(Cs.terms(R), Best);
+      if (C == 0)
+        Next.push(Cs.terms(R), R.Const);
       else
-        Lower.push_back(std::move(C));
+        (C > 0 ? Upper : Lower).push_back({I, C});
     }
 
     // Combine every (upper, lower) pair.
-    for (const Constraint &U : Upper) {
-      Wide CU = U.E.Coeffs.at(Best); // > 0
-      for (const Constraint &L : Lower) {
-        Wide CL = negChk(L.E.Coeffs.at(Best)); // > 0
-        Constraint Comb;
-        Comb.E.addExpr(U.E, CL);
-        Comb.E.addExpr(L.E, CU);
-        assert(Comb.E.Coeffs.find(Best) == Comb.E.Coeffs.end() &&
+    for (const auto &[UI, CU] : Upper) { // CU > 0
+      const RowSystem::Row &U = Cs.Rows[UI];
+      for (const auto &[LI, LC] : Lower) {
+        const RowSystem::Row &L = Cs.Rows[LI];
+        Next.pushCombination(Cs.terms(U), negChk(LC), U.Const, Cs.terms(L),
+                             CU, L.Const);
+        const RowSystem::Row &Comb = Next.Rows.back();
+        assert(coeffOf(Next.terms(Comb), Best) == 0 &&
                "eliminated atom still present");
-        if (Comb.E.isConst()) {
-          if (Comb.E.Const > 0)
+        if (Comb.Begin == Comb.End) {
+          if (Comb.Const > 0)
             return true;
+          Next.Rows.pop_back();
           continue;
         }
-        Rest.push_back(std::move(Comb));
-        if (Rest.size() > MaxConstraints)
+        if (Next.Rows.size() > MaxConstraints)
           return false; // give up rather than blow up
       }
     }
-    Cs = std::move(Rest);
+    std::swap(Cs, Next);
   }
   return false;
 }
@@ -383,13 +448,9 @@ void tightenNatSubs(Linearizer &Lin, std::vector<Constraint> &Base) {
     std::vector<TermRef> Mods = Lin.SymMods;
     for (TermRef T : Mods) {
       LinExpr M = Lin.run(T->arg(1));
-      std::vector<Constraint> Test = Base;
       Constraint Neg; // m <= 0
       Neg.E.addExpr(M, 1);
-      Test.push_back(std::move(Neg));
-      for (const Constraint &C : Lin.Side)
-        Test.push_back(C);
-      if (!infeasible(std::move(Test)))
+      if (!infeasible({Base, {&Neg, 1}, Lin.Side}))
         continue;
       Constraint Hi; // T - m + 1 <= 0
       Hi.E.add(Lin.atomId(T), 1);
@@ -406,16 +467,12 @@ void tightenNatSubs(Linearizer &Lin, std::vector<Constraint> &Base) {
       LinExpr A = Lin.run(T->arg(0));
       LinExpr B = Lin.run(T->arg(1));
       // Test: Base /\ (b - a >= 1) infeasible  ==>  b <= a derivable.
-      std::vector<Constraint> Test = Base;
       Constraint Neg;
       Neg.E.addExpr(A, 1);
       Neg.E.addExpr(B, -1);
       // a - b + 1 <= 0 i.e. a < b, the negation of b <= a
       Neg.E.Const = addChk(Neg.E.Const, 1);
-      Test.push_back(std::move(Neg));
-      for (const Constraint &C : Lin.Side)
-        Test.push_back(C);
-      if (!infeasible(std::move(Test)))
+      if (!infeasible({Base, {&Neg, 1}, Lin.Side}))
         continue;
       // Add t >= a - b is already present; add t <= a - b to make it exact.
       Constraint Eq;
@@ -436,14 +493,11 @@ void tightenNatSubs(Linearizer &Lin, std::vector<Constraint> &Base) {
 /// b - a + 1 <= 0.
 bool refutesNegation(const Linearizer &Lin, const std::vector<Constraint> &Cs,
                      const LinExpr &A, const LinExpr &B, Wide Strict) {
-  std::vector<Constraint> Sys = Cs;
   Constraint Neg;
   Neg.E.addExpr(B, 1);
   Neg.E.addExpr(A, -1);
   Neg.E.Const = addChk(Neg.E.Const, 1 - Strict);
-  Sys.push_back(std::move(Neg));
-  Sys.insert(Sys.end(), Lin.Side.begin(), Lin.Side.end());
-  return infeasible(std::move(Sys));
+  return infeasible({Cs, {&Neg, 1}, Lin.Side});
 }
 
 /// Proves a comparison goal by refuting its negation against the facts'
@@ -483,9 +537,7 @@ bool LinearSolver::inconsistent(const std::vector<TermRef> &Facts) {
   Overflowed = false;
   Linearizer Lin;
   std::vector<Constraint> Cs = collectFacts(Facts, Lin);
-  for (Constraint &C : Lin.Side)
-    Cs.push_back(std::move(C));
-  bool R = infeasible(std::move(Cs));
+  bool R = infeasible({Cs, Lin.Side});
   if (Overflowed) {
     trace::count("solver.linear.overflow_bailouts");
     return false;
@@ -605,7 +657,6 @@ static bool proveNoSplit(const std::vector<TermRef> &Facts, TermRef Goal) {
   // A contradictory context proves anything. Contradictory facts also
   // refute every negated goal (barring FM's caps), so this facts-only
   // check runs last, on exactly the facts' own constraints.
-  Cs.resize(NumFactCs);
-  Cs.insert(Cs.end(), Lin.Side.begin(), Lin.Side.begin() + NumFactSide);
-  return infeasible(std::move(Cs));
+  return infeasible({std::span(Cs).first(NumFactCs),
+                     std::span(Lin.Side).first(NumFactSide)});
 }

@@ -32,8 +32,7 @@ using namespace rcc::pure;
 
 Checker::Checker(const front::AnnotatedProgram &AP,
                  rcc::DiagnosticEngine &Diags)
-    : AP(AP), Diags(Diags) {
-  registerStandardRules(Rules);
+    : AP(AP), Diags(Diags), Rules(&standardRules()) {
   // The trusted in-memory tier is part of every session; configureStore
   // attaches the persistent tiers per run.
   L1 = std::make_shared<store::MemoryResultStore>();
@@ -536,7 +535,7 @@ FnResult Checker::verifyFunction(const std::string &Name,
   }
 
   pure::EvarEnv Evars;
-  Engine E(Rules, Solver, Evars, Res.Stats, &Res.Deriv);
+  Engine E(*Rules, Solver, Evars, Res.Stats, &Res.Deriv);
   E.Ctx = &C;
   E.BacktrackMode = Opts.Backtracking;
   E.MaxStepsOverride =
@@ -578,7 +577,7 @@ FnResult Checker::verifyFunction(const std::string &Name,
                         trace::current() ? "\"block\": " + std::to_string(B)
                                          : std::string());
 
-    Engine E2(Rules, Solver, Evars, Res.Stats, &Res.Deriv);
+    Engine E2(*Rules, Solver, Evars, Res.Stats, &Res.Deriv);
     E2.Ctx = &C;
     E2.BacktrackMode = Opts.Backtracking;
     E2.MaxStepsOverride =
@@ -636,7 +635,7 @@ FnResult Checker::verifyFunction(const std::string &Name,
     std::vector<pure::Lemma> Lemmas;
     for (const auto &[LN, LP, LL] : Spec->Lemmas)
       Lemmas.push_back({LN, LP, LL});
-    ProofChecker PC(Rules);
+    ProofChecker PC(*Rules);
     Res.Rechecked = true;
     Res.RecheckOk = PC.check(Res.Deriv, Lemmas).Ok;
   }
@@ -651,9 +650,9 @@ uint64_t Checker::sessionFingerprint(const VerifyOptions &Opts) const {
   ContentHasher H;
   // The registry fingerprint covers every rule's name, kind, priority and
   // dispatch key (plus a dispatch-format salt), so persisted results also
-  // self-invalidate when dispatch semantics — including the subsumption
-  // memo's key schema — change, not just when the rule count does.
-  H.mix(Rules.fingerprint());
+  // self-invalidate when dispatch semantics change, not just when the rule
+  // count does.
+  H.mix(Rules->fingerprint());
   for (const auto &R : SolverProto.simplifier().rules())
     H.mix(R.Name);
   // Only options that change the *verdict* participate: Recheck alters
@@ -668,6 +667,14 @@ uint64_t Checker::sessionFingerprint(const VerifyOptions &Opts) const {
       // cache entries.
       .mix(static_cast<uint64_t>(Opts.Portfolio != pure::PortfolioMode::Off));
   return H.get();
+}
+
+lithium::RuleRegistry &Checker::ownRules() {
+  if (!OwnRules) {
+    OwnRules = std::make_unique<lithium::RuleRegistry>(*Rules);
+    Rules = OwnRules.get();
+  }
+  return *OwnRules;
 }
 
 void Checker::invalidateCache() {
@@ -768,7 +775,7 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
       if (SIt != Env.FnSpecs.end())
         for (const auto &[LN, LP, LL] : SIt->second->Lemmas)
           Lemmas.push_back({LN, LP, LL});
-      ProofChecker PC(Rules);
+      ProofChecker PC(*Rules);
       bool Ok = PC.check(R.Deriv, Lemmas).Ok;
       auto T1 = std::chrono::steady_clock::now();
       RS.ReplayNs[TI].fetch_add(
@@ -919,8 +926,6 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
       MR.counter("engine.rule.index_hits").add(ES.IndexHits);
       MR.counter("engine.rule.scan_fallbacks").add(ES.ScanFallbacks);
       MR.counter("engine.rule.matches").add(ES.MatchesEvals);
-      MR.counter("engine.subsume.memo_hit").add(ES.MemoHits);
-      MR.counter("engine.subsume.memo_miss").add(ES.MemoMisses);
     }
     MR.counter("cache.hits").add(PR.CacheHits);
     MR.counter("cache.misses").add(PR.CacheMisses);

@@ -70,14 +70,17 @@ struct VerifyCtx : lithium::VerifyCtxBase {
 /// buildEnv() succeeds, a Checker is an immutable verification *session* —
 /// the type environment, rule registry, global atoms, and solver
 /// configuration are shared read-only by all verification jobs, which is
-/// why verifyFunction is const. Each job gets its own PureSolver (copied
-/// from the session's template so user-registered simplification rules
-/// carry over), EvarEnv, Engine, and DiagnosticEngine, so jobs never share
-/// mutable state and per-function results are byte-identical regardless of
-/// Jobs. Session-level results are memoized in a tiered result store (see
-/// src/store and DESIGN.md, "Persistent verification store"): an always-on
-/// in-memory tier keyed by a content hash of the function body, its
-/// annotations, its callees' specs, and the spec-environment fingerprint —
+/// why verifyFunction is const. The rule registry is the process-wide
+/// standard library (standardRules()), shared read-only by every session,
+/// until a session changes its rules and takes its own copy. Each job gets
+/// its own PureSolver (copied from the session's template so
+/// user-registered simplification rules carry over), EvarEnv, Engine, and
+/// DiagnosticEngine, so jobs never share mutable state and per-function
+/// results are byte-identical regardless of Jobs. Session-level results
+/// are memoized in a tiered result store (see src/store and DESIGN.md,
+/// "Persistent verification store"): an always-on in-memory tier keyed by
+/// a content hash of the function body, its annotations, its callees'
+/// specs, and the spec-environment fingerprint —
 /// so re-running verifyAll after nothing changed is O(1) per function —
 /// plus an optional on-disk tier (VerifyOptions::CacheDir) whose entries
 /// survive the process and are replayed through the independent
@@ -126,15 +129,20 @@ public:
   ProgramResult verifyAll(const VerifyOptions &Opts);
 
   const TypeEnv &env() const { return Env; }
-  const lithium::RuleRegistry &rules() const { return Rules; }
+  const lithium::RuleRegistry &rules() const { return *Rules; }
   const pure::PureSolver &solver() const { return SolverProto; }
 
-  /// Selects how rule lookups assemble candidates (Indexed by default; see
-  /// RuleRegistry::DispatchMode). Every mode selects the same rules — the
-  /// dispatch-equivalence property test runs the corpus in CrossCheck to
-  /// prove it — so no cache invalidation is needed.
+  /// Registers a user typing rule with this session only (Section 5,
+  /// "Extensibility"). The rule registry's fingerprint changes with it, so
+  /// results stored without the rule miss.
+  void addRule(lithium::Rule R) { ownRules().add(std::move(R)); }
+
+  /// Selects how this session's rule lookups assemble candidates (Indexed
+  /// by default; see RuleRegistry::DispatchMode). Every mode selects the
+  /// same rules — the dispatch-equivalence property test runs the corpus in
+  /// CrossCheck to prove it — so no cache invalidation is needed.
   void setDispatchMode(lithium::RuleRegistry::DispatchMode M) {
-    Rules.setMode(M);
+    ownRules().setMode(M);
   }
 
   /// Mutable access to the session environment / solver template for
@@ -153,6 +161,12 @@ public:
   /// Registered lemma line counts (Figure 7 "Pure" column).
   unsigned pureLines() const { return PureLines; }
 
+  /// Fingerprint of everything in this session, besides the program, that
+  /// a result depends on under \p Opts: the rule registry, the simplifier
+  /// rules and the options that change verdicts. Every content key folds it
+  /// in (hashFunctionContent).
+  uint64_t sessionFingerprint(const VerifyOptions &Opts) const;
+
 private:
   bool buildNamedTypes();
   bool buildFnSpecs();
@@ -160,12 +174,10 @@ private:
   std::optional<LoopInv> parseLoopInv(const std::vector<front::RcAnnot> &As,
                                       const SpecScope &Scope,
                                       rcc::DiagnosticEngine &Diags) const;
-  /// Fingerprint of everything in this session, besides the program, that
-  /// a result depends on under \p Opts: the rule registry, the simplifier
-  /// rules and the options that change verdicts. Every content key folds it
-  /// in (hashFunctionContent).
-  uint64_t sessionFingerprint(const VerifyOptions &Opts) const;
   void invalidateCache();
+  /// This session's own rule registry, copied from the shared library on
+  /// first use.
+  lithium::RuleRegistry &ownRules();
 
   /// (Re)builds the tiered store for this run: the session L1 always, plus
   /// a disk L2 when Opts.CacheDir is set and a shared L3 when
@@ -193,7 +205,10 @@ private:
   const front::AnnotatedProgram &AP;
   rcc::DiagnosticEngine &Diags;
   TypeEnv Env;
-  lithium::RuleRegistry Rules;
+  /// The rules this session dispatches through: the shared standard
+  /// library, or OwnRules once the session changed its rules.
+  const lithium::RuleRegistry *Rules;
+  std::unique_ptr<lithium::RuleRegistry> OwnRules;
   /// Session solver template: per-job solvers are copies of this, so its
   /// configuration (user simplification rules) is shared read-only.
   pure::PureSolver SolverProto;
@@ -219,6 +234,10 @@ private:
 /// the supporting rules; the paper's library has ~200 rules, keyed so that
 /// at most one applies to any judgment).
 void registerStandardRules(lithium::RuleRegistry &R);
+
+/// The standard library, registered once per process into a registry that
+/// is never written again; every Checker session starts from it.
+const lithium::RuleRegistry &standardRules();
 
 } // namespace rcc::refinedc
 

@@ -53,8 +53,8 @@ TypeRef stripCtx(Engine &E, TypeRef T) {
 
 /// Pure variant for Matches guards: same peeled type, but the constraint
 /// facts stay put (the RuleKey contract requires guards to be effect-free —
-/// the index and the subsumption memo skip guard evaluations). Apply still
-/// goes through stripCtx, which is where the facts enter Γ.
+/// the index skips guard evaluations). Apply still goes through stripCtx,
+/// which is where the facts enter Γ.
 TypeRef peelCtx(Engine &E, TypeRef T) {
   T = E.resolveTy(T);
   while (T->K == TypeKind::Constraint)
@@ -271,8 +271,8 @@ GoalRef invGoalWrap(const VerifyCtx *C, int Id, size_t I,
   });
 }
 
-void registerStmtRules(RuleRegistry &R) {
-  R.add({"T-STMT", JudgKind::Stmt, 0,
+void registerStmtRules(std::vector<Rule> &R) {
+  R.push_back({"T-STMT", JudgKind::Stmt, 0,
          /*Matches=*/nullptr, // total: every Stmt goal is dispatched here
          [](Engine &E, const Judgment &J) -> GoalRef {
            const caesium::Function *Fn = J.Fn;
@@ -333,7 +333,7 @@ void registerStmtRules(RuleRegistry &R) {
          }});
 
   // Jump to a block without an invariant: check inline (per incoming path).
-  R.add({"BLOCK-INLINE", JudgKind::BlockJ, 0,
+  R.push_back({"BLOCK-INLINE", JudgKind::BlockJ, 0,
          [](Engine &E, const Judgment &J) {
            return J.Fn->Blocks[J.BlockId].AnnotId < 0;
          },
@@ -353,7 +353,7 @@ void registerStmtRules(RuleRegistry &R) {
 
   // Jump to an annotated loop head: prove the invariant (existentials become
   // evars); the block body is checked once, separately, from the invariant.
-  R.add({"BLOCK-INV", JudgKind::BlockJ, 0,
+  R.push_back({"BLOCK-INV", JudgKind::BlockJ, 0,
          [](Engine &E, const Judgment &J) {
            return J.Fn->Blocks[J.BlockId].AnnotId >= 0;
          },
@@ -373,7 +373,7 @@ void registerStmtRules(RuleRegistry &R) {
          RuleKey::onFlag(true)});
 
   // The condition-splitting rules of Figure 6.
-  R.add({"IF-BOOL", JudgKind::IfJ, 0,
+  R.push_back({"IF-BOOL", JudgKind::IfJ, 0,
          [](Engine &E, const Judgment &J) {
            TypeRef T = peelCtx(E, J.T1);
            return T->K == TypeKind::Bool && T->Refn;
@@ -385,7 +385,7 @@ void registerStmtRules(RuleRegistry &R) {
                         gWand({ResAtom::pure(mkNot(Phi))}, J.GElse));
          },
          RuleKey::onTy({TypeKind::Bool})});
-  R.add({"IF-INT", JudgKind::IfJ, 0,
+  R.push_back({"IF-INT", JudgKind::IfJ, 0,
          [](Engine &E, const Judgment &J) {
            TypeRef T = peelCtx(E, J.T1);
            return T->K == TypeKind::Int && T->Refn;
@@ -426,8 +426,8 @@ GoalRef callArgChain(
                   });
 }
 
-void registerExprRules(RuleRegistry &R) {
-  R.add({"T-EXPR", JudgKind::Expr, 0,
+void registerExprRules(std::vector<Rule> &R) {
+  R.push_back({"T-EXPR", JudgKind::Expr, 0,
          /*Matches=*/nullptr, // total: every Expr goal is dispatched here
          [](Engine &E, const Judgment &J) -> GoalRef {
            const caesium::Expr &X = *J.E;
@@ -657,12 +657,12 @@ void registerExprRules(RuleRegistry &R) {
 // Read rules (typed loads, keyed on the slot's type)
 //===----------------------------------------------------------------------===//
 
-void registerReadRules(RuleRegistry &R) {
+void registerReadRules(std::vector<Rule> &R) {
   auto SlotKind = [](Engine &E, const Judgment &J) {
     return peelCtx(E, J.T1)->K;
   };
 
-  R.add({"READ-INT", JudgKind::ReadJ, 0,
+  R.push_back({"READ-INT", JudgKind::ReadJ, 0,
          [SlotKind](Engine &E, const Judgment &J) {
            TypeKind K = SlotKind(E, J);
            return (K == TypeKind::Int || K == TypeKind::Bool) && !J.Atomic;
@@ -693,7 +693,7 @@ void registerReadRules(RuleRegistry &R) {
          },
          RuleKey::onTy({TypeKind::Int, TypeKind::Bool})});
 
-  R.add({"READ-COPY-VALUE", JudgKind::ReadJ, 0,
+  R.push_back({"READ-COPY-VALUE", JudgKind::ReadJ, 0,
          [SlotKind](Engine &E, const Judgment &J) {
            TypeKind K = SlotKind(E, J);
            return (K == TypeKind::ValueOf || K == TypeKind::Place ||
@@ -713,7 +713,7 @@ void registerReadRules(RuleRegistry &R) {
          RuleKey::onTy({TypeKind::ValueOf, TypeKind::Place,
                         TypeKind::FnPtr, TypeKind::Null})});
 
-  R.add({"READ-MOVE", JudgKind::ReadJ, 0,
+  R.push_back({"READ-MOVE", JudgKind::ReadJ, 0,
          [SlotKind](Engine &E, const Judgment &J) {
            TypeKind K = SlotKind(E, J);
            return (K == TypeKind::Own || K == TypeKind::Optional ||
@@ -739,7 +739,7 @@ void registerReadRules(RuleRegistry &R) {
          RuleKey::onTy({TypeKind::Own, TypeKind::Optional,
                         TypeKind::Named, TypeKind::Wand})});
 
-  R.add({"READ-UNINIT", JudgKind::ReadJ, 0,
+  R.push_back({"READ-UNINIT", JudgKind::ReadJ, 0,
          [SlotKind](Engine &E, const Judgment &J) {
            return SlotKind(E, J) == TypeKind::Uninit;
          },
@@ -751,7 +751,7 @@ void registerReadRules(RuleRegistry &R) {
          },
          RuleKey::onTy({TypeKind::Uninit})});
 
-  R.add({"READ-ANY", JudgKind::ReadJ, 0,
+  R.push_back({"READ-ANY", JudgKind::ReadJ, 0,
          [SlotKind](Engine &E, const Judgment &J) {
            return SlotKind(E, J) == TypeKind::Any && !J.Atomic;
          },
@@ -766,7 +766,7 @@ void registerReadRules(RuleRegistry &R) {
   // Atomic read of an atomic boolean: no resource transfer unless the
   // branch payloads are pure (then the branch split will expose them via
   // the refinement).
-  R.add({"READ-ATOMICBOOL", JudgKind::ReadJ, 0,
+  R.push_back({"READ-ATOMICBOOL", JudgKind::ReadJ, 0,
          [SlotKind](Engine &E, const Judgment &J) {
            return SlotKind(E, J) == TypeKind::AtomicBool && J.Atomic;
          },
@@ -796,9 +796,9 @@ void registerReadRules(RuleRegistry &R) {
 // Write rules
 //===----------------------------------------------------------------------===//
 
-void registerWriteRules(RuleRegistry &R) {
+void registerWriteRules(std::vector<Rule> &R) {
   // Generic strong update of a non-atomic slot.
-  R.add({"WRITE-STRONG", JudgKind::WriteJ, 0,
+  R.push_back({"WRITE-STRONG", JudgKind::WriteJ, 0,
          [](Engine &E, const Judgment &J) {
            return peelCtx(E, J.T1)->K != TypeKind::AtomicBool && !J.Atomic;
          },
@@ -837,7 +837,7 @@ void registerWriteRules(RuleRegistry &R) {
          RuleKey::onTyNot({TypeKind::AtomicBool})});
 
   // Atomic store into an atomicbool: hand over the matching payload.
-  R.add({"WRITE-ATOMICBOOL", JudgKind::WriteJ, 0,
+  R.push_back({"WRITE-ATOMICBOOL", JudgKind::WriteJ, 0,
          [](Engine &E, const Judgment &J) {
            return peelCtx(E, J.T1)->K == TypeKind::AtomicBool && J.Atomic;
          },
@@ -866,8 +866,8 @@ void registerWriteRules(RuleRegistry &R) {
 // CAS (Figure 6, CAS-BOOL)
 //===----------------------------------------------------------------------===//
 
-void registerCasRules(RuleRegistry &R) {
-  R.add({"CAS-BOOL", JudgKind::CASJ, 0,
+void registerCasRules(std::vector<Rule> &R) {
+  R.push_back({"CAS-BOOL", JudgKind::CASJ, 0,
          [](Engine &E, const Judgment &J) {
            return peelCtx(E, J.T1)->K == TypeKind::AtomicBool;
          },
@@ -944,10 +944,11 @@ namespace detail {}
 //===----------------------------------------------------------------------===//
 
 namespace rcc::refinedc {
-void registerOpRules(lithium::RuleRegistry &R);      // RulesOps.cpp
-void registerSubsumeRules(lithium::RuleRegistry &R); // RulesSubsume.cpp
+void registerOpRules(std::vector<lithium::Rule> &R);      // RulesOps.cpp
+void registerSubsumeRules(std::vector<lithium::Rule> &R); // RulesSubsume.cpp
 
-void registerStandardRules(lithium::RuleRegistry &R) {
+void registerStandardRules(lithium::RuleRegistry &Registry) {
+  std::vector<lithium::Rule> R;
   registerStmtRules(R);
   registerExprRules(R);
   registerReadRules(R);
@@ -955,5 +956,17 @@ void registerStandardRules(lithium::RuleRegistry &R) {
   registerCasRules(R);
   registerOpRules(R);
   registerSubsumeRules(R);
+  Registry.add(std::move(R));
+}
+
+const lithium::RuleRegistry &standardRules() {
+  // Built on first use; C++ makes that initialization thread-safe, and
+  // nothing writes to the library after it.
+  static const lithium::RuleRegistry Library = [] {
+    lithium::RuleRegistry R;
+    registerStandardRules(R);
+    return R;
+  }();
+  return Library;
 }
 } // namespace rcc::refinedc

@@ -138,7 +138,7 @@ TermRef placeLoc(TypeRef T) {
 // BinOp rules
 //===----------------------------------------------------------------------===//
 
-static void registerBinOpRules(RuleRegistry &R) {
+static void registerBinOpRules(std::vector<Rule> &R) {
   auto OpIs = [](const Judgment &J, BinOpKind K) {
     return static_cast<BinOpKind>(J.Op) == K;
   };
@@ -160,7 +160,7 @@ static void registerBinOpRules(RuleRegistry &R) {
 
   // Unfold valueOf operands whose ownership is parked in Δ (moved pointers
   // circulating through slots).
-  R.add({"BINOP-UNFOLD-VALUEOF", JudgKind::BinOpJ, 90,
+  R.push_back({"BINOP-UNFOLD-VALUEOF", JudgKind::BinOpJ, 90,
          [](Engine &E, const Judgment &J) {
            return (peel(E.resolveTy(J.T1))->K == TypeKind::ValueOf &&
                    findValAtom(E, peel(E.resolveTy(J.T1))->Refn)) ||
@@ -188,7 +188,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          }});
 
   // Unfold named operand types (e.g. chunks_t compared against NULL).
-  R.add({"BINOP-UNFOLD-NAMED", JudgKind::BinOpJ, 85,
+  R.push_back({"BINOP-UNFOLD-NAMED", JudgKind::BinOpJ, 85,
          [](Engine &E, const Judgment &J) {
            return peel(E.resolveTy(J.T1))->K == TypeKind::Named ||
                   peel(E.resolveTy(J.T2))->K == TypeKind::Named;
@@ -208,7 +208,7 @@ static void registerBinOpRules(RuleRegistry &R) {
 
   // Integer arithmetic: compute the mathematical result and emit the
   // in-range side conditions that make the C operation defined.
-  R.add({"BINOP-INT-ARITH", JudgKind::BinOpJ, 0,
+  R.push_back({"BINOP-INT-ARITH", JudgKind::BinOpJ, 0,
          [IsArith](Engine &E, const Judgment &J) {
            return IsArith(J) && isIntLike(E.resolveTy(J.T1)) &&
                   isIntLike(E.resolveTy(J.T2));
@@ -280,7 +280,7 @@ static void registerBinOpRules(RuleRegistry &R) {
                        BinOpKind::BitXor)});
 
   // Integer comparisons yield refined booleans.
-  R.add({"BINOP-INT-CMP", JudgKind::BinOpJ, 0,
+  R.push_back({"BINOP-INT-CMP", JudgKind::BinOpJ, 0,
          [IsCmp](Engine &E, const Judgment &J) {
            return IsCmp(J) && isIntLike(E.resolveTy(J.T1)) &&
                   isIntLike(E.resolveTy(J.T2));
@@ -325,7 +325,7 @@ static void registerBinOpRules(RuleRegistry &R) {
 
   // O-ADD-UNINIT (Figure 6): splitting uninitialized blocks via pointer
   // arithmetic.
-  R.add({"O-ADD-UNINIT", JudgKind::BinOpJ, 10,
+  R.push_back({"O-ADD-UNINIT", JudgKind::BinOpJ, 10,
          [OpIs](Engine &E, const Judgment &J) {
            if (!OpIs(J, BinOpKind::PtrAdd))
              return false;
@@ -366,7 +366,7 @@ static void registerBinOpRules(RuleRegistry &R) {
 
   // Pointer arithmetic on an optional whose refinement is provable (e.g.
   // under a requires clause excluding NULL): act on the pointer branch.
-  R.add({"PTRADD-OPTIONAL", JudgKind::BinOpJ, 6,
+  R.push_back({"PTRADD-OPTIONAL", JudgKind::BinOpJ, 6,
          [OpIs](Engine &E, const Judgment &J) {
            return OpIs(J, BinOpKind::PtrAdd) &&
                   peel(E.resolveTy(J.T1))->K == TypeKind::Optional &&
@@ -392,7 +392,7 @@ static void registerBinOpRules(RuleRegistry &R) {
 
   // Pointer + constant into an owned composite: focus the pointee into Δ
   // and yield a place (field access through &own).
-  R.add({"PTRADD-OWN-FOCUS", JudgKind::BinOpJ, 5,
+  R.push_back({"PTRADD-OWN-FOCUS", JudgKind::BinOpJ, 5,
          [OpIs](Engine &E, const Judgment &J) {
            if (!OpIs(J, BinOpKind::PtrAdd))
              return false;
@@ -418,7 +418,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          RuleKey::onOp(BinOpKind::PtrAdd)});
 
   // Pointer arithmetic on places/valueOf values: pure address computation.
-  R.add({"PTRADD-PLACE", JudgKind::BinOpJ, 0,
+  R.push_back({"PTRADD-PLACE", JudgKind::BinOpJ, 0,
          [OpIs](Engine &E, const Judgment &J) {
            return (OpIs(J, BinOpKind::PtrAdd) ||
                    OpIs(J, BinOpKind::PtrSub)) &&
@@ -467,7 +467,7 @@ static void registerBinOpRules(RuleRegistry &R) {
       return gConj(G1, G2);
     };
   };
-  R.add({"O-OPTIONAL-EQ", JudgKind::BinOpJ, 20,
+  R.push_back({"O-OPTIONAL-EQ", JudgKind::BinOpJ, 20,
          [IsPtrCmp](Engine &E, const Judgment &J) {
            return IsPtrCmp(J) &&
                   peel(E.resolveTy(J.T1))->K == TypeKind::Optional &&
@@ -475,7 +475,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          },
          OptNullRule(true),
          RuleKey::onOp(BinOpKind::PtrEq, BinOpKind::PtrNe)});
-  R.add({"O-OPTIONAL-EQ-SYM", JudgKind::BinOpJ, 19,
+  R.push_back({"O-OPTIONAL-EQ-SYM", JudgKind::BinOpJ, 19,
          [IsPtrCmp](Engine &E, const Judgment &J) {
            return IsPtrCmp(J) &&
                   peel(E.resolveTy(J.T2))->K == TypeKind::Optional &&
@@ -485,7 +485,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          RuleKey::onOp(BinOpKind::PtrEq, BinOpKind::PtrNe)});
 
   // Owned/placed pointers are never NULL.
-  R.add({"PTR-CMP-NONNULL", JudgKind::BinOpJ, 10,
+  R.push_back({"PTR-CMP-NONNULL", JudgKind::BinOpJ, 10,
          [IsPtrCmp](Engine &E, const Judgment &J) {
            auto NonNull = [](TypeRef T) {
              TypeKind K = peel(T)->K;
@@ -515,7 +515,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          },
          RuleKey::onOp(BinOpKind::PtrEq, BinOpKind::PtrNe)});
 
-  R.add({"PTR-CMP-NULL-NULL", JudgKind::BinOpJ, 9,
+  R.push_back({"PTR-CMP-NULL-NULL", JudgKind::BinOpJ, 9,
          [IsPtrCmp](Engine &E, const Judgment &J) {
            return IsPtrCmp(J) &&
                   peel(E.resolveTy(J.T1))->K == TypeKind::Null &&
@@ -530,7 +530,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          RuleKey::onOp(BinOpKind::PtrEq, BinOpKind::PtrNe)});
 
   // Pointer equality on two places: syntactic location equality.
-  R.add({"PTR-CMP-PLACES", JudgKind::BinOpJ, 8,
+  R.push_back({"PTR-CMP-PLACES", JudgKind::BinOpJ, 8,
          [IsPtrCmp](Engine &E, const Judgment &J) {
            return IsPtrCmp(J) && isPlaceLike(E.resolveTy(J.T1)) &&
                   isPlaceLike(E.resolveTy(J.T2));
@@ -551,12 +551,12 @@ static void registerBinOpRules(RuleRegistry &R) {
 // UnOp rules
 //===----------------------------------------------------------------------===//
 
-static void registerUnOpRules(RuleRegistry &R) {
+static void registerUnOpRules(std::vector<Rule> &R) {
   auto UOpIs = [](const Judgment &J, UnOpKind K) {
     return static_cast<UnOpKind>(J.Op) == K;
   };
 
-  R.add({"UNOP-CAST-INT", JudgKind::UnOpJ, 0,
+  R.push_back({"UNOP-CAST-INT", JudgKind::UnOpJ, 0,
          [UOpIs](Engine &E, const Judgment &J) {
            return UOpIs(J, UnOpKind::Cast) && isIntLike(E.resolveTy(J.T1));
          },
@@ -571,7 +571,7 @@ static void registerUnOpRules(RuleRegistry &R) {
          },
          RuleKey::onOp(UnOpKind::Cast)});
 
-  R.add({"UNOP-NOT-BOOL", JudgKind::UnOpJ, 5,
+  R.push_back({"UNOP-NOT-BOOL", JudgKind::UnOpJ, 5,
          [UOpIs](Engine &E, const Judgment &J) {
            return UOpIs(J, UnOpKind::LogicalNot) &&
                   peel(E.resolveTy(J.T1))->K == TypeKind::Bool;
@@ -588,7 +588,7 @@ static void registerUnOpRules(RuleRegistry &R) {
          },
          RuleKey::onOp(UnOpKind::LogicalNot)});
 
-  R.add({"UNOP-NOT-INT", JudgKind::UnOpJ, 0,
+  R.push_back({"UNOP-NOT-INT", JudgKind::UnOpJ, 0,
          [UOpIs](Engine &E, const Judgment &J) {
            return UOpIs(J, UnOpKind::LogicalNot) &&
                   peel(E.resolveTy(J.T1))->K == TypeKind::Int;
@@ -603,7 +603,7 @@ static void registerUnOpRules(RuleRegistry &R) {
          },
          RuleKey::onOp(UnOpKind::LogicalNot)});
 
-  R.add({"UNOP-NEG", JudgKind::UnOpJ, 0,
+  R.push_back({"UNOP-NEG", JudgKind::UnOpJ, 0,
          [UOpIs](Engine &E, const Judgment &J) {
            return UOpIs(J, UnOpKind::Neg) && isIntLike(E.resolveTy(J.T1));
          },
@@ -661,8 +661,8 @@ static GoalRef callSpecChain(
       callSpecChain(EP, S, Subst, Args, Loc, KVal, I + 1), Loc);
 }
 
-static void registerCallRules(RuleRegistry &R) {
-  R.add({"T-CALL", JudgKind::CallJ, 0,
+static void registerCallRules(std::vector<Rule> &R) {
+  R.push_back({"T-CALL", JudgKind::CallJ, 0,
          [](Engine &E, const Judgment &J) {
            return peel(E.resolveTy(J.T1))->K == TypeKind::FnPtr;
          },
@@ -690,7 +690,7 @@ static void registerCallRules(RuleRegistry &R) {
 }
 
 namespace rcc::refinedc {
-void registerOpRules(lithium::RuleRegistry &R) {
+void registerOpRules(std::vector<lithium::Rule> &R) {
   registerBinOpRules(R);
   registerUnOpRules(R);
   registerCallRules(R);

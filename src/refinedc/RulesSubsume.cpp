@@ -51,7 +51,7 @@ GoalRef refnEqGoal(Engine &E, const Judgment &J, TermRef Actual,
 
 /// Shared subsumption cases that behave identically for values and
 /// locations. \p IsLoc selects which judgment kind recursive goals use.
-void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
+void registerShared(std::vector<Rule> &R, JudgKind JK, const char *Suffix) {
   bool IsLoc = JK == JudgKind::SubsumeL;
   auto Recur = [IsLoc](TermRef V, TypeRef T1, TypeRef T2, GoalRef K,
                        rcc::SourceLoc Loc) {
@@ -63,7 +63,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
   };
 
   // Reflexivity: structurally equal types need no work.
-  R.add({Name("S-REFL"), JK, 100,
+  R.push_back({Name("S-REFL"), JK, 100,
          [](Engine &E, const Judgment &J) {
            return typeEqual(E.resolveTy(J.T1), E.resolveTy(J.T2));
          },
@@ -72,7 +72,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
 
   // Constraints: on the left they are assumptions, on the right side
   // conditions.
-  R.add({Name("S-CONSTR-L"), JK, 95,
+  R.push_back({Name("S-CONSTR-L"), JK, 95,
          [](Engine &E, const Judgment &J) {
            return E.resolveTy(J.T1)->K == TypeKind::Constraint;
          },
@@ -81,7 +81,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
            return gWand({ResAtom::pure(T1->Refn)},
                         Recur(J.V1, T1->Children[0], J.T2, J.KGoal, J.Loc));
          }});
-  R.add({Name("S-CONSTR-R"), JK, 94,
+  R.push_back({Name("S-CONSTR-R"), JK, 94,
          [](Engine &E, const Judgment &J) {
            return E.resolveTy(J.T2)->K == TypeKind::Constraint;
          },
@@ -92,7 +92,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          }});
 
   // Existentials: left opens to a universal, right to a sealed evar.
-  R.add({Name("S-EXISTS-L"), JK, 93,
+  R.push_back({Name("S-EXISTS-L"), JK, 93,
          [](Engine &E, const Judgment &J) {
            return E.resolveTy(J.T1)->K == TypeKind::Exists;
          },
@@ -103,7 +103,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
                         J.T2, J.KGoal, J.Loc);
          },
          RuleKey::onPair({TypeKind::Exists}, {})});
-  R.add({Name("S-EXISTS-R"), JK, 92,
+  R.push_back({Name("S-EXISTS-R"), JK, 92,
          [](Engine &E, const Judgment &J) {
            return E.resolveTy(J.T2)->K == TypeKind::Exists;
          },
@@ -118,7 +118,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
 
   // Named types: same definition reduces to refinement equality; otherwise
   // unfold (recursive types unfold on demand, Section 2.2).
-  R.add({Name("S-NAMED-SAME"), JK, 91,
+  R.push_back({Name("S-NAMED-SAME"), JK, 91,
          [](Engine &E, const Judgment &J) {
            TypeRef A = peel(E.resolveTy(J.T1)), B = peel(E.resolveTy(J.T2));
            return A->K == TypeKind::Named && B->K == TypeKind::Named &&
@@ -132,7 +132,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
   // Unfolding is deliberately *below* the structural recomposition rules
   // (SL-TO-STRUCT/PADDED), so that recursive occurrences are cut at
   // S-NAMED-SAME instead of diverging through their unfoldings.
-  R.add({Name("S-NAMED-L"), JK, 64,
+  R.push_back({Name("S-NAMED-L"), JK, 64,
          [](Engine &E, const Judgment &J) {
            TypeRef A = peel(E.resolveTy(J.T1)), B = peel(E.resolveTy(J.T2));
            return A->K == TypeKind::Named &&
@@ -143,7 +143,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
            return Recur(J.V1, unfoldNamed(*A), J.T2, J.KGoal, J.Loc);
          },
          RuleKey::onPair({TypeKind::Named}, {})});
-  R.add({Name("S-NAMED-R"), JK, 65,
+  R.push_back({Name("S-NAMED-R"), JK, 65,
          [](Engine &E, const Judgment &J) {
            TypeRef A = peel(E.resolveTy(J.T1)), B = peel(E.resolveTy(J.T2));
            return B->K == TypeKind::Named &&
@@ -156,7 +156,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({}, {TypeKind::Named})});
 
   // Integers and booleans.
-  R.add({Name("S-INT"), JK, 50,
+  R.push_back({Name("S-INT"), JK, 50,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Int &&
                   kind2(E, J) == TypeKind::Int;
@@ -176,7 +176,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
            return refnEqGoal(E, J, A->Refn, B->Refn, J.KGoal);
          },
          RuleKey::onPair({TypeKind::Int}, {TypeKind::Int})});
-  R.add({Name("S-BOOL"), JK, 50,
+  R.push_back({Name("S-BOOL"), JK, 50,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Bool &&
                   kind2(E, J) == TypeKind::Bool;
@@ -196,7 +196,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          },
          RuleKey::onPair({TypeKind::Bool}, {TypeKind::Bool})});
   // An integer viewed as a boolean (CAS expected slots, flag fields).
-  R.add({Name("S-INT-BOOL"), JK, 49,
+  R.push_back({Name("S-INT-BOOL"), JK, 49,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Int &&
                   kind2(E, J) == TypeKind::Bool;
@@ -215,7 +215,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({TypeKind::Int}, {TypeKind::Bool})});
 
   // Owned pointers: equal targets, subsume the pointee.
-  R.add({Name("S-OWN-OWN"), JK, 50,
+  R.push_back({Name("S-OWN-OWN"), JK, 50,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Own &&
                   kind2(E, J) == TypeKind::Own;
@@ -235,7 +235,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({TypeKind::Own}, {TypeKind::Own})});
 
   // S-NULL (Figure 6).
-  R.add({Name("S-NULL"), JK, 60,
+  R.push_back({Name("S-NULL"), JK, 60,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Null &&
                   kind2(E, J) == TypeKind::Optional;
@@ -251,7 +251,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({TypeKind::Null}, {TypeKind::Optional})});
 
   // S-OWN (Figure 6): also covers places (addresses are non-null).
-  R.add({Name("S-OWN"), JK, 60,
+  R.push_back({Name("S-OWN"), JK, 60,
          [](Engine &E, const Judgment &J) {
            TypeKind K1 = kind1(E, J);
            return (K1 == TypeKind::Own || K1 == TypeKind::Place) &&
@@ -267,7 +267,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
                          {TypeKind::Optional})});
 
   // Optionals on both sides: split on the left refinement.
-  R.add({Name("S-OPT-OPT"), JK, 50,
+  R.push_back({Name("S-OPT-OPT"), JK, 50,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Optional &&
                   kind2(E, J) == TypeKind::Optional;
@@ -291,7 +291,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({TypeKind::Optional}, {TypeKind::Optional})});
 
   // An optional whose refinement is known true/false collapses.
-  R.add({Name("S-OPT-OWN"), JK, 49,
+  R.push_back({Name("S-OPT-OWN"), JK, 49,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Optional &&
                   kind2(E, J) != TypeKind::Optional &&
@@ -312,7 +312,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
 
   // Forgetting content: anything of statically-known size can be viewed as
   // uninitialized/unknown bytes (used when freeing structures).
-  R.add({Name("S-FORGET"), JK, 30,
+  R.push_back({Name("S-FORGET"), JK, 30,
          [](Engine &E, const Judgment &J) {
            TypeKind K2 = kind2(E, J);
            if (K2 != TypeKind::Uninit && K2 != TypeKind::Any)
@@ -334,7 +334,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
   // Function pointers: specs must be compatible (structurally equal up to
   // parameter renaming). Covers passing a concrete function where a
   // function-typedef spec is expected.
-  R.add({Name("S-FNPTR"), JK, 48,
+  R.push_back({Name("S-FNPTR"), JK, 48,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::FnPtr &&
                   kind2(E, J) == TypeKind::FnPtr;
@@ -386,7 +386,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({TypeKind::FnPtr}, {TypeKind::FnPtr})});
 
   // valueOf / place identity.
-  R.add({Name("S-VALUEOF-EQ"), JK, 45,
+  R.push_back({Name("S-VALUEOF-EQ"), JK, 45,
          [](Engine &E, const Judgment &J) {
            TypeKind K1 = kind1(E, J), K2 = kind2(E, J);
            return (K1 == TypeKind::ValueOf || K1 == TypeKind::Place) &&
@@ -400,7 +400,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
                          {TypeKind::ValueOf, TypeKind::Place})});
 
   // A place becomes an owned pointer by collecting the pointee from Δ.
-  R.add({Name("S-PLACE-OWN"), JK, 50,
+  R.push_back({Name("S-PLACE-OWN"), JK, 50,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Place &&
                   kind2(E, J) == TypeKind::Own;
@@ -415,7 +415,7 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
          RuleKey::onPair({TypeKind::Place}, {TypeKind::Own})});
 
   // A valueOf whose ownership is parked in Δ.
-  R.add({Name("S-VALUEOF-RESOLVE"), JK, 88,
+  R.push_back({Name("S-VALUEOF-RESOLVE"), JK, 88,
          [](Engine &E, const Judgment &J) {
            TypeRef A = peel(E.resolveTy(J.T1));
            TypeKind K2 = kind2(E, J);
@@ -443,9 +443,9 @@ void registerShared(RuleRegistry &R, JudgKind JK, const char *Suffix) {
 // Location-only rules (composition, padding, uninit algebra, wands)
 //===----------------------------------------------------------------------===//
 
-void registerLocOnly(RuleRegistry &R) {
+void registerLocOnly(std::vector<Rule> &R) {
   // Recompose a struct from its (split) field atoms.
-  R.add({"SL-TO-STRUCT", JudgKind::SubsumeL, 70,
+  R.push_back({"SL-TO-STRUCT", JudgKind::SubsumeL, 70,
          [](Engine &E, const Judgment &J) {
            return kind2(E, J) == TypeKind::Struct &&
                   kind1(E, J) != TypeKind::Struct;
@@ -476,7 +476,7 @@ void registerLocOnly(RuleRegistry &R) {
          RuleKey::onPair({}, {TypeKind::Struct})});
 
   // Struct to struct (same layout): field-wise subsumption.
-  R.add({"SL-STRUCT-STRUCT", JudgKind::SubsumeL, 72,
+  R.push_back({"SL-STRUCT-STRUCT", JudgKind::SubsumeL, 72,
          [](Engine &E, const Judgment &J) {
            TypeRef A = peel(E.resolveTy(J.T1)), B = peel(E.resolveTy(J.T2));
            return A->K == TypeKind::Struct && B->K == TypeKind::Struct &&
@@ -496,7 +496,7 @@ void registerLocOnly(RuleRegistry &R) {
 
   // Struct content subsuming into a non-struct target: expose the first
   // field and retry (progress is guaranteed because the target is scalar).
-  R.add({"SL-STRUCT-L", JudgKind::SubsumeL, 69,
+  R.push_back({"SL-STRUCT-L", JudgKind::SubsumeL, 69,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Struct &&
                   kind2(E, J) != TypeKind::Struct;
@@ -508,7 +508,7 @@ void registerLocOnly(RuleRegistry &R) {
          RuleKey::onPair({TypeKind::Struct}, {})});
 
   // Recompose padding.
-  R.add({"SL-TO-PADDED", JudgKind::SubsumeL, 68,
+  R.push_back({"SL-TO-PADDED", JudgKind::SubsumeL, 68,
          [](Engine &E, const Judgment &J) {
            return kind2(E, J) == TypeKind::Padded;
          },
@@ -531,7 +531,7 @@ void registerLocOnly(RuleRegistry &R) {
            return gStar(std::move(Need), J.KGoal);
          },
          RuleKey::onPair({}, {TypeKind::Padded})});
-  R.add({"SL-PADDED-L", JudgKind::SubsumeL, 67,
+  R.push_back({"SL-PADDED-L", JudgKind::SubsumeL, 67,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Padded &&
                   kind2(E, J) != TypeKind::Padded;
@@ -543,7 +543,7 @@ void registerLocOnly(RuleRegistry &R) {
          RuleKey::onPair({TypeKind::Padded}, {})});
 
   // uninit/any splitting and merging.
-  R.add({"SL-UNINIT-MERGE", JudgKind::SubsumeL, 66,
+  R.push_back({"SL-UNINIT-MERGE", JudgKind::SubsumeL, 66,
          [](Engine &E, const Judgment &J) {
            TypeKind K1 = kind1(E, J), K2 = kind2(E, J);
            return (K1 == TypeKind::Uninit || K1 == TypeKind::Any) &&
@@ -573,7 +573,7 @@ void registerLocOnly(RuleRegistry &R) {
 
   // Sized content forgotten into a larger uninit: forget, then extend.
   // Outranks the exact-size S-FORGET for location subsumptions.
-  R.add({"SL-FORGET-EXTEND", JudgKind::SubsumeL, 31,
+  R.push_back({"SL-FORGET-EXTEND", JudgKind::SubsumeL, 31,
          [](Engine &E, const Judgment &J) {
            TypeKind K2 = kind2(E, J);
            if (K2 != TypeKind::Uninit && K2 != TypeKind::Any)
@@ -598,7 +598,7 @@ void registerLocOnly(RuleRegistry &R) {
          RuleKey::onPair({}, {TypeKind::Uninit, TypeKind::Any})});
 
   // Arrays with the same element shape: refinement-list equality.
-  R.add({"SL-ARRAY-SAME", JudgKind::SubsumeL, 71,
+  R.push_back({"SL-ARRAY-SAME", JudgKind::SubsumeL, 71,
          [](Engine &E, const Judgment &J) {
            TypeRef A = peel(E.resolveTy(J.T1)), B = peel(E.resolveTy(J.T2));
            return A->K == TypeKind::Array && B->K == TypeKind::Array &&
@@ -621,7 +621,7 @@ void registerLocOnly(RuleRegistry &R) {
 
   // Magic wands (Section 2.2): introduction captures the resources the
   // sub-proof consumes; application pays the hole and yields the result.
-  R.add({"WAND-INTRO", JudgKind::SubsumeL, 75,
+  R.push_back({"WAND-INTRO", JudgKind::SubsumeL, 75,
          [](Engine &E, const Judgment &J) {
            return kind2(E, J) == TypeKind::Wand &&
                   kind1(E, J) != TypeKind::Wand;
@@ -634,7 +634,7 @@ void registerLocOnly(RuleRegistry &R) {
                         gStar({ResAtom::loc(J.V1, B->Children[0])}, J.KGoal));
          },
          RuleKey::onPair({}, {TypeKind::Wand})});
-  R.add({"WAND-APPLY", JudgKind::SubsumeL, 74,
+  R.push_back({"WAND-APPLY", JudgKind::SubsumeL, 74,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Wand;
          },
@@ -648,7 +648,7 @@ void registerLocOnly(RuleRegistry &R) {
          RuleKey::onPair({TypeKind::Wand}, {})});
 
   // Wand-to-wand: identical hole, subsume the results.
-  R.add({"WAND-WAND", JudgKind::SubsumeL, 76,
+  R.push_back({"WAND-WAND", JudgKind::SubsumeL, 76,
          [](Engine &E, const Judgment &J) {
            return kind1(E, J) == TypeKind::Wand &&
                   kind2(E, J) == TypeKind::Wand;
@@ -675,7 +675,7 @@ void registerLocOnly(RuleRegistry &R) {
 } // namespace
 
 namespace rcc::refinedc {
-void registerSubsumeRules(lithium::RuleRegistry &R) {
+void registerSubsumeRules(std::vector<lithium::Rule> &R) {
   registerShared(R, lithium::JudgKind::SubsumeV, "-V");
   registerShared(R, lithium::JudgKind::SubsumeL, "-L");
   registerLocOnly(R);

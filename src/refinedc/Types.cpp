@@ -438,7 +438,8 @@ bool rcc::refinedc::typeEqual(TypeRef A, TypeRef B) {
       if (X[I].K != Y[I].K || X[I].Subject != Y[I].Subject ||
           X[I].Prop != Y[I].Prop)
         return false;
-      if (X[I].Ty && (!Y[I].Ty || !typeEqual(X[I].Ty, Y[I].Ty)))
+      if (!X[I].Ty != !Y[I].Ty ||
+          (X[I].Ty && !typeEqual(X[I].Ty, Y[I].Ty)))
         return false;
     }
     return true;

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dispatch-equivalence property (DESIGN.md, "Rule dispatch & memoized
-/// subsumption"): for every goal the engine processes over the full
-/// case-study corpus, the discrimination index and the subsumption memo
-/// must select exactly the rules the pre-index linear scan selects, and the
-/// resulting derivations must be byte-identical. CrossCheck mode compares
+/// The dispatch-equivalence property (DESIGN.md, "Rule dispatch"): for
+/// every goal the engine processes over the full case-study corpus, the
+/// discrimination index must select exactly the rules the pre-index linear
+/// scan selects, and the resulting derivations must be byte-identical. CrossCheck mode compares
 /// the two candidate assemblies on every single lookup/lookupAll call, so a
 /// key that under-approximates its guard — or an effectful guard — fails
 /// here, on the whole corpus, not just on whichever goals a unit test

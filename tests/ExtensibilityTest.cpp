@@ -36,6 +36,21 @@ size_t flip(size_t x) {
   return ~x;
 }
 )";
+
+/// UNOP-BITNOT: ~x gets the uninterpreted value lnot(x).
+Rule bitNotRule() {
+  return {"UNOP-BITNOT-USER", JudgKind::UnOpJ, 0,
+          [](Engine &E, const Judgment &J) {
+            return static_cast<caesium::UnOpKind>(J.Op) ==
+                       caesium::UnOpKind::BitNot &&
+                   resolveType(J.T1, E.evars())->K == TypeKind::Int;
+          },
+          [](Engine &E, const Judgment &J) -> GoalRef {
+            TypeRef T = resolveType(J.T1, E.evars());
+            TermRef V = mkApp("lnot", Sort::Nat, {T->Refn});
+            return J.KVal(V, tyInt(T->Ity, V));
+          }};
+}
 } // namespace
 
 TEST(Extensibility, UnsupportedConstructFailsWithoutUserRule) {
@@ -56,19 +71,7 @@ TEST(Extensibility, UserRegisteredRuleIsPickedUpAutomatically) {
   Checker C(*AP, Diags);
   ASSERT_TRUE(C.buildEnv());
 
-  // Register UNOP-BITNOT: ~x gets the uninterpreted value lnot(x).
-  const_cast<RuleRegistry &>(C.rules()).add(
-      {"UNOP-BITNOT-USER", JudgKind::UnOpJ, 0,
-       [](Engine &E, const Judgment &J) {
-         return static_cast<caesium::UnOpKind>(J.Op) ==
-                    caesium::UnOpKind::BitNot &&
-                resolveType(J.T1, E.evars())->K == TypeKind::Int;
-       },
-       [](Engine &E, const Judgment &J) -> GoalRef {
-         TypeRef T = resolveType(J.T1, E.evars());
-         TermRef V = mkApp("lnot", Sort::Nat, {T->Refn});
-         return J.KVal(V, tyInt(T->Ity, V));
-       }});
+  C.addRule(bitNotRule());
 
   FnResult R = C.verifyFunction("flip", {});
   EXPECT_TRUE(R.Verified) << R.renderError(BitNotSource);
@@ -78,6 +81,40 @@ TEST(Extensibility, UserRegisteredRuleIsPickedUpAutomatically) {
   // checks against the same registry).
   ProofChecker PC(C.rules());
   EXPECT_TRUE(PC.check(R.Deriv).Ok);
+}
+
+TEST(Extensibility, AddedRulesStayInTheirSession) {
+  // Sessions share one rule library; a session that adds a rule or picks a
+  // dispatch mode changes its own copy, seen by no session opened before or
+  // after it.
+  DiagnosticEngine Diags;
+  auto AP = front::compileSource(BitNotSource, Diags);
+  ASSERT_TRUE(AP != nullptr);
+  const VerifyOptions Opts;
+  Checker Before(*AP, Diags);
+  ASSERT_TRUE(Before.buildEnv());
+  const uint64_t Fp = Before.sessionFingerprint(Opts);
+
+  Checker Extended(*AP, Diags);
+  ASSERT_TRUE(Extended.buildEnv());
+  Extended.addRule(bitNotRule());
+  Extended.setDispatchMode(RuleRegistry::DispatchMode::CrossCheck);
+  FnResult R = Extended.verifyFunction("flip", Opts);
+  EXPECT_TRUE(R.Verified) << R.renderError(BitNotSource);
+  EXPECT_EQ(Extended.rules().crossCheckMismatches(), 0u);
+  EXPECT_NE(Extended.sessionFingerprint(Opts), Fp);
+
+  Checker After(*AP, Diags);
+  ASSERT_TRUE(After.buildEnv());
+  for (const Checker *C : {&Before, &After}) {
+    FnResult Other = C->verifyFunction("flip", Opts);
+    EXPECT_FALSE(Other.Verified);
+    EXPECT_NE(Other.Error.find("no typing rule"), std::string::npos)
+        << Other.Error;
+    EXPECT_EQ(C->sessionFingerprint(Opts), Fp);
+    EXPECT_EQ(&C->rules(), &standardRules());
+    EXPECT_EQ(C->rules().mode(), RuleRegistry::DispatchMode::Indexed);
+  }
 }
 
 TEST(Extensibility, UserSimplificationRuleDischargesSideConditions) {

@@ -340,8 +340,8 @@ TEST_F(BareEngineFixture, StepBudgetStopsDivergingRules) {
 }
 
 //===----------------------------------------------------------------------===//
-// Indexed dispatch (PR 6): registration invariants, index pruning, the
-// subsumption memo, and the cross-check harness
+// Indexed dispatch: registration invariants, index pruning and the
+// cross-check harness
 //===----------------------------------------------------------------------===//
 
 TEST_F(BareEngineFixture, DuplicateRuleNameIsAHardError) {
@@ -426,23 +426,6 @@ TEST_F(BareEngineFixture, WildcardRulesAreAlwaysConsidered) {
   ASSERT_NE(R, nullptr) << Err;
   EXPECT_EQ(R->Name, "read-any");
   EXPECT_EQ(WildcardRuns, 1);
-}
-
-TEST_F(EngineFixture, SubsumeDispatchMemoHitsOnRepeatedShapePair) {
-  Judgment J;
-  J.K = JudgKind::SubsumeV;
-  J.V1 = loc("v");
-  J.T1 = tyNull();
-  J.T2 = tyNull();
-  J.KGoal = gTrue();
-  Judgment J2 = J;
-  EXPECT_TRUE(E->prove(gJudg(std::move(J))));
-  EXPECT_EQ(Stats.MemoMisses, 1u);
-  EXPECT_EQ(Stats.MemoHits, 0u);
-  EXPECT_TRUE(E->prove(gJudg(std::move(J2))));
-  EXPECT_EQ(Stats.MemoMisses, 1u);
-  EXPECT_EQ(Stats.MemoHits, 1u) << "the second identical (have, want) pair "
-                                   "must be answered by the memo";
 }
 
 TEST_F(EngineFixture, CrossCheckModeAgreesOnStandardRules) {

@@ -218,6 +218,44 @@ size_t idf(size_t x) { return x; }
   EXPECT_NE(J.find("\"cache_misses\": 1"), std::string::npos) << J;
 }
 
+TEST(ParallelVerify, ConcurrentSessionsShareTheRuleLibrary) {
+  // Every session dispatches through the one process-wide rule library, so
+  // sessions on four threads read it at once; each thread's results must be
+  // byte-identical to a serial run's. The threads run first, so when this
+  // test runs alone they are also the library's first users.
+  auto VerifyCorpus = [] {
+    std::vector<std::string> Out;
+    for (const casestudies::CaseStudy &CS : casestudies::allCaseStudies()) {
+      DiagnosticEngine Diags;
+      auto AP = front::compileSource(CS.Source, Diags);
+      if (!AP) {
+        Out.push_back(CS.Name + ": front end failed");
+        continue;
+      }
+      Checker C(*AP, Diags);
+      if (!C.buildEnv()) {
+        Out.push_back(CS.Name + ": spec environment failed");
+        continue;
+      }
+      VerifyOptions Opts;
+      Opts.Recheck = true;
+      Out.push_back(serialize(C.verifyFunctions(CS.Functions, Opts)));
+    }
+    return Out;
+  };
+  constexpr unsigned kThreads = 4;
+  std::vector<std::vector<std::string>> Concurrent(kThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&, T] { Concurrent[T] = VerifyCorpus(); });
+  for (std::thread &Th : Threads)
+    Th.join();
+  const std::vector<std::string> Serial = VerifyCorpus();
+  ASSERT_EQ(Serial.size(), 12u);
+  for (unsigned T = 0; T < kThreads; ++T)
+    EXPECT_EQ(Concurrent[T], Serial) << "thread " << T;
+}
+
 TEST(ParallelVerify, RegistryNameIndex) {
   lithium::RuleRegistry R;
   registerStandardRules(R);

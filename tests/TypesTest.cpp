@@ -62,6 +62,20 @@ TEST(Types, TypeEqualIsStructural) {
   EXPECT_FALSE(typeEqual(A, tyNull()));
 }
 
+TEST(Types, TypeEqualIsSymmetricOnResourceAtomTypes) {
+  // Two atomicbool types that differ only in whether an HTrue atom has a
+  // type: a null type equals only a null type, in either direction.
+  TermRef L = mkVar("l", Sort::Loc);
+  ResAtom Typed = ResAtom::loc(L, tyInt(caesium::intU32(), mkNat(1)));
+  ResAtom Untyped = ResAtom::loc(L, nullptr);
+  TypeRef A = tyAtomicBool(caesium::intU32(), nullptr, {Untyped}, {});
+  TypeRef B = tyAtomicBool(caesium::intU32(), nullptr, {Typed}, {});
+  EXPECT_FALSE(typeEqual(A, B));
+  EXPECT_FALSE(typeEqual(B, A));
+  EXPECT_TRUE(typeEqual(A, tyAtomicBool(caesium::intU32(), nullptr,
+                                        {Untyped}, {})));
+}
+
 TEST(Types, ResolveTypeSubstitutesEvars) {
   EvarEnv Env;
   TermRef E = Env.fresh(Sort::Nat);
