@@ -168,7 +168,12 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
 
   # 10. TSan configuration for the code that runs threads: the parallel
   #    driver and the process-wide rule library every session reads
-  #    (test_parallel), the thread pool (test_support) and the store
+  #    (test_parallel), the front end's pooled phases, which test_parallel's
+  #    LargeUnit cases drive at 300 functions (phase 1: each definition's
+  #    task parses its annotations and body from the shared tokens and
+  #    typedef table, lowers it and frees its AST; phase 2: function specs
+  #    against the shared environment), the thread pool (test_support) and
+  #    the store
   #    tiers that concurrent jobs probe and publish to (test_store), plus
   #    the terms and solvers every job runs (test_pure_term and
   #    test_pure_solver, whose concurrent substitution and solver tests

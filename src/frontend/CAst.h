@@ -193,6 +193,13 @@ struct CFuncDecl {
   rcc::SourceLoc NameLoc; ///< where the function name token starts
   rcc::SourceLoc NameEnd; ///< one past the function name token
   rcc::SourceLoc EndLoc;  ///< one past the closing `}` (or the `;`)
+  /// Token ranges [Begin, End) of a definition's leading annotation lists
+  /// and of its body, when Parser::outlineTranslationUnit skipped them.
+  struct TokenRanges {
+    size_t AnnotBegin = 0, AnnotEnd = 0, BodyBegin = 0, BodyEnd = 0;
+  } Deferred;
+
+  bool isDefinition() const { return Body || Deferred.BodyEnd; }
 };
 
 struct CGlobalDecl {

@@ -56,13 +56,13 @@ struct UnitTables {
   std::map<std::string, CTypePtr> GlobalTypes; ///< name -> object type
 };
 
-/// What lowering one function body produces: its Caesium function, the
-/// parts of its FnInfo that come from the body, and its diagnostics.
+/// What one definition's task produces besides its FnInfo: its Caesium
+/// function and its diagnostics.
 struct BodySlot {
   std::unique_ptr<Function> Fn;
-  std::map<std::string, CTypePtr> LocalTypes;
-  std::vector<std::vector<RcAnnot>> LoopAnnots;
-  rcc::DiagnosticEngine Diags;
+  rcc::DiagnosticEngine ParseDiags; ///< the parse's (warnings only)
+  rcc::DiagnosticEngine Diags;      ///< lowering's
+  bool ParseFailed = false;
 };
 
 /// Lowers against read-only unit tables. One instance lowers one function
@@ -73,9 +73,11 @@ public:
       : Diags(Diags), AP(U.AP), FuncTypes(U.FuncTypes),
         GlobalTypes(U.GlobalTypes) {}
 
-  /// Lowers \p FD, which has a body, into \p Out. Call at most once per
+  /// Lowers \p FD, which has a body, into \p Fn, and records its locals'
+  /// types and its loop annotations in \p Info. Call at most once per
   /// instance.
-  void lowerFunction(const CFuncDecl &FD, BodySlot &Out);
+  void lowerFunction(const CFuncDecl &FD, std::unique_ptr<Function> &Fn,
+                     FnInfo &Info);
 
   Layout typeLayout(CTypePtr T, rcc::SourceLoc Loc);
   uint64_t typeSize(CTypePtr T, rcc::SourceLoc Loc) {
@@ -91,7 +93,7 @@ private:
 
   // --- Per-function state ---
   Function *F = nullptr;
-  BodySlot *Out = nullptr;
+  FnInfo *Out = nullptr;
   CTypePtr RetTy;
   std::vector<std::map<std::string, LocalVar>> Scopes;
   unsigned CurBlock = 0;
@@ -980,10 +982,11 @@ void Lowerer::lowerStmt(const CStmt &S) {
 // Top level
 //===----------------------------------------------------------------------===//
 
-void Lowerer::lowerFunction(const CFuncDecl &FD, BodySlot &Slot) {
-  Slot.Fn = std::make_unique<Function>();
-  F = Slot.Fn.get();
-  Out = &Slot;
+void Lowerer::lowerFunction(const CFuncDecl &FD,
+                            std::unique_ptr<Function> &Fn, FnInfo &Info) {
+  Fn = std::make_unique<Function>();
+  F = Fn.get();
+  Out = &Info;
   RetTy = FD.RetTy;
   F->Name = FD.Name;
   F->Loc = FD.Loc;
@@ -997,7 +1000,7 @@ void Lowerer::lowerFunction(const CFuncDecl &FD, BodySlot &Slot) {
     }
     F->Params.push_back({P.Name, typeSize(P.Ty, FD.Loc)});
     Scopes.back()[P.Name] = {P.Name, P.Ty};
-    Slot.LocalTypes[P.Name] = P.Ty;
+    Info.LocalTypes[P.Name] = P.Ty;
     NameCounts[P.Name] = 1;
   }
 
@@ -1019,21 +1022,26 @@ void Lowerer::lowerFunction(const CFuncDecl &FD, BodySlot &Slot) {
   }
 }
 
-/// Elaborates \p TU. Everything that is shared between functions runs
-/// serially in declaration order: struct layouts, globals, signatures and
-/// the FnInfo metadata. Each function body is then lowered into its own
-/// slot (on a thread pool for large units, see forEachFunction), and the
-/// slots are merged and their diagnostics replayed in declaration order.
+/// Elaborates the outline \p TU of \p P's tokens. Everything that is
+/// shared between functions runs serially in declaration order: struct
+/// layouts, globals, signatures, and the FnInfo entries. Then one task per
+/// definition (on a thread pool for large units, see forEachFunction)
+/// parses its annotation lists and body, lowers the body into its slot,
+/// fills its FnInfo, and frees the body's AST on the thread that allocated
+/// it. The slots are merged, and the diagnostics replayed, in the order the
+/// serial parser and lowering report them: parse warnings, then the unit's
+/// errors, then each body's. Returns null, having reported nothing more,
+/// when a definition does not parse.
 std::unique_ptr<AnnotatedProgram> lowerUnit(CTranslationUnit &TU,
-                                            std::string Source,
+                                            const Parser &P,
+                                            const std::string &Source,
                                             rcc::DiagnosticEngine &Diags) {
   auto Result = std::make_unique<AnnotatedProgram>();
   AnnotatedProgram *AP = Result.get();
-  AP->Source = std::move(Source);
-  AP->LineStarts = rcc::lineStarts(AP->Source);
   UnitTables U;
   U.AP = AP;
-  Lowerer Unit(U, Diags);
+  rcc::DiagnosticEngine UnitDiags;
+  Lowerer Unit(U, UnitDiags);
 
   // Struct layouts first (in declaration order; nested structs must be
   // declared before use, as in C).
@@ -1075,8 +1083,8 @@ std::unique_ptr<AnnotatedProgram> lowerUnit(CTranslationUnit &TU,
         G.HasInit = true;
         G.Init = RtVal::null();
       } else {
-        Diags.error(GD.Loc,
-                    "global initializers must be integers or a null pointer");
+        UnitDiags.error(
+            GD.Loc, "global initializers must be integers or a null pointer");
       }
     }
     AP->Prog.Globals.push_back(std::move(G));
@@ -1090,56 +1098,77 @@ std::unique_ptr<AnnotatedProgram> lowerUnit(CTranslationUnit &TU,
     U.FuncTypes[FD.Name] = ctFunc(FD.RetTy, std::move(Params));
   }
 
-  // Function metadata, and the definitions whose bodies are lowered. A
-  // second definition of a name is an error, so every name has at most one
-  // slot; a prototype after the definition keeps the definition's metadata.
+  // FnInfo entries, and one task per definition. A second definition of a
+  // name is an error, so it is parsed but not lowered, and every name has
+  // at most one lowered definition; a prototype after the definition keeps
+  // the definition's metadata, which the definition's task fills in.
   struct Def {
-    const CFuncDecl *FD;
-    FnInfo *Info;
+    CFuncDecl *FD;
+    FnInfo *Info; ///< null for a redefinition
   };
   std::vector<Def> Defs;
   std::unordered_map<std::string_view, const CFuncDecl *> Defined;
   for (CFuncDecl &FD : TU.Functions) {
-    if (FD.Body) {
+    if (FD.isDefinition()) {
       auto [It, New] = Defined.emplace(FD.Name, &FD);
       if (!New) {
-        Diags.error(FD.NameLoc, "redefinition of '" + FD.Name + "'");
-        Diags.note(It->second->NameLoc,
-                   "previous definition of '" + FD.Name + "' is here");
+        UnitDiags.error(FD.NameLoc, "redefinition of '" + FD.Name + "'");
+        UnitDiags.note(It->second->NameLoc,
+                       "previous definition of '" + FD.Name + "' is here");
+        Defs.push_back({&FD, nullptr});
         continue;
       }
-    } else if (Defined.count(FD.Name)) {
+      Defs.push_back({&FD, &AP->Fns[FD.Name]});
       continue;
     }
+    if (Defined.count(FD.Name))
+      continue;
     FnInfo &Info = AP->Fns[FD.Name];
-    if (FD.Body)
-      Defs.push_back({&FD, &Info});
     Info.Name = FD.Name;
     Info.RetTy = FD.RetTy;
-    Info.Params = FD.Params;
-    Info.Annots = std::move(FD.Annots); // bodies do not read them
+    Info.Params = std::move(FD.Params);
+    Info.Annots = std::move(FD.Annots);
     Info.Loc = FD.Loc;
-    Info.HasBody = FD.Body != nullptr;
+    Info.HasBody = false;
     Info.Range = {FD.Loc, FD.EndLoc};
     Info.NameRange = {FD.NameLoc, FD.NameEnd};
   }
 
-  // Bodies. The AST is freed with the unit, on the calling thread: a pool
-  // task that frees nodes the parser allocated hands each one back to the
-  // calling thread's malloc arena under that arena's lock, which cost more
-  // than the teardown it spread.
   std::vector<BodySlot> Slots(Defs.size());
   forEachFunction(Defs.size(), /*Phase=*/1, [&](size_t I) {
-    Lowerer(U, Slots[I].Diags).lowerFunction(*Defs[I].FD, Slots[I]);
+    CFuncDecl &FD = *Defs[I].FD;
+    BodySlot &Slot = Slots[I];
+    if (!P.parseDeferred(FD, Slot.ParseDiags)) {
+      Slot.ParseFailed = true;
+    } else if (FnInfo *Info = Defs[I].Info) {
+      *Info = FnInfo();
+      Lowerer(U, Slot.Diags).lowerFunction(FD, Slot.Fn, *Info);
+      Info->Name = FD.Name;
+      Info->RetTy = FD.RetTy;
+      Info->Params = std::move(FD.Params);
+      Info->Annots = std::move(FD.Annots); // bodies do not read them
+      Info->Loc = FD.Loc;
+      Info->HasBody = true;
+      Info->Range = {FD.Loc, FD.EndLoc};
+      Info->NameRange = {FD.NameLoc, FD.NameEnd};
+    }
+    FD.Body.reset();
   });
+
+  for (const BodySlot &Slot : Slots)
+    if (Slot.ParseFailed)
+      return nullptr;
+  for (const BodySlot &Slot : Slots)
+    Diags.append(Slot.ParseDiags);
+  Diags.append(UnitDiags);
   auto &Functions = AP->Prog.Functions;
   for (size_t I = 0; I < Defs.size(); ++I) {
-    BodySlot &Slot = Slots[I];
-    Diags.append(Slot.Diags);
-    Defs[I].Info->LocalTypes = std::move(Slot.LocalTypes);
-    Defs[I].Info->LoopAnnots = std::move(Slot.LoopAnnots);
-    Functions.emplace(Defs[I].FD->Name, std::move(Slot.Fn));
+    Diags.append(Slots[I].Diags);
+    if (Defs[I].Info)
+      Functions.emplace(Defs[I].FD->Name, std::move(Slots[I].Fn));
   }
+  AP->Source = Source;
+  AP->LineStarts = rcc::lineStarts(AP->Source);
   return Result;
 }
 
@@ -1157,20 +1186,29 @@ rcc::front::compileSource(const std::string &Source,
   }
   if (Diags.hasErrors())
     return nullptr;
-  Parser P(std::move(Toks), Diags);
+  // The outline and the per-definition parses report into engines of
+  // their own: on any parse error, the serial parser runs over the tokens
+  // instead, so that the diagnostics are its text in its order.
+  rcc::DiagnosticEngine OutlineDiags;
+  Parser P(std::move(Toks), OutlineDiags);
   CTranslationUnit TU;
   {
     trace::Span S(trace::Category::Frontend, "frontend.parse");
-    TU = P.parseTranslationUnit();
+    TU = P.outlineTranslationUnit();
   }
-  if (Diags.hasErrors())
-    return nullptr;
   std::unique_ptr<AnnotatedProgram> AP;
-  {
+  if (!OutlineDiags.hasErrors()) {
     trace::Span S(trace::Category::Frontend, "frontend.lower");
-    AP = lowerUnit(TU, Source, Diags);
-    if (AP)
+    AP = lowerUnit(TU, P, Source, OutlineDiags);
+    if (AP) {
+      Diags.append(OutlineDiags);
       trace::count("frontend.functions", AP->Fns.size());
+    }
+  }
+  if (!AP) {
+    Parser Serial(P.takeTokens(), Diags);
+    Serial.parseTranslationUnit();
+    assert(Diags.hasErrors() && "the outline failed where the parser did not");
   }
   if (Diags.hasErrors())
     return nullptr;

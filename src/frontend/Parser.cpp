@@ -77,6 +77,29 @@ CTypePtr rcc::front::ctFunc(CTypePtr Ret, std::vector<CTypePtr> Params) {
 }
 
 //===----------------------------------------------------------------------===//
+// Typedef table
+//===----------------------------------------------------------------------===//
+
+void TypedefTable::declare(std::string_view Name, size_t At, CTypePtr Ty) {
+  auto It = Decls.find(Name);
+  if (It == Decls.end())
+    It = Decls.try_emplace(std::string(Name)).first;
+  It->second.emplace_back(At, std::move(Ty));
+}
+
+const CTypePtr *TypedefTable::lookup(std::string_view Name,
+                                     size_t Before) const {
+  auto It = Decls.find(Name);
+  if (It == Decls.end())
+    return nullptr;
+  // Declarations are recorded in token order.
+  for (auto D = It->second.rbegin(); D != It->second.rend(); ++D)
+    if (D->first < Before)
+      return &D->second;
+  return nullptr;
+}
+
+//===----------------------------------------------------------------------===//
 // Token helpers
 //===----------------------------------------------------------------------===//
 
@@ -181,6 +204,28 @@ std::vector<RcAnnot> Parser::parseAnnotList() {
   return Out;
 }
 
+void Parser::skipAnnotLists() {
+  while (cur().is(TokKind::AttrOpen)) {
+    while (!cur().is(TokKind::AttrClose) && !cur().is(TokKind::Eof))
+      advance();
+    if (!cur().is(TokKind::AttrClose)) {
+      error("expected ']]'");
+      return;
+    }
+    advance();
+  }
+}
+
+std::vector<RcAnnot> Parser::annotsAt(size_t Begin, size_t End) {
+  const size_t Save = Pos;
+  Pos = Begin;
+  std::vector<RcAnnot> Out = parseAnnotList();
+  if (Pos != End)
+    error("expected ']]'");
+  Pos = Save;
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // Types
 //===----------------------------------------------------------------------===//
@@ -217,7 +262,7 @@ bool Parser::atTypeStart() const {
     }
   }
   if (cur().isIdent())
-    return Typedefs.find(cur().Text) != Typedefs.end();
+    return lookupTypedef(cur().Text) != nullptr;
   return false;
 }
 
@@ -296,10 +341,9 @@ CTypePtr Parser::parseTypeSpecifier(std::vector<RcAnnot> *StructAnnotsOut) {
 
   // Typedef name.
   if (cur().isIdent()) {
-    auto It = Typedefs.find(cur().Text);
-    if (It != Typedefs.end()) {
+    if (const CTypePtr *T = lookupTypedef(cur().Text)) {
       advance();
-      return It->second;
+      return *T;
     }
   }
   error("expected a type, found '" + tokenSpelling(cur()) + "'");
@@ -404,11 +448,20 @@ std::vector<CParam> Parser::parseParamList() {
   return Params;
 }
 
-void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
+void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots,
+                           size_t AnnotBegin) {
   rcc::SourceLoc Loc = cur().Loc;
+  // The outline skipped the leading annotation lists. It parses them here,
+  // except a function definition's, which parseDeferred parses.
+  const size_t AnnotEnd = Pos;
+  auto LoadAnnots = [&] {
+    if (Outline)
+      Annots = annotsAt(AnnotBegin, AnnotEnd);
+  };
 
   // typedef ...
   if (eat(Kw::Typedef)) {
+    LoadAnnots();
     if (at(Kw::Struct) || at(Kw::Union)) {
       advance();
       // typedef struct [[annots]] name { ... } [*]alias ;
@@ -435,7 +488,7 @@ void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
           T = ctPtr(T);
           SD.PtrTypedefName = Alias;
         }
-        Typedefs[Alias] = T;
+        Typedefs.declare(Alias, AnnotBegin, T);
         CTypedef TD;
         TD.Name = Alias;
         TD.Ty = T;
@@ -465,7 +518,7 @@ void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
       error("expected typedef name");
       return;
     }
-    Typedefs[Name] = T;
+    Typedefs.declare(Name, AnnotBegin, T);
     CTypedef TD;
     TD.Name = Name;
     TD.Ty = T;
@@ -480,6 +533,7 @@ void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
       (peek(1).is(TokKind::AttrOpen) ||
        (peek(1).isIdent() && peek(2).is(Pu::LBrace)))) {
     advance(); // struct
+    LoadAnnots();
     std::vector<RcAnnot> StructAnnots = parseAnnotList();
     for (RcAnnot &A : StructAnnots)
       Annots.push_back(std::move(A));
@@ -516,11 +570,30 @@ void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
     FD.NameEnd = NameEnd;
     FD.RetTy = T;
     FD.Params = parseParamList();
-    FD.Annots = std::move(Annots);
-    if (at(Pu::LBrace))
-      FD.Body = parseCompound();
-    else
-      expect(Pu::Semi);
+    if (Outline && at(Pu::LBrace)) {
+      // Skip the body by brace matching; parseDeferred parses it.
+      FD.Deferred = {AnnotBegin, AnnotEnd, Pos, 0};
+      size_t Depth = 0;
+      do {
+        if (cur().is(TokKind::Eof)) {
+          error("expected '}'");
+          break;
+        }
+        if (at(Pu::LBrace))
+          ++Depth;
+        else if (at(Pu::RBrace))
+          --Depth;
+        advance();
+      } while (Depth);
+      FD.Deferred.BodyEnd = Pos;
+    } else {
+      LoadAnnots();
+      FD.Annots = std::move(Annots);
+      if (at(Pu::LBrace))
+        FD.Body = parseCompound();
+      else
+        expect(Pu::Semi);
+    }
     FD.EndLoc = Pos > 0 ? Toks[Pos - 1].End : cur().Loc;
     TU.Functions.push_back(std::move(FD));
     return;
@@ -530,6 +603,7 @@ void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
   GD.Loc = Loc;
   GD.Name = Name;
   GD.Ty = T;
+  LoadAnnots();
   GD.Annots = std::move(Annots);
   if (eat(Pu::Assign)) {
     bool Neg = eat(Pu::Minus);
@@ -548,19 +622,49 @@ void Parser::parseTopLevel(CTranslationUnit &TU, std::vector<RcAnnot> Annots) {
 }
 
 CTranslationUnit Parser::parseTranslationUnit() {
+  Outline = false;
+  return parseUnit();
+}
+
+CTranslationUnit Parser::outlineTranslationUnit() {
+  Outline = true;
+  return parseUnit();
+}
+
+CTranslationUnit Parser::parseUnit() {
   CTranslationUnit TU;
   while (!cur().is(TokKind::Eof)) {
-    std::vector<RcAnnot> Annots = parseAnnotList();
-    if (cur().is(TokKind::Eof))
+    const size_t AnnotBegin = Pos;
+    std::vector<RcAnnot> Annots;
+    if (Outline)
+      skipAnnotLists();
+    else
+      Annots = parseAnnotList();
+    if (cur().is(TokKind::Eof)) {
+      if (Outline)
+        annotsAt(AnnotBegin, Pos);
       break;
+    }
     size_t Before = Pos;
-    parseTopLevel(TU, std::move(Annots));
+    parseTopLevel(TU, std::move(Annots), AnnotBegin);
     if (Pos == Before) {
       // Ensure forward progress on malformed input.
       advance();
     }
   }
   return TU;
+}
+
+bool Parser::parseDeferred(CFuncDecl &FD, rcc::DiagnosticEngine &D) const {
+  const CFuncDecl::TokenRanges &R = FD.Deferred;
+  Parser P(*this, R.AnnotBegin, D);
+  P.Pos = R.AnnotBegin;
+  FD.Annots = P.parseAnnotList();
+  if (P.Pos != R.AnnotEnd)
+    return false;
+  P.Pos = R.BodyBegin;
+  FD.Body = P.parseCompound();
+  return P.Pos == R.BodyEnd && !D.hasErrors();
 }
 
 //===----------------------------------------------------------------------===//

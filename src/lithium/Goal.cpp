@@ -66,7 +66,8 @@ void *GoalPool::allocate(size_t Bytes, size_t Align) {
   char *P = Cur + ((Align - reinterpret_cast<uintptr_t>(Cur) % Align) % Align);
   if (!Cur || P + Bytes > End) {
     size_t SlabSize = std::max(kSlabBytes, Bytes + Align);
-    Slabs.push_back(std::make_unique<char[]>(SlabSize));
+    // Nothing reads a slab byte before writing it, so skip the zero-fill.
+    Slabs.push_back(std::make_unique_for_overwrite<char[]>(SlabSize));
     Cur = Slabs.back().get();
     End = Cur + SlabSize;
     P = Cur + ((Align - reinterpret_cast<uintptr_t>(Cur) % Align) % Align);

@@ -124,21 +124,32 @@ uint64_t refinedc::hashFunctionContent(const front::AnnotatedProgram &AP,
                                        const std::string &Name,
                                        uint64_t EnvFingerprint,
                                        uint64_t SessionFingerprint) {
+  auto FIt = AP.Fns.find(Name);
+  return hashFunctionContent(AP, Name,
+                             FIt == AP.Fns.end() ? nullptr : &FIt->second,
+                             AP.Prog.function(Name), EnvFingerprint,
+                             SessionFingerprint);
+}
+
+uint64_t refinedc::hashFunctionContent(const front::AnnotatedProgram &AP,
+                                       const std::string &Name,
+                                       const front::FnInfo *FI,
+                                       const caesium::Function *Fn,
+                                       uint64_t EnvFingerprint,
+                                       uint64_t SessionFingerprint) {
   ContentHasher H;
   H.mix(EnvFingerprint).mix(SessionFingerprint);
   H.mix(Name);
 
-  auto FIt = AP.Fns.find(Name);
-  H.mix(static_cast<uint64_t>(FIt != AP.Fns.end()));
+  H.mix(static_cast<uint64_t>(FI != nullptr));
   std::set<std::string> Globals;
-  if (FIt != AP.Fns.end()) {
-    hashAnnots(H, FIt->second.Annots);
-    H.mix(static_cast<uint64_t>(FIt->second.LoopAnnots.size()));
-    for (const auto &As : FIt->second.LoopAnnots)
+  if (FI) {
+    hashAnnots(H, FI->Annots);
+    H.mix(static_cast<uint64_t>(FI->LoopAnnots.size()));
+    for (const auto &As : FI->LoopAnnots)
       hashAnnots(H, As);
-    H.mix(static_cast<uint64_t>(FIt->second.HasBody));
+    H.mix(static_cast<uint64_t>(FI->HasBody));
   }
-  const caesium::Function *Fn = AP.Prog.function(Name);
   H.mix(static_cast<uint64_t>(Fn != nullptr));
   if (Fn)
     hashFunctionBody(H, *Fn, Globals);

@@ -41,6 +41,15 @@ uint64_t hashFunctionContent(const front::AnnotatedProgram &AP,
                              const std::string &Name, uint64_t EnvFingerprint,
                              uint64_t SessionFingerprint);
 
+/// The same key for a function already looked up: \p FI and \p Fn are
+/// what AP.Fns and AP.Prog hold under \p Name (null when they hold none).
+uint64_t hashFunctionContent(const front::AnnotatedProgram &AP,
+                             const std::string &Name,
+                             const front::FnInfo *FI,
+                             const caesium::Function *Fn,
+                             uint64_t EnvFingerprint,
+                             uint64_t SessionFingerprint);
+
 } // namespace rcc::refinedc
 
 #endif // RCC_REFINEDC_FNHASH_H

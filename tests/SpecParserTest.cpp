@@ -55,6 +55,17 @@ struct SpecFixture : ::testing::Test {
     EXPECT_FALSE(P.hadError()) << S << "\n" << Diags.render("");
     return T;
   }
+  /// The diagnostics of parsing \p S as a type (or, with \p AsTerm, a
+  /// term), rendered without source.
+  std::string errorsOf(const std::string &S, bool AsTerm = false) {
+    DiagnosticEngine D2;
+    SpecParser P(S, Env, Scope, D2, {1, 1});
+    if (AsTerm)
+      P.parseTermFull();
+    else
+      P.parseTypeFull();
+    return D2.render("");
+  }
   bool failsType(const std::string &S) {
     DiagnosticEngine D2;
     SpecParser P(S, Env, Scope, D2, {1, 1});
@@ -204,6 +215,93 @@ TEST_F(SpecFixture, UnicodeNotation) {
   EXPECT_EQ(parseTerm("{[n]} ⊎ s"), parseTerm("{[n]} (+) s"));
   EXPECT_EQ(parseTerm("∀ k, k ∈ s → n ≤ k"),
             parseTerm("forall k, k in s -> n <= k"));
+}
+
+TEST_F(SpecFixture, WhitespaceSeparatesApplicationFromUnion) {
+  // Only the space before '(' tells the application f(x) from the union
+  // ls (+) rs, and from a variable applied to nothing.
+  Scope["ls"] = Sort::MSet;
+  Scope["rs"] = Sort::MSet;
+  TermRef App = parseTerm("probe(n)");
+  ASSERT_EQ(App->kind(), TermKind::App);
+  EXPECT_EQ(App->numArgs(), 1u);
+  EXPECT_EQ(parseTerm("ls (+) rs"),
+            mkMUnion(mkVar("ls", Sort::MSet), mkVar("rs", Sort::MSet)));
+  EXPECT_EQ(errorsOf("ls(+)rs", /*AsTerm=*/true),
+            "error: 1:1: in spec 'ls(+)rs': unexpected character '+' in "
+            "term\n")
+      << "a glued '(' opens an application";
+  EXPECT_EQ(errorsOf("probe (n)", /*AsTerm=*/true),
+            "error: 1:1: in spec 'probe (n)': unbound specification "
+            "variable 'probe'\n");
+  EXPECT_EQ(errorsOf("ls (+ rs", /*AsTerm=*/true),
+            "error: 1:1: in spec 'ls (+ rs': trailing input after term\n");
+  // A word glued to a digit run reads as one name where a name is due.
+  EXPECT_EQ(errorsOf("3abc"),
+            "error: 1:1: in spec '3abc': unknown type '3abc'\n");
+  // `&own` needs no word boundary: the rest of the word follows it.
+  EXPECT_EQ(errorsOf("&ownx<a @ int<u32>>"),
+            "error: 1:1: in spec '&ownx<a @ int<u32>>': expected '<' after "
+            "&own\n");
+}
+
+TEST_F(SpecFixture, UnicodeOperatorsMatchTheirAsciiSpellings) {
+  EXPECT_EQ(parseTerm("n ≥ a"), parseTerm("n >= a"));
+  EXPECT_EQ(parseTerm("n < a ∧ a < 3"), parseTerm("n < a && a < 3"));
+  EXPECT_EQ(parseTerm("¬ (n = a)"), parseTerm("!(n = a)"));
+  EXPECT_EQ(parseTerm("s = ∅"), parseTerm("s = {[]}"));
+  EXPECT_EQ(parseTerm("∃ k, k ∈ s"), parseTerm("exists k, k in s"));
+  Scope["t"] = Sort::Set;
+  EXPECT_EQ(parseTerm("t ∪ t"), parseTerm("t (u) t"));
+  EXPECT_EQ(errorsOf("n ≤", /*AsTerm=*/true),
+            "error: 1:1: in spec 'n ≤': unexpected end of term\n");
+  // A byte that starts no operator is reported as that byte.
+  EXPECT_EQ(errorsOf("n \xc2\xb1 a", /*AsTerm=*/true),
+            "error: 1:1: in spec 'n \xc2\xb1 a': trailing input after "
+            "term\n");
+  EXPECT_EQ(errorsOf("\xc2\xb1", /*AsTerm=*/true),
+            "error: 1:1: in spec '\xc2\xb1': unexpected character '\xc2' in "
+            "term\n");
+}
+
+TEST_F(SpecFixture, AngleBracketsCloseTypesOutsideBraces) {
+  // Between type brackets '>' closes the bracket; braces make it a
+  // comparison again.
+  TypeRef T = parseType("uninit<n>");
+  ASSERT_EQ(T->K, TypeKind::Uninit);
+  EXPECT_EQ(parseType("any<{a > n}>")->K, TypeKind::Any);
+  EXPECT_EQ(errorsOf("any<a > n>"),
+            "error: 1:1: in spec 'any<a > n>': trailing input after type\n");
+  EXPECT_EQ(errorsOf("n @ int<u32"),
+            "error: 1:1: in spec 'n @ int<u32': expected '>' after "
+            "int<...\n");
+  EXPECT_EQ(parseTerm("n < a"), mkLt(mkVar("n", Sort::Nat),
+                                     mkVar("a", Sort::Nat)))
+      << "outside a type, '<' compares";
+}
+
+TEST_F(SpecFixture, BracedSortNames) {
+  TermRef T = parseTerm("forall k: {gmultiset nat}, k = k");
+  ASSERT_EQ(T->kind(), TermKind::Forall);
+  EXPECT_EQ(T->arg(0), mkEq(mkVar("k", Sort::MSet), mkVar("k", Sort::MSet)));
+  EXPECT_EQ(parseTerm("forall k: { gset nat }, k = k")->arg(0),
+            mkEq(mkVar("k", Sort::Set), mkVar("k", Sort::Set)));
+  // The bound name leaves the scope with the quantifier.
+  EXPECT_EQ(errorsOf("(forall k: nat, k = k) && k = 0", /*AsTerm=*/true),
+            "error: 1:1: in spec '(forall k: nat, k = k) && k = 0': unbound "
+            "specification variable 'k'\n");
+  EXPECT_EQ(errorsOf("forall k: { frob }, k = k", /*AsTerm=*/true),
+            "error: 1:1: in spec 'forall k: { frob }, k = k': unknown sort "
+            "' frob '\n");
+  std::string Name;
+  Sort S;
+  DiagnosticEngine D;
+  EXPECT_TRUE(parseBinder("s : { gmultiset nat }", Name, S, D, {1, 1}));
+  EXPECT_EQ(Name, "s");
+  EXPECT_EQ(S, Sort::MSet);
+  EXPECT_FALSE(parseBinder("x: {frob}", Name, S, D, {1, 1}));
+  EXPECT_EQ(D.render(""),
+            "error: 1:1: unknown sort 'frob' in binder 'x: {frob}'\n");
 }
 
 TEST_F(SpecFixture, SizeofAndLengthAndSize) {

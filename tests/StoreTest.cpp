@@ -573,6 +573,74 @@ TEST(Store, TrustedFlagInAnL3EntryDoesNotVerify) {
   EXPECT_EQ(PR.ReplayFailures, 1u);
 }
 
+TEST(Store, StoredFailureOfAVerifyingFunctionIsReVerified) {
+  // A verifying `inc` whose L2 entry was rewritten, envelope intact, as a
+  // failure: a failure has no proof to replay, so the next session must
+  // verify the function instead of hiding it behind the stored verdict.
+  TempDir Dir;
+  auto AP = compile(kIncSource);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    ASSERT_TRUE(C.verifyFunctions({"inc"}, Opts).allVerified());
+  }
+  auto [Name, Key] = onlyEntry(Dir.str());
+  ASSERT_EQ(Name, "inc");
+  {
+    DiskResultStore DS(Dir.str());
+    FnResult Entry;
+    ASSERT_TRUE(DS.get("inc", Key, Entry));
+    Entry.Verified = false;
+    Entry.Rechecked = Entry.RecheckOk = false;
+    Entry.Error = "forged failure";
+    DS.put("inc", Key, Entry);
+  }
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
+  ASSERT_EQ(PR.Fns.size(), 1u);
+  EXPECT_TRUE(PR.Fns[0].Verified) << PR.Fns[0].Error;
+  EXPECT_TRUE(PR.allRechecksOk());
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.CacheMisses, 1u);
+  FnResult Healed;
+  ASSERT_TRUE(DiskResultStore(Dir.str()).get("inc", Key, Healed));
+  EXPECT_TRUE(Healed.Verified) << "the entry is re-published";
+}
+
+TEST(Store, StoredFailureThatStillFailsKeepsItsEntryFile) {
+  TempDir Dir;
+  auto AP = compile(kFailingIncSource);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  auto Session = [&] {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    EXPECT_TRUE(C.buildEnv());
+    return C.verifyFunctions({"inc"}, Opts);
+  };
+  ASSERT_FALSE(Session().allVerified());
+  auto [Name, Key] = onlyEntry(Dir.str());
+  const std::string Path = DiskResultStore(Dir.str()).entryPath(Name, Key);
+  struct stat Before {};
+  ASSERT_EQ(::stat(Path.c_str(), &Before), 0);
+
+  ProgramResult PR = Session();
+  ASSERT_EQ(PR.Fns.size(), 1u);
+  EXPECT_FALSE(PR.Fns[0].Verified);
+  EXPECT_EQ(PR.CacheMisses, 1u) << "the failure was verified afresh";
+  struct stat After {};
+  ASSERT_EQ(::stat(Path.c_str(), &After), 0);
+  EXPECT_EQ(Before.st_ino, After.st_ino) << "the same failure is not rewritten";
+}
+
 TEST(Store, EntryWithOlderFormatIsACleanMissAndReVerified) {
   TempDir Dir;
   auto AP = compile(kIncSource);

@@ -362,6 +362,21 @@ TEST(Negative, FnOfAFunctionIsRejectedWhateverItsName) {
   }
 }
 
+TEST(Negative, AnnotationsWithoutTheirArgumentAreSpecErrors) {
+  // These read their first argument unchecked, and crashed on an empty
+  // list.
+  EXPECT_EQ(specErrors("[[rc::parameters(\"n: nat\")]]\n"
+                       "[[rc::args(\"n @ int<u32>\")]]\n"
+                       "[[rc::returns()]]\n"
+                       "unsigned int f(unsigned int x) { return x; }\n"),
+            "error: 3:3: rc::returns expects a type\n");
+  EXPECT_EQ(specErrors("struct [[rc::size()]] s { int a; };\n"),
+            "error: 1:10: rc::size expects a term\n");
+  EXPECT_EQ(
+      specErrors("typedef struct [[rc::ptr_type()]] s { int a; } *s_t;\n"),
+      "error: 1:18: rc::ptr_type expects 'name: type'\n");
+}
+
 TEST(Negative, PrototypeAfterTheDefinitionKeepsItChecked) {
   // The trailing prototype used to replace inc's metadata, so verifyAll
   // skipped the wrong body and the run passed.
