@@ -177,13 +177,17 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   #    tiers that concurrent jobs probe and publish to (test_store), plus
   #    the terms and solvers every job runs (test_pure_term and
   #    test_pure_solver, whose concurrent substitution and solver tests
-  #    run several threads, test_bitvector, test_linear_overflow). TSan
+  #    run several threads, test_bitvector, test_linear_overflow), and the
+  #    daemon (test_daemon), which opens a session per revision while its
+  #    socket tests serve clients from another thread. test_parallel also
+  #    runs two pooled sessions at once, so their pool threads lease the
+  #    two sessions' arenas and run both sessions' jobs concurrently. TSan
   #    also reports any pool thread still running at exit.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
   cmake --build build-tsan -j --target test_parallel test_support \
       test_store test_pure_term test_pure_solver test_bitvector \
-      test_linear_overflow
+      test_linear_overflow test_daemon
   ./build-tsan/tests/test_parallel
   ./build-tsan/tests/test_support
   ./build-tsan/tests/test_store
@@ -191,6 +195,7 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   ./build-tsan/tests/test_pure_solver
   ./build-tsan/tests/test_bitvector
   ./build-tsan/tests/test_linear_overflow
+  ./build-tsan/tests/test_daemon
 fi
 
 echo "check.sh: all green"

@@ -58,11 +58,10 @@ RuleKey RuleKey::onPair(std::initializer_list<TypeKind> Have,
 /// The constructor of \p T, through Constraint wrappers. Purely structural:
 /// evar resolution rewrites terms only, never the type head, so this agrees
 /// with the kind of the resolveTy'd type.
-static TypeKind peeledKind(const TypeRef &T) {
-  const RType *P = T.get();
-  while (P->K == TypeKind::Constraint)
-    P = P->Children[0].get();
-  return P->K;
+static TypeKind peeledKind(TypeRef T) {
+  while (T->K == TypeKind::Constraint)
+    T = T->Children[0];
+  return T->K;
 }
 
 /// Packs a (have, want) peeled-kind pair into one bucket discriminator.
@@ -796,7 +795,7 @@ bool Engine::prove(GoalRef G) {
       continue;
     }
     case GoalKind::StarH: {
-      GoalRef Out;
+      GoalRef Out = nullptr;
       if (!proveStar(G->H, G->Next, Out))
         return false;
       G = Out;
@@ -834,7 +833,7 @@ bool Engine::prove(GoalRef G) {
           pure::EvarEnv SavedE = Evars;
           ++Stats.RuleApps;
           Stats.RulesUsed.insert(Cands[I]->Name);
-          GoalRef Next;
+          GoalRef Next = nullptr;
           {
             trace::Span RuleSpan(trace::Category::Rule, Cands[I]->Name);
             CurrentRule = Cands[I]->Name;
@@ -866,7 +865,7 @@ bool Engine::prove(GoalRef G) {
       ++Stats.RuleApps;
       Stats.RulesUsed.insert(R->Name);
       record(DerivStep::RuleApp, R->Name);
-      GoalRef Next;
+      GoalRef Next = nullptr;
       {
         trace::Span RuleSpan(trace::Category::Rule, R->Name);
         CurrentRule = R->Name;

@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <string_view>

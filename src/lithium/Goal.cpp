@@ -7,6 +7,7 @@
 #include "lithium/Goal.h"
 
 #include "caesium/Ast.h"
+#include "support/Arena.h"
 
 #include <sstream>
 
@@ -59,80 +60,26 @@ std::string Judgment::str() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Goal pool
-//===----------------------------------------------------------------------===//
-
-void *GoalPool::allocate(size_t Bytes, size_t Align) {
-  char *P = Cur + ((Align - reinterpret_cast<uintptr_t>(Cur) % Align) % Align);
-  if (!Cur || P + Bytes > End) {
-    size_t SlabSize = std::max(kSlabBytes, Bytes + Align);
-    // Nothing reads a slab byte before writing it, so skip the zero-fill.
-    Slabs.push_back(std::make_unique_for_overwrite<char[]>(SlabSize));
-    Cur = Slabs.back().get();
-    End = Cur + SlabSize;
-    P = Cur + ((Align - reinterpret_cast<uintptr_t>(Cur) % Align) % Align);
-  }
-  Cur = P + Bytes;
-  Allocated += Bytes;
-  return P;
-}
-
-namespace {
-thread_local GoalPool *CurPool = nullptr;
-
-/// Minimal std allocator over the thread's GoalPool, for allocate_shared.
-/// Deallocation is a no-op (slabs die with the pool).
-template <typename T> struct PoolAlloc {
-  using value_type = T;
-  GoalPool *P;
-  explicit PoolAlloc(GoalPool *P) : P(P) {}
-  template <typename U> PoolAlloc(const PoolAlloc<U> &O) : P(O.P) {}
-  T *allocate(size_t N) {
-    return static_cast<T *>(P->allocate(N * sizeof(T), alignof(T)));
-  }
-  void deallocate(T *, size_t) {}
-  template <typename U> bool operator==(const PoolAlloc<U> &O) const {
-    return P == O.P;
-  }
-  template <typename U> bool operator!=(const PoolAlloc<U> &O) const {
-    return P != O.P;
-  }
-};
-
-template <typename T, typename... Args>
-std::shared_ptr<T> poolMake(Args &&...A) {
-  if (GoalPool *P = CurPool)
-    return std::allocate_shared<T>(PoolAlloc<T>(P), std::forward<Args>(A)...);
-  return std::make_shared<T>(std::forward<Args>(A)...);
-}
-} // namespace
-
-GoalPoolScope::GoalPoolScope(GoalPool &P) : Prev(CurPool) { CurPool = &P; }
-GoalPoolScope::~GoalPoolScope() { CurPool = Prev; }
-GoalPool *rcc::lithium::currentGoalPool() { return CurPool; }
-
-//===----------------------------------------------------------------------===//
 // Goal builders
 //===----------------------------------------------------------------------===//
 
 GoalRef rcc::lithium::gTrue() {
-  // Process-lifetime singleton: deliberately make_shared, never pooled —
-  // a pool-backed static would dangle once the first pool dies.
-  static GoalRef G = std::make_shared<Goal>();
-  return G;
+  // A static node: it outlives every arena.
+  static const Goal G;
+  return &G;
 }
 
 GoalRef rcc::lithium::gJudg(Judgment J) {
-  auto G = poolMake<Goal>();
+  auto *G = newNode<Goal>();
   G->K = GoalKind::Judg;
-  G->J = poolMake<Judgment>(std::move(J));
+  G->J = newNode<Judgment>(std::move(J));
   return G;
 }
 
 GoalRef rcc::lithium::gStar(ResList H, GoalRef Next) {
   if (H.empty())
     return Next;
-  auto G = poolMake<Goal>();
+  auto *G = newNode<Goal>();
   G->K = GoalKind::StarH;
   G->H = std::move(H);
   G->Next = std::move(Next);
@@ -142,7 +89,7 @@ GoalRef rcc::lithium::gStar(ResList H, GoalRef Next) {
 GoalRef rcc::lithium::gWand(ResList H, GoalRef Next) {
   if (H.empty())
     return Next;
-  auto G = poolMake<Goal>();
+  auto *G = newNode<Goal>();
   G->K = GoalKind::WandH;
   G->H = std::move(H);
   G->Next = std::move(Next);
@@ -150,7 +97,7 @@ GoalRef rcc::lithium::gWand(ResList H, GoalRef Next) {
 }
 
 GoalRef rcc::lithium::gConj(GoalRef A, GoalRef B) {
-  auto G = poolMake<Goal>();
+  auto *G = newNode<Goal>();
   G->K = GoalKind::Conj;
   G->A = std::move(A);
   G->B = std::move(B);
@@ -158,8 +105,8 @@ GoalRef rcc::lithium::gConj(GoalRef A, GoalRef B) {
 }
 
 GoalRef rcc::lithium::gAll(const std::string &Binder, pure::Sort S,
-                           std::function<GoalRef(TermRef)> Body) {
-  auto G = poolMake<Goal>();
+                           BinderCont Body) {
+  auto *G = newNode<Goal>();
   G->K = GoalKind::All;
   G->Binder = Binder;
   G->BSort = S;
@@ -168,8 +115,8 @@ GoalRef rcc::lithium::gAll(const std::string &Binder, pure::Sort S,
 }
 
 GoalRef rcc::lithium::gEx(const std::string &Binder, pure::Sort S,
-                          std::function<GoalRef(TermRef)> Body) {
-  auto G = poolMake<Goal>();
+                          BinderCont Body) {
+  auto *G = newNode<Goal>();
   G->K = GoalKind::Ex;
   G->Binder = Binder;
   G->BSort = S;

@@ -18,15 +18,19 @@
 /// lets judgment continuations be ordinary closures — the paper's
 /// continuation-passing premises (T-BINOP et al.) map to `KVal` directly.
 ///
+/// Goals and judgments are immutable nodes, referred to by plain `const`
+/// pointer and owned by the arena that built them (support/Arena.h), and so
+/// are the closures of their continuations (NodeFn): while a function is
+/// verified, that is its job's arena, which runs their destructors when the
+/// job returns. `gTrue()` is a static node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RCC_LITHIUM_GOAL_H
 #define RCC_LITHIUM_GOAL_H
 
 #include "refinedc/Types.h"
-
-#include <functional>
-#include <memory>
+#include "support/Arena.h"
 
 namespace rcc::caesium {
 struct Expr;
@@ -41,9 +45,12 @@ using refinedc::ResList;
 using refinedc::TypeRef;
 
 struct Judgment;
-using JudgPtr = std::shared_ptr<const Judgment>;
+using JudgPtr = const Judgment *;
 struct Goal;
-using GoalRef = std::shared_ptr<const Goal>;
+using GoalRef = const Goal *;
+/// Continuations: their closures are nodes of the job's arena too.
+using ValueCont = NodeFn<GoalRef(TermRef, TypeRef)>;
+using BinderCont = NodeFn<GoalRef(TermRef)>;
 
 /// Kinds of RefinedC typing judgments (the basic goals F). Each kind has a
 /// dedicated set of typing rules keyed additionally on the operand types, so
@@ -76,7 +83,7 @@ struct Judgment {
   const caesium::Expr *E = nullptr;
 
   TermRef V1 = nullptr, V2 = nullptr, V3 = nullptr;
-  TypeRef T1, T2, T3;
+  TypeRef T1 = nullptr, T2 = nullptr, T3 = nullptr;
 
   // Operator payloads (mirroring the Caesium expression fields).
   int Op = 0;              ///< caesium::BinOpKind / UnOpKind as int
@@ -87,13 +94,12 @@ struct Judgment {
   bool Atomic = false;
 
   /// Value continuation for expression-style judgments.
-  std::function<GoalRef(TermRef, TypeRef)> KVal;
+  ValueCont KVal;
   /// Goal continuation for subsumptions and writes.
-  GoalRef KGoal;
-  GoalRef GThen, GElse;
+  GoalRef KGoal = nullptr;
+  GoalRef GThen = nullptr, GElse = nullptr;
 
-  /// Call payload: the function spec and the typed argument values.
-  std::shared_ptr<const refinedc::FnSpec> Spec;
+  /// Call payload: the typed argument values.
   std::vector<std::pair<TermRef, TypeRef>> Args;
 
   std::string str() const;
@@ -104,57 +110,14 @@ enum class GoalKind : uint8_t { True, Judg, StarH, WandH, Conj, All, Ex };
 /// A Lithium goal.
 struct Goal {
   GoalKind K = GoalKind::True;
-  ResList H;    ///< StarH / WandH
-  GoalRef Next; ///< StarH / WandH / (unused otherwise)
-  GoalRef A, B; ///< Conj
+  ResList H;                        ///< StarH / WandH
+  GoalRef Next = nullptr;           ///< StarH / WandH (unused otherwise)
+  GoalRef A = nullptr, B = nullptr; ///< Conj
   std::string Binder;
   pure::Sort BSort = pure::Sort::Nat;
-  std::function<GoalRef(TermRef)> Body; ///< All / Ex (HOAS)
-  JudgPtr J;
+  BinderCont Body; ///< All / Ex (HOAS)
+  JudgPtr J = nullptr;
 };
-
-/// Engine-lifetime slab pool for Goal/Judgment nodes. Goal construction is
-/// the hottest allocation site of the search (every rule application builds
-/// a continuation chain); allocate_shared against this pool folds each
-/// node + control block into one bump-pointer slab allocation and frees the
-/// whole run at once. Deallocation is a no-op — destructors still run via
-/// shared_ptr, only the memory outlives them until the pool dies — so the
-/// pool MUST outlive every GoalRef built while it was installed (the
-/// checker installs one per verified function, around the engines).
-class GoalPool {
-public:
-  GoalPool() = default;
-  GoalPool(const GoalPool &) = delete;
-  GoalPool &operator=(const GoalPool &) = delete;
-
-  void *allocate(size_t Bytes, size_t Align);
-  size_t bytesAllocated() const { return Allocated; }
-
-private:
-  static constexpr size_t kSlabBytes = 1 << 16;
-  std::vector<std::unique_ptr<char[]>> Slabs;
-  char *Cur = nullptr;
-  char *End = nullptr;
-  size_t Allocated = 0;
-};
-
-/// RAII: installs \p P as this thread's goal-allocation pool (builders fall
-/// back to the plain heap when none is installed, which is what bare-engine
-/// tests use). Scopes nest; the previous pool is restored on destruction.
-class GoalPoolScope {
-public:
-  explicit GoalPoolScope(GoalPool &P);
-  ~GoalPoolScope();
-  GoalPoolScope(const GoalPoolScope &) = delete;
-  GoalPoolScope &operator=(const GoalPoolScope &) = delete;
-
-private:
-  GoalPool *Prev;
-};
-
-/// The pool goal builders currently allocate from on this thread (nullptr:
-/// plain heap).
-GoalPool *currentGoalPool();
 
 GoalRef gTrue();
 GoalRef gJudg(Judgment J);
@@ -163,10 +126,8 @@ GoalRef gStar(ResList H, GoalRef G);
 /// H -∗ G: assume the atoms of H, then continue with G.
 GoalRef gWand(ResList H, GoalRef G);
 GoalRef gConj(GoalRef A, GoalRef B);
-GoalRef gAll(const std::string &Binder, pure::Sort S,
-             std::function<GoalRef(TermRef)> Body);
-GoalRef gEx(const std::string &Binder, pure::Sort S,
-            std::function<GoalRef(TermRef)> Body);
+GoalRef gAll(const std::string &Binder, pure::Sort S, BinderCont Body);
+GoalRef gEx(const std::string &Binder, pure::Sort S, BinderCont Body);
 
 } // namespace rcc::lithium
 

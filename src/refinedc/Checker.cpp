@@ -10,11 +10,13 @@
 #include "refinedc/FnHash.h"
 #include "refinedc/ProofChecker.h"
 #include "store/Serialize.h"
+#include "support/Arena.h"
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include "support/Util.h"
 #include "trace/Export.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,13 +40,6 @@ Checker::Checker(const front::AnnotatedProgram &AP,
   // attaches the persistent tiers per run.
   L1 = std::make_shared<store::MemoryResultStore>();
   Store.addTier(L1, /*Trusted=*/true);
-}
-
-Checker::~Checker() {
-  // Break the definition cycles of recursive named types (Body -> Named ->
-  // Def -> Body) so the shared type graph is reclaimed.
-  for (auto &[Name, Def] : Env.Named)
-    std::const_pointer_cast<NamedTypeDef>(Def)->Body = nullptr;
 }
 
 namespace {
@@ -110,12 +105,22 @@ const front::RcAnnot *findAnnot(const std::vector<front::RcAnnot> &As,
 } // namespace
 
 bool Checker::buildNamedTypes() {
-  // Pass 1: create definition shells so recursive references resolve.
+  // Pass 1: create definition shells so recursive references resolve. A
+  // struct defines the type named by its rc::ptr_type, or else by its tag.
+  struct Shell {
+    const front::StructInfo *SI;
+    std::unique_ptr<NamedTypeDef> Owned; ///< until filed in Env.Named
+    NamedTypeDef *Def;
+    rcc::SourceLoc Loc; ///< where the name is defined
+  };
+  std::vector<Shell> Shells;
+  Shells.reserve(AP.Structs.size());
   for (const auto &[SName, SI] : AP.Structs) {
     Env.Layouts[SName] = &SI.Layout;
-    auto Def = std::make_shared<NamedTypeDef>();
+    auto Def = std::make_unique<NamedTypeDef>();
     Def->Layout = &SI.Layout;
     std::string DefName = SName;
+    rcc::SourceLoc Loc = SI.Loc;
     const std::vector<AnnotKind> Ks = annotKinds(SI.Annots);
     if (const front::RcAnnot *PT =
             findAnnot(SI.Annots, Ks, AnnotKind::PtrType)) {
@@ -125,6 +130,7 @@ bool Checker::buildNamedTypes() {
       if (Colon != std::string::npos)
         DefName = trim(S.substr(0, Colon));
       Def->IsPtrType = true;
+      Loc = PT->Loc;
     }
     Def->Name = DefName;
     Def->RefnVar = "_r";
@@ -140,20 +146,38 @@ bool Checker::buildNamedTypes() {
                        RB->Loc))
         return false;
     }
-    Env.Named[DefName] = Def;
+    NamedTypeDef *D = Def.get();
+    Shells.push_back({&SI, std::move(Def), D, Loc});
+  }
+
+  // File the definitions in source order: a name defined twice is an
+  // error at its second definition.
+  std::vector<Shell *> InOrder;
+  for (Shell &Sh : Shells)
+    InOrder.push_back(&Sh);
+  std::stable_sort(InOrder.begin(), InOrder.end(),
+                   [](const Shell *A, const Shell *B) {
+                     return std::pair(A->Loc.Line, A->Loc.Col) <
+                            std::pair(B->Loc.Line, B->Loc.Col);
+                   });
+  for (Shell *Sh : InOrder) {
+    const std::string &Name = Sh->Def->Name;
+    auto [It, New] = Env.Named.try_emplace(Name);
+    if (!New) {
+      Diags.error(Sh->Loc, "redefinition of RefinedC type '" + Name + "'");
+      for (const Shell &First : Shells)
+        if (First.Def == It->second.get())
+          Diags.note(First.Loc, "previous definition of RefinedC type '" +
+                                    Name + "' is here");
+      return false;
+    }
+    It->second = std::move(Sh->Owned);
   }
 
   // Pass 2: parse bodies.
-  for (const auto &[SName, SI] : AP.Structs) {
-    // Find the def registered for this struct.
-    std::shared_ptr<NamedTypeDef> Def;
-    for (auto &[DN, D] : Env.Named)
-      if (D->Layout == &SI.Layout)
-        Def = std::const_pointer_cast<NamedTypeDef>(
-            std::static_pointer_cast<const NamedTypeDef>(D));
-    if (!Def)
-      continue;
-
+  for (const Shell &Sh : Shells) {
+    const front::StructInfo &SI = *Sh.SI;
+    NamedTypeDef *Def = Sh.Def;
     const std::vector<AnnotKind> Ks = annotKinds(SI.Annots);
     SpecScope Scope;
     Scope[Def->RefnVar] = Def->RefnSort;
@@ -250,7 +274,7 @@ bool Checker::buildNamedTypes() {
 
 /// Parses function-style annotations (on functions and on fn typedefs) into
 /// a FnSpec. Returns nullptr if the annotation list carries no spec.
-static std::shared_ptr<FnSpec>
+static std::unique_ptr<FnSpec>
 parseFnSpec(const std::string &Name, const std::vector<front::RcAnnot> &As,
             size_t NumCArgs, const TypeEnv &Env, rcc::DiagnosticEngine &Diags,
             unsigned *PureLines) {
@@ -264,7 +288,7 @@ parseFnSpec(const std::string &Name, const std::vector<front::RcAnnot> &As,
   if (!Any)
     return nullptr;
 
-  auto S = std::make_shared<FnSpec>();
+  auto S = std::make_unique<FnSpec>();
   S->Name = Name;
   SpecScope Scope;
 
@@ -376,13 +400,13 @@ bool Checker::buildFnSpecs() {
     if (!S && Diags.hasErrors())
       return false;
     if (S)
-      Env.FnTypeSpecs[TD.Name] = S;
+      Env.FnTypeSpecs[TD.Name] = std::move(S);
   }
 
   // Then every function's spec into its own slot: they only read the
   // environment built so far, so large units parse them on a pool.
   struct SpecSlot {
-    std::shared_ptr<FnSpec> Spec;
+    std::unique_ptr<FnSpec> Spec;
     unsigned PureLines = 0;
     rcc::DiagnosticEngine Diags;
   };
@@ -391,6 +415,7 @@ bool Checker::buildFnSpecs() {
     Fns.push_back(&Entry);
   std::vector<SpecSlot> Slots(Fns.size());
   front::forEachFunction(Fns.size(), /*Phase=*/2, [&](size_t I) {
+    NodeArenaSet::Lease Lease(Arenas);
     const auto &[Name, FI] = *Fns[I];
     Slots[I].Spec = parseFnSpec(Name, FI.Annots, FI.Params.size(), Env,
                                 Slots[I].Diags, &Slots[I].PureLines);
@@ -426,6 +451,9 @@ bool Checker::buildGlobals() {
 }
 
 bool Checker::buildEnv() {
+  // The serial parts fill one of the session's arenas; the pooled spec
+  // phase leases one per task.
+  NodeArenaSet::Lease Lease(Arenas);
   return buildNamedTypes() && buildFnSpecs() && buildGlobals();
 }
 
@@ -442,7 +470,7 @@ Checker::indexFunctions() const {
     while (SIt != Env.FnSpecs.end() && SIt->first < Name)
       ++SIt;
     if (SIt != Env.FnSpecs.end() && SIt->first == Name)
-      R.Spec = SIt->second;
+      R.Spec = SIt->second.get();
     while (BIt != AP.Prog.Functions.end() && BIt->first < Name)
       ++BIt;
     if (BIt != AP.Prog.Functions.end() && BIt->first == Name)
@@ -455,7 +483,7 @@ Checker::FnRefs Checker::resolve(const std::string &Name) const {
   FnRefs R;
   auto SIt = Env.FnSpecs.find(Name);
   if (SIt != Env.FnSpecs.end())
-    R.Spec = SIt->second;
+    R.Spec = SIt->second.get();
   auto FIt = AP.Fns.find(Name);
   if (FIt != AP.Fns.end())
     R.Info = &FIt->second;
@@ -489,7 +517,7 @@ Checker::parseLoopInv(const std::vector<front::RcAnnot> &As,
       for (const std::string &VS : A.Args) {
         SpecParser P(VS, Env, Scope, Diags, A.Loc);
         std::string Var;
-        TypeRef Ty;
+        TypeRef Ty = nullptr;
         if (!P.parseInvVarFull(Var, Ty))
           return std::nullopt;
         Inv.InvVars.push_back({Var, Ty});
@@ -565,7 +593,7 @@ FnResult Checker::verify(const std::string &Name, const FnRefs &Refs,
     Res.Error = "function '" + Name + "' has no RefinedC specification";
     return Res;
   }
-  const std::shared_ptr<FnSpec> &Spec = Refs.Spec;
+  const FnSpec *Spec = Refs.Spec;
   if (Spec->TrustMe) {
     // Assumed specification (possibly a body-less prototype): nothing to
     // check; callers may use the spec.
@@ -608,13 +636,13 @@ FnResult Checker::verify(const std::string &Name, const FnRefs &Refs,
   // is not safe to share between concurrent jobs).
   rcc::DiagnosticEngine JobDiags;
 
-  // Per-job goal pool: every Goal/Judgment node built while verifying this
-  // function comes from these slabs and is released wholesale on return.
-  // Declared before the engines and the verify context so it outlives every
-  // GoalRef built below (nothing goal-shaped escapes into Res, which holds
-  // only stats, diagnostics and the derivation's rule names and terms).
-  lithium::GoalPool Pool;
-  lithium::GoalPoolScope PoolScope(Pool);
+  // The job's arena: every goal, judgment and type built while verifying
+  // this function lives in it and is destroyed on return. Declared before
+  // the engines and the verify context, which refer to its nodes; nothing
+  // of it escapes into Res, which holds only stats, diagnostics and the
+  // derivation's rule names and terms.
+  NodeArena JobArena;
+  NodeArenaScope ArenaScope(JobArena);
 
   VerifyCtx C;
   C.AP = &AP;
@@ -875,7 +903,7 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
     // surfaced as stored.
     const size_t TI =
         T < RunStoreStats::kMaxTiers ? T : RunStoreStats::kMaxTiers - 1;
-    const FnSpec *Spec = Refs.Spec.get();
+    const FnSpec *Spec = Refs.Spec;
     // An assumed result is only ever computed for a spec that carries
     // rc::trust_me. The entry's own Trusted flag proves nothing: an entry
     // that claims it for any other function is dropped and the function

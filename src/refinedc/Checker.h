@@ -22,6 +22,7 @@
 #include "refinedc/Result.h"
 #include "refinedc/SpecParser.h"
 #include "store/ResultStore.h"
+#include "support/Arena.h"
 
 #include <atomic>
 #include <memory>
@@ -44,7 +45,7 @@ struct VerifyCtx : lithium::VerifyCtxBase {
   const TypeEnv *Env = nullptr;
   const caesium::Function *Fn = nullptr;
   const front::FnInfo *FI = nullptr;
-  std::shared_ptr<const FnSpec> Spec;
+  const FnSpec *Spec = nullptr;
   std::vector<LoopInv> LoopInvs; ///< indexed by Block::AnnotId
 
   /// Pure facts available at every cut point (requires + argument-type
@@ -90,12 +91,6 @@ struct VerifyCtx : lithium::VerifyCtxBase {
 class Checker {
 public:
   Checker(const front::AnnotatedProgram &AP, rcc::DiagnosticEngine &Diags);
-
-  /// Recursive named types form intentional shared_ptr cycles
-  /// (NamedTypeDef::Body mentions the definition). The destructor breaks
-  /// them so the whole type graph is reclaimed; unfolding named types is
-  /// therefore only valid while the owning Checker is alive.
-  ~Checker();
 
   /// Builds the type environment from annotations. False on spec errors.
   bool buildEnv();
@@ -172,7 +167,7 @@ public:
 private:
   /// What a function name resolves to in this session.
   struct FnRefs {
-    std::shared_ptr<FnSpec> Spec;         ///< null without a spec
+    const FnSpec *Spec = nullptr;         ///< null without a spec
     const front::FnInfo *Info = nullptr;  ///< null for an unknown name
     const caesium::Function *Fn = nullptr; ///< null without a body
   };
@@ -222,6 +217,10 @@ private:
 
   const front::AnnotatedProgram &AP;
   rcc::DiagnosticEngine &Diags;
+  /// The session's arenas: every type buildEnv builds (specs, named-type
+  /// bodies, globals) lives here until the session dies. Env and the jobs
+  /// refer to these types; a job's own nodes live in its job arena.
+  NodeArenaSet Arenas;
   TypeEnv Env;
   /// The rules this session dispatches through: the shared standard
   /// library, or OwnRules once the session changed its rules.

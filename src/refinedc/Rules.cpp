@@ -88,8 +88,7 @@ GoalRef blockGoal(const caesium::Function *Fn, unsigned Block) {
   return gJudg(std::move(J));
 }
 
-GoalRef exprGoal(const caesium::Expr *E,
-                 std::function<GoalRef(TermRef, TypeRef)> K) {
+GoalRef exprGoal(const caesium::Expr *E, lithium::ValueCont K) {
   Judgment J;
   J.K = JudgKind::Expr;
   J.E = E;
@@ -113,7 +112,7 @@ GoalRef subsumeV(TermRef V, TypeRef T1, TypeRef T2, GoalRef K,
 /// Builds the return goal: ∃ys. (v ◁ ret) ∗ ensures ∗ True. Implemented as
 /// a free recursive function (not a self-capturing closure) so the goal
 /// tree holds no reference cycles.
-GoalRef retGoalWrap(std::shared_ptr<const FnSpec> Spec, size_t I,
+GoalRef retGoalWrap(const FnSpec *Spec, size_t I,
                     std::map<std::string, TermRef> Subst, TermRef V,
                     TypeRef T, rcc::SourceLoc Loc) {
   if (I == Spec->RetExists.size()) {
@@ -194,7 +193,7 @@ bool addrOfValue(Engine &E, TermRef V, TypeRef T, TermRef &L,
 struct ArrayHit {
   size_t DeltaIdx = 0;
   TermRef Index = nullptr;
-  TypeRef ArrTy;
+  TypeRef ArrTy = nullptr;
 };
 
 bool findArrayElem(Engine &E, TermRef L, uint64_t AccessSize, ArrayHit &Out) {
@@ -405,9 +404,9 @@ void registerStmtRules(std::vector<Rule> &R) {
 
 /// Evaluates call arguments left to right, then emits the Call judgment.
 GoalRef callArgChain(
-    const caesium::Expr *XP, std::function<GoalRef(TermRef, TypeRef)> K,
+    const caesium::Expr *XP, lithium::ValueCont K,
     TermRef VF, TypeRef TF,
-    std::shared_ptr<std::vector<std::pair<TermRef, TypeRef>>> Collect,
+    std::vector<std::pair<TermRef, TypeRef>> *Collect,
     size_t I) {
   if (I + 1 >= XP->Args.size()) {
     Judgment CJ;
@@ -465,7 +464,7 @@ void registerExprRules(std::vector<Rule> &R) {
              auto It = C.Env->FnSpecs.find(X.Name);
              if (It != C.Env->FnSpecs.end()) {
                TermRef L = mkVar("fn:" + X.Name, Sort::Loc);
-               return K(L, tyFnPtr(It->second));
+               return K(L, tyFnPtr(It->second.get()));
              }
              TermRef L = mkVar("&g:" + X.Name, Sort::Loc);
              return K(L, tyPlace(L));
@@ -641,7 +640,9 @@ void registerExprRules(std::vector<Rule> &R) {
              // the free callArgChain, avoiding self-capturing closures).
              return exprGoal(X.Args[0].get(),
                              [XP, K](TermRef VF, TypeRef TF) -> GoalRef {
-                               auto Collect = std::make_shared<std::vector<
+                               // The job's arena owns the argument list
+                               // the chain's continuations fill.
+                               auto *Collect = newNode<std::vector<
                                    std::pair<TermRef, TypeRef>>>();
                                return callArgChain(XP, K, VF, TF, Collect,
                                                    0);

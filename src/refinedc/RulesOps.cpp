@@ -626,20 +626,17 @@ static void registerUnOpRules(std::vector<Rule> &R) {
 /// assumes the ensures clause and continues with the returned value. A free
 /// recursive function so the goal tree carries no closure cycles.
 static GoalRef callSpecChain(
-    Engine *EP, std::shared_ptr<const FnSpec> S,
-    std::shared_ptr<std::map<std::string, TermRef>> Subst,
-    std::shared_ptr<std::vector<std::pair<TermRef, TypeRef>>> Args,
-    rcc::SourceLoc Loc, std::function<GoalRef(TermRef, TypeRef)> KVal,
-    size_t I) {
-  Engine &E = *EP;
-  if (I == Args->size()) {
-    ResList Pre = substResMap(S->Requires, *Subst);
+    Engine &E, const FnSpec &S, const std::map<std::string, TermRef> &Subst,
+    const std::vector<std::pair<TermRef, TypeRef>> &Args, rcc::SourceLoc Loc,
+    lithium::ValueCont KVal, size_t I) {
+  if (I == Args.size()) {
+    ResList Pre = substResMap(S.Requires, Subst);
     // Postcondition: existentials become fresh universals for the caller.
-    auto Subst2 = std::make_shared<std::map<std::string, TermRef>>(*Subst);
-    for (const auto &[N, Srt] : S->RetExists)
-      (*Subst2)[N] = E.freshUniversal(N, Srt);
-    ResList Post = substResMap(S->Ensures, *Subst2);
-    TypeRef Ret = S->Ret ? substTypeMap(S->Ret, *Subst2) : tyAny(mkNat(0));
+    std::map<std::string, TermRef> Subst2 = Subst;
+    for (const auto &[N, Srt] : S.RetExists)
+      Subst2[N] = E.freshUniversal(N, Srt);
+    ResList Post = substResMap(S.Ensures, Subst2);
+    TypeRef Ret = S.Ret ? substTypeMap(S.Ret, Subst2) : tyAny(mkNat(0));
     // The returned value: the refinement when the return type pins it
     // down, otherwise a fresh symbol.
     TermRef V;
@@ -655,10 +652,9 @@ static GoalRef callSpecChain(
       Ret = withRefn(RP, V);
     return gStar(Pre, gWand(Post, KVal(V, Ret)));
   }
-  TypeRef Want = substTypeMap(S->Args[I], *Subst);
-  return mkSubsumeV(
-      (*Args)[I].first, (*Args)[I].second, Want,
-      callSpecChain(EP, S, Subst, Args, Loc, KVal, I + 1), Loc);
+  TypeRef Want = substTypeMap(S.Args[I], Subst);
+  return mkSubsumeV(Args[I].first, Args[I].second, Want,
+                    callSpecChain(E, S, Subst, Args, Loc, KVal, I + 1), Loc);
 }
 
 static void registerCallRules(std::vector<Rule> &R) {
@@ -668,7 +664,7 @@ static void registerCallRules(std::vector<Rule> &R) {
          },
          [](Engine &E, const Judgment &J) -> GoalRef {
            TypeRef TF = stripC(E, J.T1);
-           std::shared_ptr<const FnSpec> S = TF->Spec;
+           const FnSpec *S = TF->Spec;
            if (J.Args.size() != S->Args.size()) {
              E.fail("call to '" + S->Name + "' with " +
                         std::to_string(J.Args.size()) + " arguments, spec "
@@ -679,12 +675,10 @@ static void registerCallRules(std::vector<Rule> &R) {
            }
            // Universally quantified spec parameters become sealed evars
            // (instantiated while checking the arguments, Section 5).
-           auto Subst = std::make_shared<std::map<std::string, TermRef>>();
+           std::map<std::string, TermRef> Subst;
            for (const auto &[N, Srt] : S->Params)
-             (*Subst)[N] = E.freshEvar(N, Srt);
-           auto Args = std::make_shared<
-               std::vector<std::pair<TermRef, TypeRef>>>(J.Args);
-           return callSpecChain(&E, S, Subst, Args, J.Loc, J.KVal, 0);
+             Subst[N] = E.freshEvar(N, Srt);
+           return callSpecChain(E, *S, Subst, J.Args, J.Loc, J.KVal, 0);
          },
          RuleKey::onTy({TypeKind::FnPtr})});
 }

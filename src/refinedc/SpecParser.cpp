@@ -801,7 +801,7 @@ TypeRef SpecParser::typeCore() {
             SpecName + "' is not one");
       return tyNull();
     }
-    return tyFnPtr(It->second);
+    return tyFnPtr(It->second.get());
   }
   // Named user types.
   const std::string Name(Id);

@@ -25,6 +25,7 @@
 #include "support/Diagnostics.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,18 +35,19 @@ namespace rcc::refinedc {
 
 /// The specification-level environment: named types, function specs, the
 /// specs of function-type typedefs, and struct layouts (for sizeof and
-/// array element sizes).
+/// array element sizes). It owns its definitions and specs; types point to
+/// them by plain pointer.
 struct TypeEnv {
-  std::map<std::string, std::shared_ptr<NamedTypeDef>> Named;
-  std::map<std::string, std::shared_ptr<FnSpec>> FnSpecs;
+  std::map<std::string, std::unique_ptr<NamedTypeDef>> Named;
+  std::map<std::string, std::unique_ptr<FnSpec>> FnSpecs;
   /// What `fn<NAME>` resolves against: specs on function-type typedefs
   /// only, so no function's spec depends on another function's.
-  std::map<std::string, std::shared_ptr<FnSpec>> FnTypeSpecs;
+  std::map<std::string, std::unique_ptr<FnSpec>> FnTypeSpecs;
   std::map<std::string, const caesium::StructLayout *> Layouts;
 
-  std::shared_ptr<NamedTypeDef> named(const std::string &N) const {
+  const NamedTypeDef *named(const std::string &N) const {
     auto It = Named.find(N);
-    return It == Named.end() ? nullptr : It->second;
+    return It == Named.end() ? nullptr : It->second.get();
   }
 };
 
@@ -84,7 +86,7 @@ public:
   bool parseInvVarFull(std::string &Var, TypeRef &Ty);
 
   /// The `...` placeholder target used inside rc::ptr_type bodies.
-  TypeRef SelfStructType;
+  TypeRef SelfStructType = nullptr;
 
   bool hadError() const { return HadError; }
 

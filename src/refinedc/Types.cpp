@@ -7,11 +7,13 @@
 #include "refinedc/Types.h"
 
 #include "pure/EvarEnv.h"
+#include "support/Arena.h"
 
 #include <sstream>
 
 using namespace rcc::refinedc;
 using namespace rcc::pure;
+using rcc::newNode;
 
 const char *rcc::refinedc::typeKindName(TypeKind K) {
   switch (K) {
@@ -136,8 +138,8 @@ std::string RType::str() const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-std::shared_ptr<RType> mk(TypeKind K) {
-  auto T = std::make_shared<RType>();
+RType *mk(TypeKind K) {
+  RType *T = newNode<RType>();
   T->K = K;
   return T;
 }
@@ -167,8 +169,13 @@ TypeRef rcc::refinedc::tyUninit(TermRef Size) {
   return T;
 }
 TypeRef rcc::refinedc::tyNull() {
-  static TypeRef T = mk(TypeKind::Null);
-  return T;
+  // A static node: it outlives every arena.
+  static const RType T = [] {
+    RType N;
+    N.K = TypeKind::Null;
+    return N;
+  }();
+  return &T;
 }
 TypeRef rcc::refinedc::tyOptional(TermRef Phi, TypeRef T1, TypeRef T2) {
   auto T = mk(TypeKind::Optional);
@@ -211,10 +218,9 @@ TypeRef rcc::refinedc::tyPadded(TypeRef Inner, TermRef Size) {
   T->Children.push_back(std::move(Inner));
   return T;
 }
-TypeRef rcc::refinedc::tyNamed(std::shared_ptr<const NamedTypeDef> Def,
-                               TermRef Refn) {
+TypeRef rcc::refinedc::tyNamed(const NamedTypeDef *Def, TermRef Refn) {
   auto T = mk(TypeKind::Named);
-  T->Def = std::move(Def);
+  T->Def = Def;
   T->Refn = Refn;
   return T;
 }
@@ -248,9 +254,9 @@ TypeRef rcc::refinedc::tyAtomicBool(caesium::IntType Ity, TermRef Refn,
   T->HFalse = std::move(HFalse);
   return T;
 }
-TypeRef rcc::refinedc::tyFnPtr(std::shared_ptr<const FnSpec> Spec) {
+TypeRef rcc::refinedc::tyFnPtr(const FnSpec *Spec) {
   auto T = mk(TypeKind::FnPtr);
-  T->Spec = std::move(Spec);
+  T->Spec = Spec;
   return T;
 }
 TypeRef rcc::refinedc::tyAny(TermRef Size) {
@@ -260,7 +266,7 @@ TypeRef rcc::refinedc::tyAny(TermRef Size) {
 }
 
 TypeRef rcc::refinedc::withRefn(TypeRef T, TermRef Refn) {
-  auto N = std::make_shared<RType>(*T);
+  RType *N = newNode<RType>(*T);
   N->Refn = Refn;
   return N;
 }
@@ -276,10 +282,10 @@ namespace {
 /// case during search, is returned as is without allocating.
 template <typename TermFn, typename TypeFn>
 TypeRef mapTypeNode(TypeRef T, TermFn &&F, TypeFn &&G) {
-  std::shared_ptr<RType> N;
+  RType *N = nullptr;
   auto Mut = [&]() -> RType & {
     if (!N)
-      N = std::make_shared<RType>(*T);
+      N = newNode<RType>(*T);
     return *N;
   };
   auto Slot = [&](TermRef RType::*P) {
@@ -314,7 +320,7 @@ TypeRef mapTypeNode(TypeRef T, TermFn &&F, TypeFn &&G) {
   };
   Res(&RType::HTrue);
   Res(&RType::HFalse);
-  return N ? TypeRef(std::move(N)) : T;
+  return N ? N : T;
 }
 
 /// True if \p Name occurs free in any term position of \p T (respecting the
@@ -364,7 +370,7 @@ TypeRef rcc::refinedc::substTypeVar(TypeRef T, const std::string &Name,
              typeMentionsFreeVar(T->Children[0], Fresh))
         Fresh += "^";
       TermRef FreshVar = mkVar(Fresh, T->BinderSort);
-      auto N = std::make_shared<RType>(*T);
+      RType *N = newNode<RType>(*T);
       N->Binder = Fresh;
       N->Children[0] =
           substTypeVar(substTypeVar(T->Children[0], T->Binder, FreshVar),
@@ -374,8 +380,8 @@ TypeRef rcc::refinedc::substTypeVar(TypeRef T, const std::string &Name,
     TypeRef Body = substTypeVar(T->Children[0], Name, Repl);
     if (Body == T->Children[0])
       return T;
-    auto N = std::make_shared<RType>(*T);
-    N->Children[0] = std::move(Body);
+    RType *N = newNode<RType>(*T);
+    N->Children[0] = Body;
     return N;
   }
   if (T->K == TypeKind::Array && T->ElemBinder == Name) {
@@ -384,7 +390,7 @@ TypeRef rcc::refinedc::substTypeVar(TypeRef T, const std::string &Name,
     TermRef Refn = T->Refn ? substVar(T->Refn, Name, Repl) : nullptr;
     if (Refn == T->Refn)
       return T;
-    auto N = std::make_shared<RType>(*T);
+    RType *N = newNode<RType>(*T);
     N->Refn = Refn;
     return N;
   }

@@ -27,7 +27,12 @@
 ///   fn(spec)              function pointer with a RefinedC function type
 ///   any(n)                n bytes of unknown (but initialized) data
 ///
-/// Types are immutable shared structures; refinements are pure terms.
+/// Types are immutable nodes, referred to by plain `const` pointer and
+/// owned by the arena that built them (support/Arena.h): a session's arenas
+/// hold the types of its environment, a job's arena the types built while
+/// one function is verified, and `tyNull()` is a static node. A type points
+/// to its NamedTypeDef or FnSpec by plain pointer; the TypeEnv owns those.
+/// Refinements are pure terms.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +44,6 @@
 #include "pure/Term.h"
 #include "support/SourceLoc.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,7 +76,7 @@ enum class TypeKind : uint8_t {
 const char *typeKindName(TypeKind K);
 
 class RType;
-using TypeRef = std::shared_ptr<const RType>;
+using TypeRef = const RType *;
 struct FnSpec;
 struct NamedTypeDef;
 
@@ -83,7 +87,7 @@ struct NamedTypeDef;
 struct ResAtom {
   enum AKind : uint8_t { LocType, ValType, Pure } K = Pure;
   TermRef Subject = nullptr; ///< location or value term
-  TypeRef Ty;                ///< for LocType/ValType
+  TypeRef Ty = nullptr;      ///< for LocType/ValType
   TermRef Prop = nullptr;    ///< for Pure
 
   static ResAtom loc(TermRef L, TypeRef T) { return {LocType, L, T, nullptr}; }
@@ -108,8 +112,8 @@ public:
   std::string Binder;            ///< Exists: bound variable name
   Sort BinderSort = Sort::Nat;   ///< Exists
   const caesium::StructLayout *Layout = nullptr; ///< Struct
-  std::shared_ptr<const NamedTypeDef> Def;       ///< Named
-  std::shared_ptr<const FnSpec> Spec;            ///< FnPtr
+  const NamedTypeDef *Def = nullptr;             ///< Named
+  const FnSpec *Spec = nullptr;                  ///< FnPtr
   ResList HTrue, HFalse;                         ///< AtomicBool
   /// Array: element byte size and the binder used in the element pattern.
   uint64_t ElemSize = 0;
@@ -129,7 +133,7 @@ struct FnSpec {
   std::vector<TypeRef> Args;
   ResList Requires;
   std::vector<std::pair<std::string, Sort>> RetExists;
-  TypeRef Ret;
+  TypeRef Ret = nullptr;
   ResList Ensures;
   std::vector<std::string> Tactics; ///< extra solvers (rc::tactics)
   bool TrustMe = false;             ///< assume, do not verify (rc::trust_me)
@@ -144,7 +148,7 @@ struct NamedTypeDef {
   std::string RefnVar;
   Sort RefnSort = Sort::Nat;
   bool IsPtrType = false; ///< rc::ptr_type: refines the pointer typedef
-  TypeRef Body;           ///< with Var(RefnVar) free
+  TypeRef Body = nullptr; ///< with Var(RefnVar) free
   const caesium::StructLayout *Layout = nullptr;
 };
 
@@ -164,14 +168,14 @@ TypeRef tyStruct(const caesium::StructLayout *Layout,
 TypeRef tyExists(const std::string &Binder, Sort S, TypeRef Body);
 TypeRef tyConstraint(TypeRef Inner, TermRef Phi);
 TypeRef tyPadded(TypeRef Inner, TermRef Size);
-TypeRef tyNamed(std::shared_ptr<const NamedTypeDef> Def, TermRef Refn);
+TypeRef tyNamed(const NamedTypeDef *Def, TermRef Refn);
 TypeRef tyValueOf(TermRef V, TermRef Size);
 TypeRef tyPlace(TermRef Loc);
 TypeRef tyArray(TypeRef ElemPattern, const std::string &ElemBinder,
                 uint64_t ElemSize, TermRef Xs);
 TypeRef tyAtomicBool(caesium::IntType Ity, TermRef Refn, ResList HTrue,
                      ResList HFalse);
-TypeRef tyFnPtr(std::shared_ptr<const FnSpec> Spec);
+TypeRef tyFnPtr(const FnSpec *Spec);
 TypeRef tyAny(TermRef Size);
 
 /// Sets/replaces the refinement of \p T.

@@ -23,6 +23,7 @@
 #include "pure/Term.h"
 #include "refinedc/Checker.h"
 #include "refinedc/FnHash.h"
+#include "support/Arena.h"
 #include "support/Util.h"
 
 #include <gtest/gtest.h>
@@ -754,6 +755,77 @@ TEST(LargeUnit, FrontEndErrorsKeepTheSerialParsersText) {
   };
   for (const auto &[What, Src] : errorUnits())
     EXPECT_EQ(frontErrors(Src), Expected.at(What)) << What;
+}
+
+TEST(LargeUnit, NoSearchNodeOutlivesItsOwner) {
+  // Every type, goal and judgment that compile, buildEnv and verify build
+  // belongs to the session's arenas or to its job's arena. A builder that
+  // ran with neither installed would put its node in the process-lifetime
+  // fallback arena, where it would outlive both.
+  struct TempRoot {
+    std::filesystem::path Path =
+        std::filesystem::temp_directory_path() /
+        ("rcc_arena_owner_" + std::to_string(::getpid()));
+    ~TempRoot() { std::filesystem::remove_all(Path); }
+  } Root;
+  std::vector<std::pair<std::string, std::string>> Units;
+  for (const casestudies::CaseStudy &CS : casestudies::allCaseStudies())
+    Units.push_back({CS.Id, CS.Source});
+  Units.push_back({"monorepo", fleet::monorepoSource(kLargeUnit, 7)});
+  const size_t Before = fallbackArenaNodes();
+  for (const auto &[Id, Src] : Units) {
+    // Cold, then warm through the L2 the cold run filled.
+    for (int Run = 0; Run < 2; ++Run) {
+      DiagnosticEngine Diags;
+      auto AP = front::compileSource(Src, Diags);
+      ASSERT_TRUE(AP != nullptr) << Id << Diags.render(Src);
+      Checker C(*AP, Diags);
+      ASSERT_TRUE(C.buildEnv()) << Id << Diags.render(Src);
+      VerifyOptions Opts;
+      Opts.Jobs = 4;
+      Opts.Recheck = true;
+      Opts.CacheDir = (Root.Path / Id).string();
+      ProgramResult PR = C.verifyAll(Opts);
+      ASSERT_FALSE(PR.Fns.empty()) << Id;
+      EXPECT_EQ(PR.L2Hits > 0, Run == 1) << Id;
+    }
+  }
+  EXPECT_EQ(fallbackArenaNodes(), Before);
+}
+
+TEST(LargeUnit, ConcurrentPooledSessionsAgree) {
+  // Two sessions, each on a different pooled unit, compile, build their
+  // environments and verify at 4 jobs at the same time, so their pools'
+  // threads interleave leases of both sessions' arenas and jobs of both
+  // sessions. Each must get exactly what it gets alone.
+  const std::string Srcs[2] = {fleet::monorepoSource(kLargeUnit, 7),
+                               fleet::monorepoSource(kLargeUnit + 1, 5)};
+  auto Run = [](const std::string &Src) {
+    DiagnosticEngine Diags;
+    auto AP = front::compileSource(Src, Diags);
+    if (!AP)
+      return "front end failed: " + Diags.render(Src);
+    Checker C(*AP, Diags);
+    if (!C.buildEnv())
+      return "spec environment failed: " + Diags.render(Src);
+    VerifyOptions Opts;
+    Opts.Jobs = 4;
+    Opts.Recheck = true;
+    ProgramResult PR = C.verifyAll(Opts);
+    return serialize(PR) + PR.toStableJson();
+  };
+  std::string Concurrent[2];
+  std::vector<std::thread> Threads;
+  for (int I = 0; I < 2; ++I)
+    Threads.emplace_back([&, I] { Concurrent[I] = Run(Srcs[I]); });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (int I = 0; I < 2; ++I) {
+    const std::string Alone = Run(Srcs[I]);
+    EXPECT_NE(Alone.find(fleet::monorepoFnName(kLargeUnit - 1)),
+              std::string::npos);
+    EXPECT_EQ(Concurrent[I], Alone) << "unit " << I;
+  }
 }
 
 TEST(ParallelVerify, ConcurrentMakeInternsEachTermOnce) {

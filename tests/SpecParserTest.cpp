@@ -34,13 +34,13 @@ struct SpecFixture : ::testing::Test {
     ChunkLayout.computeLayout();
     Env.Layouts["chunk"] = &ChunkLayout;
 
-    auto Def = std::make_shared<NamedTypeDef>();
+    auto Def = std::make_unique<NamedTypeDef>();
     Def->Name = "chunks_t";
     Def->RefnVar = "s";
     Def->RefnSort = Sort::MSet;
     Def->IsPtrType = true;
     Def->Layout = &ChunkLayout;
-    Env.Named["chunks_t"] = Def;
+    Env.Named["chunks_t"] = std::move(Def);
   }
 
   TypeRef parseType(const std::string &S) {
@@ -350,7 +350,7 @@ TEST_F(SpecFixture, PureAtom) {
 TEST_F(SpecFixture, InvVarEntry) {
   SpecParser P("cur: p @ &own<s @ chunks_t>", Env, Scope, Diags, {1, 1});
   std::string Var;
-  TypeRef Ty;
+  TypeRef Ty = nullptr;
   ASSERT_TRUE(P.parseInvVarFull(Var, Ty));
   EXPECT_EQ(Var, "cur");
   EXPECT_EQ(Ty->K, TypeKind::Own);

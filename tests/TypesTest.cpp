@@ -124,12 +124,12 @@ TEST(Types, LocOffsetCanonicalization) {
 }
 
 TEST(Types, UnfoldNamedSubstitutesRefinement) {
-  auto Def = std::make_shared<NamedTypeDef>();
+  auto Def = std::make_unique<NamedTypeDef>();
   Def->Name = "boxed";
   Def->RefnVar = "v";
   Def->RefnSort = Sort::Nat;
   Def->Body = tyOwn(tyInt(caesium::intU64(), mkVar("v", Sort::Nat)));
-  TypeRef T = tyNamed(Def, mkNat(5));
+  TypeRef T = tyNamed(Def.get(), mkNat(5));
   TypeRef U = unfoldNamed(*T);
   ASSERT_EQ(U->K, TypeKind::Own);
   EXPECT_EQ(U->Children[0]->Refn, mkNat(5));

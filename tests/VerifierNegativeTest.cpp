@@ -377,6 +377,44 @@ TEST(Negative, AnnotationsWithoutTheirArgumentAreSpecErrors) {
       "error: 1:18: rc::ptr_type expects 'name: type'\n");
 }
 
+namespace {
+/// A struct refined by `a: nat` whose rc::ptr_type names \p PtrName.
+std::string ptrTypeStruct(const std::string &Tag, const std::string &PtrName) {
+  return "typedef struct\n"
+         "[[rc::refined_by(\"a: nat\")]]\n"
+         "[[rc::ptr_type(\"" +
+         PtrName +
+         ": {0 < a} @ optional<&own<...>, null>\")]]\n" + Tag +
+         " {\n"
+         "  [[rc::field(\"a @ int<size_t>\")]] size_t w;\n"
+         "}* " +
+         Tag + "_t;\n";
+}
+} // namespace
+
+TEST(Negative, RedefinedNamedTypeIsAnError) {
+  // A struct defines the RefinedC type named by its rc::ptr_type, or else
+  // by its tag. A name defined twice used to go to whichever struct's tag
+  // sorts last: `a @ cell` named struct cell next to a struct tagged
+  // anode, and the optional pointer type next to one tagged node. The
+  // second definition in the source is now the error.
+  const std::string Cell = "struct [[rc::refined_by(\"a: nat\")]] cell {\n"
+                           "  [[rc::field(\"a @ int<size_t>\")]] size_t v;\n"
+                           "};\n";
+  for (const char *Tag : {"anode", "node"})
+    EXPECT_EQ(specErrors(Cell + ptrTypeStruct(Tag, "cell")),
+              "error: 6:3: redefinition of RefinedC type 'cell'\n"
+              "note: 1:1: previous definition of RefinedC type 'cell' is "
+              "here\n")
+        << Tag;
+  // Two rc::ptr_types of one name; the second in the source sorts first.
+  EXPECT_EQ(specErrors(ptrTypeStruct("bnode", "list_t") +
+                       ptrTypeStruct("anode", "list_t")),
+            "error: 9:3: redefinition of RefinedC type 'list_t'\n"
+            "note: 3:3: previous definition of RefinedC type 'list_t' is "
+            "here\n");
+}
+
 TEST(Negative, PrototypeAfterTheDefinitionKeepsItChecked) {
   // The trailing prototype used to replace inc's metadata, so verifyAll
   // skipped the wrong body and the run passed.
