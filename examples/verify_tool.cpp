@@ -17,16 +17,14 @@
 ///   --cache-dir=D  persist verification results under D and reuse them on
 ///                  later runs (entries are replayed through the proof
 ///                  checker before being trusted; see DESIGN.md)
-///   --shared-dir=D probe/publish the shared L3 artifact store under D (the
-///                  fleet's proof store; hits are replayed before trust
-///                  exactly like L2 hits)
 ///   --no-cache     bypass the result store entirely
 ///   --format=F     `json` prints the ProgramResult as JSON instead of text
 ///                  (with --run, the JSON carries a `run` object with the
 ///                  execution status, return value, and failure message);
-///                  `stable-json` prints only the schedule/topology-
-///                  independent subset, byte-identical across --jobs values
-///                  and fleet topologies; `text` is the default
+///                  `stable-json` prints only the schedule-independent
+///                  subset, byte-identical across --jobs values and
+///                  between cold and warm --cache-dir runs; `text` is the
+///                  default
 ///   --run[=fn]     additionally execute `fn` (default main) afterwards
 ///   --connect=SOCK thin-client mode: instead of verifying in-process,
 ///                  ask a running `verifyd` on the Unix socket SOCK for a
@@ -55,7 +53,7 @@
 
 #include "caesium/Interp.h"
 #include "daemon/Event.h"
-#include "fleet/Protocol.h"
+#include "daemon/Protocol.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
 #include "support/Options.h"
@@ -90,12 +88,12 @@ static int runClient(const std::string &Sock) {
     return 2;
   }
   net::LineConn Conn(Fd);
-  fleet::Hello H;
+  daemon::Hello H;
   H.Role = "client";
   H.Name = "verify_tool";
   Conn.sendLine(H.toLine());
-  Conn.sendLine(fleet::Request{StatusId, "status"}.toLine());
-  Conn.sendLine(fleet::Request{CheckId, "check"}.toLine());
+  Conn.sendLine(daemon::Request{StatusId, "status"}.toLine());
+  Conn.sendLine(daemon::Request{CheckId, "check"}.toLine());
 
   size_t Docs = 0, Done = 0;
   bool AllOk = true;
@@ -104,8 +102,8 @@ static int runClient(const std::string &Sock) {
     daemon::Event E;
     uint64_t Id = 0;
     if (!daemon::Event::fromJsonLine(Line, E, &Id)) {
-      fleet::Msg M;
-      if (fleet::parseMsg(Line, M) && M.Kind == fleet::MsgKind::Error) {
+      daemon::Msg M;
+      if (daemon::parseMsg(Line, M) && M.Kind == daemon::MsgKind::Error) {
         fprintf(stderr, "error: verifyd: %s\n", M.E.Message.c_str());
         return 2;
       }
@@ -126,7 +124,7 @@ static int runClient(const std::string &Sock) {
     if (!E.AllVerified) // an error event never reports all_verified
       AllOk = false;
     if (++Done == Docs) {
-      Conn.sendLine(fleet::Bye{}.toLine());
+      Conn.sendLine(daemon::Bye{}.toLine());
       return AllOk ? 0 : 1;
     }
   }
@@ -142,7 +140,6 @@ int main(int argc, char **argv) {
   std::string RunFn;
   std::string TraceFile;
   std::string CacheDir;
-  std::string SharedDir;
   std::string ConnectSock;
   std::string Format = "text";
   bool NoCache = false;
@@ -155,7 +152,6 @@ int main(int argc, char **argv) {
             "skip the independent derivation replay")
       .unsignedOpt("jobs", Jobs, "concurrent verification jobs (0 = cores)")
       .strOpt("cache-dir", CacheDir, "persistent result store directory")
-      .strOpt("shared-dir", SharedDir, "shared L3 artifact store directory")
       .flag("no-cache", NoCache, true, "bypass the result store")
       .strOpt("connect", ConnectSock, "thin-client mode: verifyd socket")
       .custom("format",
@@ -240,7 +236,6 @@ int main(int argc, char **argv) {
   Opts.Recheck = Recheck;
   Opts.Jobs = Jobs;
   Opts.CacheDir = CacheDir;
-  Opts.SharedDir = SharedDir;
   Opts.NoCache = NoCache;
   Opts.Trace = TS.get();
   Opts.Profile = Profile;

@@ -13,10 +13,10 @@
 /// changed. Several files form a workspace sharing the same tiers: a save
 /// re-verifies only the changed functions of the saved file.
 ///
-/// Both transports speak protocol v2 (src/fleet/Protocol.h; DESIGN.md,
-/// "Verification daemon"): a peer sends `hello`, is answered by
-/// `hello_ack`, then sends `{"rcc": "req", "id": N, "method": M}` lines
-/// (M = `check`, `status`, `shutdown`) and may leave with `bye`. Events
+/// Both transports speak protocol v2 (src/daemon/Protocol.h; DESIGN.md,
+/// "Protocol v2"): a peer sends `hello`, is answered by `hello_ack`, then
+/// sends `{"rcc": "req", "id": N, "method": M}` lines (M = `check`,
+/// `status`, `shutdown`) and may leave with `bye`. Events
 /// are JSON lines behind a `{"v": 2, "id": N, ...}` envelope, where N is
 /// the id of the request they answer on the requester's copy and 0
 /// everywhere else. Flags:
@@ -39,37 +39,11 @@
 ///                      clean shutdown (revision spans, daemon.* counters)
 ///   --version          print the version and exit
 ///
-/// Fleet modes (DESIGN.md, "Fleet & protocol v2"):
-///
-///   --serve=SOCK       run as fleet *coordinator*: decompose the file into
-///                      function jobs, serve them to workers over SOCK with
-///                      work-stealing pull semantics, then assemble the
-///                      final result through the shared store (replaying
-///                      every L3 derivation before trusting it). Exits like
-///                      verify_tool: 0 iff everything verified.
-///   --worker           run as fleet *worker*: connect to --connect=SOCK,
-///                      pull jobs, verify them against --shared-dir, stream
-///                      results and trace spans back. Exit 0 on clean drain.
-///   --connect=SOCK     (worker) the coordinator socket
-///   --shared-dir=DIR   the shared L3 artifact store directory
-///   --window=N         (coordinator) max jobs in flight per worker batch
-///   --fleet-wait-ms=N  (coordinator) serving budget before assembling
-///                      locally without the missing workers
-///   --capacity=N       (worker) jobs requested per pull
-///   --name=S           (worker) display name in handshakes and span flushes
-///   --format=stable-json  (coordinator) print the schedule/topology-
-///                      independent result JSON (byte-comparable against
-///                      `verify_tool --format=stable-json` on the same file)
-///   --deterministic-trace  (coordinator) zero wall times in the assembled
-///                      result
-///
 /// Exit code 0 iff the last processed revision fully verified.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
-#include "fleet/Coordinator.h"
-#include "fleet/Worker.h"
 #include "support/Options.h"
 #include "support/Util.h"
 #include "trace/Export.h"
@@ -90,13 +64,6 @@ int main(int argc, char **argv) {
   bool Once = false;
   bool Stdio = false;
 
-  // Fleet-mode state.
-  bool Worker = false;
-  std::string ServeSock, ConnectSock, SharedDir, Name;
-  std::string Format = "text";
-  unsigned Window = 4, FleetWaitMs = 60000, Capacity = 2, SleepMsPerJob = 0;
-  bool DetTrace = false;
-
   opts::OptionParser P("verifyd", "<file.c> [file2.c ...]");
   P.flag("stdio", Stdio, true, "serve the protocol on stdin/stdout")
       .strOpt("socket", SockPath, "serve on a Unix domain socket")
@@ -108,28 +75,6 @@ int main(int argc, char **argv) {
             "skip the independent derivation replay")
       .unsignedOpt("poll-ms", O.PollMs, "watch poll interval", 1, 60000)
       .strOpt("trace", TraceFile, "write a Chrome trace on clean shutdown")
-      .strOpt("serve", ServeSock, "fleet coordinator on this socket")
-      .flag("worker", Worker, true, "fleet worker mode")
-      .strOpt("connect", ConnectSock, "(worker) coordinator socket")
-      .strOpt("shared-dir", SharedDir, "shared L3 artifact store directory")
-      .unsignedOpt("window", Window, "(coordinator) jobs in flight per batch",
-                   1, 1024)
-      .unsignedOpt("fleet-wait-ms", FleetWaitMs,
-                   "(coordinator) serving budget in ms")
-      .unsignedOpt("capacity", Capacity, "(worker) jobs per pull", 1, 1024)
-      .strOpt("name", Name, "(worker) display name")
-      .unsignedOpt("sleep-ms-per-job", SleepMsPerJob,
-                   "(worker) test hook: delay before each job")
-      .custom("format",
-              [&Format](const std::string &V) {
-                if (V != "json" && V != "stable-json" && V != "text")
-                  return false;
-                Format = V;
-                return true;
-              },
-              "(coordinator) output format: text | json | stable-json")
-      .flag("deterministic-trace", DetTrace, true,
-            "(coordinator) zero wall times in the assembled result")
       .version();
 
   std::vector<std::string> Pos;
@@ -150,69 +95,6 @@ int main(int argc, char **argv) {
     O.Path = Pos.front();
     O.Paths.assign(Pos.begin() + 1, Pos.end());
   }
-
-  // --- Fleet worker: no workspace of its own; everything comes from the
-  // coordinator's hello_ack.
-  if (Worker) {
-    if (ConnectSock.empty()) {
-      fprintf(stderr, "error: --worker requires --connect=SOCK\n");
-      return 2;
-    }
-    fleet::WorkerOptions WO;
-    WO.Connect = ConnectSock;
-    WO.Name = Name.empty() ? "worker" : Name;
-    WO.Capacity = Capacity;
-    WO.Jobs = O.Jobs;
-    WO.SleepMsPerJob = SleepMsPerJob;
-    return fleet::runWorker(WO);
-  }
-
-  // --- Fleet coordinator: one verification round over the fleet, then
-  // exit with verify_tool semantics.
-  if (!ServeSock.empty()) {
-    if (O.Path.empty()) {
-      fprintf(stderr, "%s\n", P.usage().c_str());
-      return 2;
-    }
-    std::unique_ptr<trace::TraceSession> TS;
-    if (!TraceFile.empty())
-      TS = std::make_unique<trace::TraceSession>();
-    fleet::FleetOptions FO;
-    FO.SockPath = ServeSock;
-    FO.File = O.Path;
-    FO.SharedDir = SharedDir;
-    FO.Jobs = O.Jobs;
-    FO.Recheck = O.Recheck;
-    FO.Window = Window;
-    FO.WaitMs = FleetWaitMs;
-    FO.DeterministicTrace = DetTrace;
-    FO.Trace = TS.get();
-    fleet::Coordinator C(FO);
-    refinedc::ProgramResult PR;
-    std::string Err;
-    if (!C.run(PR, &Err)) {
-      fprintf(stderr, "verifyd: %s\n", Err.c_str());
-      return 2;
-    }
-    if (Format == "stable-json")
-      printf("%s", PR.toStableJson().c_str());
-    else if (Format == "json")
-      printf("%s", PR.toJson().c_str());
-    else {
-      const fleet::FleetStats &S = C.stats();
-      printf("[fleet] %zu functions, %u workers, %u jobs from workers, "
-             "%u requeued, %u stolen, all_verified=%s\n",
-             PR.Fns.size(), S.WorkersSeen, S.JobsCompleted, S.Requeued,
-             S.Stolen, PR.allVerified() ? "true" : "false");
-    }
-    if (TS && !TraceFile.empty()) {
-      std::string TErr;
-      if (!trace::writeChromeTrace(*TS, TraceFile, &TErr))
-        fprintf(stderr, "verifyd: %s\n", TErr.c_str());
-    }
-    return PR.allVerified() && PR.allRechecksOk() ? 0 : 1;
-  }
-
   if (O.Path.empty()) {
     fprintf(stderr, "%s\n", P.usage().c_str());
     return 2;

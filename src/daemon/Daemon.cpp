@@ -6,7 +6,7 @@
 
 #include "daemon/Daemon.h"
 
-#include "fleet/Protocol.h"
+#include "daemon/Protocol.h"
 #include "support/Hash.h"
 #include "support/Socket.h"
 #include "support/Util.h"
@@ -394,35 +394,35 @@ bool Daemon::handleLine(Peer &P, const std::string &Line, const LineSink &Reply,
   if (trim(Line).empty())
     return true;
   auto Reject = [&Reply](const std::string &Why) {
-    Reply(fleet::ErrorMsg{Why}.toLine());
+    Reply(ErrorMsg{Why}.toLine());
     return true;
   };
-  fleet::Msg M;
+  Msg M;
   std::string Err;
-  if (!fleet::parseMsg(Line, M, &Err))
+  if (!parseMsg(Line, M, &Err))
     return Reject(Err);
 
   if (!P.Greeted) {
-    if (M.Kind != fleet::MsgKind::Hello)
+    if (M.Kind != MsgKind::Hello)
       return Reject("expected hello");
-    if (M.H.Version != fleet::kProtocolVersion) {
+    if (M.H.Version != kProtocolVersion) {
       P.Closed = true;
       return Reject("protocol version " + std::to_string(M.H.Version) +
                     " not supported (daemon speaks " +
-                    std::to_string(fleet::kProtocolVersion) + ")");
+                    std::to_string(kProtocolVersion) + ")");
     }
     P.Greeted = true;
-    fleet::HelloAck Ack;
+    HelloAck Ack;
     Ack.File = Docs.empty() ? std::string() : Docs.front()->Path;
     Ack.Recheck = O.Recheck;
     Reply(Ack.toLine());
     return true;
   }
-  if (M.Kind == fleet::MsgKind::Bye) {
+  if (M.Kind == MsgKind::Bye) {
     P.Closed = true;
     return true;
   }
-  if (M.Kind != fleet::MsgKind::Request)
+  if (M.Kind != MsgKind::Request)
     return Reject("unexpected message on a daemon connection");
 
   const std::string &Method = M.Q.Method;

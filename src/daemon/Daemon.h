@@ -28,7 +28,7 @@
 /// Events are typed (daemon::Event); the LSP server consumes them directly
 /// through a StructuredSink, and the JSON-lines transports — stdio
 /// (`verifyd --stdio`) and a Unix domain socket (`verifyd --socket=PATH`)
-/// — speak protocol v2 (fleet/Protocol.h) through one request handler,
+/// — speak protocol v2 (daemon/Protocol.h) through one request handler,
 /// handleLine. A peer opens with `hello` and is answered by `hello_ack`;
 /// it then sends `{"rcc": "req", "id": N, "method": M}` lines, M one of
 /// `check`, `status` and `shutdown`, and may leave with `bye`. Any other

@@ -6,7 +6,7 @@
 
 #include "daemon/Event.h"
 
-#include "fleet/Protocol.h"
+#include "daemon/Protocol.h"
 #include "support/Json.h"
 #include "support/Util.h"
 
@@ -46,7 +46,7 @@ Event Event::fromFnResult(unsigned Rev, const std::string &File,
 }
 
 std::string Event::toJsonLine(uint64_t Id) const {
-  std::string S = "{\"v\": " + std::to_string(fleet::kProtocolVersion) +
+  std::string S = "{\"v\": " + std::to_string(kProtocolVersion) +
                   ", \"id\": " + std::to_string(Id) + ", ";
   switch (Kind) {
   case EventKind::Revision:
@@ -171,8 +171,9 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   if (!json::parse(Line, V, nullptr) || !V.isObject())
     return false;
   const json::Value *Ver = V.field("v"), *Id = V.field("id");
-  if (!Ver || !Ver->isNumber() || Ver->asInt() != static_cast<int64_t>(fleet::kProtocolVersion) ||
-      !Id || !Id->isNumber())
+  if (!Ver || !Ver->isNumber() ||
+      Ver->asInt() != static_cast<int64_t>(kProtocolVersion) || !Id ||
+      !Id->isNumber())
     return false;
   const json::Value *Kind = V.field("event");
   if (!Kind || !Kind->isString())

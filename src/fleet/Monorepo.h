@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic generator of large annotated C programs — the fleet's
-/// scaling workload (DESIGN.md, "Fleet & protocol v2"; bench/fleet_scaling
-/// drives it up to 10k functions). Every generated function carries a full
-/// rc:: spec and verifies; bodies are varied (constant offsets, chained
-/// additions, bounded subtraction) so proof-search cost is non-trivial and
-/// content hashes are all distinct. The output depends only on the
-/// arguments, so two processes generating the same monorepo agree
-/// byte-for-byte — which is what lets fleet tests compare against a
-/// single-process run of the identical source.
+/// Deterministic generator of large annotated C programs: the monorepo
+/// that perfbench's mono_cold and mono_edit workloads verify, that the
+/// large-unit tests compile, and that bench/emit_monorepo writes to a
+/// file. Every generated function carries a full rc:: spec and verifies;
+/// bodies are varied (constant offsets, chained additions, bounded
+/// subtraction) so proof-search cost is non-trivial and content hashes are
+/// all distinct. The output depends only on the arguments, so two
+/// processes generating the same monorepo agree byte-for-byte.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,10 +18,6 @@
 
 using namespace rcc::pure;
 
-const char *rcc::pure::portfolioModeName(PortfolioMode M) {
-  return M == PortfolioMode::Off ? "off" : "on";
-}
-
 bool rcc::pure::parsePortfolioMode(const std::string &S, PortfolioMode &M) {
   if (S == "off")
     M = PortfolioMode::Off;

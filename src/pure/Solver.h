@@ -35,7 +35,6 @@ enum class PortfolioMode {
   On,  ///< every backend, the bit-vector one included (the default)
 };
 
-const char *portfolioModeName(PortfolioMode M);
 /// Parses "off" / "on". Returns false on anything else.
 bool parsePortfolioMode(const std::string &S, PortfolioMode &M);
 

@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -804,10 +803,10 @@ uint64_t Checker::sessionFingerprint(const VerifyOptions &Opts) const {
     H.mix(R.Name);
   // Only options that change the *verdict* participate: Recheck alters
   // trust metadata, which probeStore re-establishes per hit (replay for
-  // untrusted tiers, the strictness guard for L1), so keying on it would
-  // partition the store by driver — a fleet worker publishes under
-  // --no-recheck and the coordinator's closing recheck pass must still
-  // find those entries.
+  // the disk tier, the strictness guard for L1), so keying on it would
+  // only split one cache directory between runs with and without
+  // --no-recheck — an entry a --no-recheck run publishes must still serve
+  // a later rechecking run, which replays it.
   H.mix(static_cast<uint64_t>(Opts.Backtracking))
       .mix(static_cast<uint64_t>(Opts.MaxSteps))
       // Off lacks the bit-vector backend and must not reuse portfolio-era
@@ -838,7 +837,6 @@ void Checker::adoptStoreTiers(
   L1 = SharedL1 ? std::move(SharedL1)
                 : std::make_shared<store::MemoryResultStore>();
   L2 = std::move(SharedL2);
-  L3 = nullptr;
   ExternalTiers = true;
   Store.resetTiers();
   Store.addTier(L1, /*Trusted=*/true);
@@ -848,28 +846,17 @@ void Checker::adoptStoreTiers(
 
 void Checker::configureStore(const VerifyOptions &Opts) {
   if (ExternalTiers)
-    return; // the adopter owns the composition; CacheDir/SharedDir are
-            // ignored
+    return; // the adopter owns the composition; CacheDir is ignored
   const bool WantL2 = !Opts.CacheDir.empty() && !Opts.NoCache;
-  const bool WantL3 = !Opts.SharedDir.empty() && !Opts.NoCache;
-  const bool L2Ok =
-      WantL2 ? (L2 && L2->dir() == Opts.CacheDir) : (L2 == nullptr);
-  const bool L3Ok =
-      WantL3 ? (L3 && L3->dir() == Opts.SharedDir) : (L3 == nullptr);
-  if (L2Ok && L3Ok)
+  if (WantL2 ? (L2 && L2->dir() == Opts.CacheDir) : (L2 == nullptr))
     return; // same composition as the previous run: keep the tiers (and
             // their lifetime counters)
-  L2 = WantL2 ? std::make_shared<store::DiskResultStore>(Opts.CacheDir, "l2")
+  L2 = WantL2 ? std::make_shared<store::DiskResultStore>(Opts.CacheDir)
               : nullptr;
-  L3 = WantL3
-           ? std::make_shared<store::DiskResultStore>(Opts.SharedDir, "l3")
-           : nullptr;
   Store.resetTiers();
   Store.addTier(L1, /*Trusted=*/true);
   if (L2)
     Store.addTier(L2, /*Trusted=*/false);
-  if (L3)
-    Store.addTier(L3, /*Trusted=*/false);
 }
 
 bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
@@ -892,24 +879,22 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
         ((Opts.Recheck && !R.Rechecked) || R.Deriv.Steps.empty()))
       return false;
   } else {
-    // The entry came from an untrusted (persistent or shared) tier. Its
-    // envelope only filtered corruption and staleness; trust is established
-    // by replaying the recorded derivation through the independent
-    // ProofChecker — the paper's search-untrusted / checker-trusted split,
-    // extended across process (and, for L3, machine) boundaries.
+    // The entry came from the untrusted disk tier. Its envelope only
+    // filtered corruption and staleness; trust is established by replaying
+    // the recorded derivation through the independent ProofChecker — the
+    // paper's search-untrusted / checker-trusted split, extended across
+    // process boundaries.
     // --no-recheck downgrades this to content-hash trust. A failure carries
     // no proof to replay, and a forged one would hide a function that
     // verifies, so it is verified afresh; an rc::trust_me result is
     // surfaced as stored.
-    const size_t TI =
-        T < RunStoreStats::kMaxTiers ? T : RunStoreStats::kMaxTiers - 1;
     const FnSpec *Spec = Refs.Spec;
     // An assumed result is only ever computed for a spec that carries
     // rc::trust_me. The entry's own Trusted flag proves nothing: an entry
     // that claims it for any other function is dropped and the function
     // re-verified.
     if (R.Trusted && (!Spec || !Spec->TrustMe)) {
-      RS.ReplayFailures[TI].fetch_add(1, std::memory_order_relaxed);
+      RS.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
       Store.drop(Name, Key);
       return false;
     }
@@ -921,9 +906,7 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
     if (Opts.Recheck && R.Verified && !R.Trusted) {
       if (R.Deriv.Steps.empty())
         return false; // stored without a derivation: cannot re-certify
-      trace::Span ReplaySpan(trace::Category::Cache,
-                             std::string("store.") +
-                                 Store.tier(T).tierName() + ".replay");
+      trace::Span ReplaySpan(trace::Category::Cache, "store.l2.replay");
       auto T0 = std::chrono::steady_clock::now();
       std::vector<pure::Lemma> Lemmas;
       if (Spec)
@@ -932,22 +915,21 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
       ProofChecker PC(*Rules);
       bool Ok = PC.check(R.Deriv, Lemmas).Ok;
       auto T1 = std::chrono::steady_clock::now();
-      RS.ReplayNs[TI].fetch_add(
+      RS.ReplayNs.fetch_add(
           static_cast<uint64_t>(std::chrono::nanoseconds(T1 - T0).count()),
           std::memory_order_relaxed);
-      RS.Replays[TI].fetch_add(1, std::memory_order_relaxed);
+      RS.Replays.fetch_add(1, std::memory_order_relaxed);
       if (!Ok) {
         // A well-formed entry whose proof does not replay. Drop it from
         // every tier and fall back to a fresh verification.
-        RS.ReplayFailures[TI].fetch_add(1, std::memory_order_relaxed);
+        RS.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
         Store.drop(Name, Key);
         return false;
       }
       R.Rechecked = true;
       R.RecheckOk = true;
     }
-    // Validated (or hash-trusted under --no-recheck): promote into every
-    // tier probed earlier — an L3 hit warms both the private L2 and the
+    // Validated (or hash-trusted under --no-recheck): promote into the
     // trusted in-memory L1, so repeated runs hit the cheapest tier.
     Store.promote(Name, Key, R, T);
   }
@@ -981,8 +963,8 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   std::optional<trace::Span> RunSpan;
   RunSpan.emplace(trace::Category::Checker, "checker.run");
 
-  // Compose this run's store tiers (L1 always; L2/L3 when CacheDir /
-  // SharedDir are set, or the adopted pair).
+  // Compose this run's store tiers (L1 always; L2 when CacheDir is set, or
+  // the adopted pair).
   configureStore(Opts);
   const bool UseStore = !Opts.NoCache;
   // Each job resolves its name here instead of in the maps; a name that
@@ -1002,13 +984,13 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   constexpr size_t kMiss = ~static_cast<size_t>(0);
   std::vector<size_t> HitTier(Names.size(), kMiss);
   RunStoreStats RS;
-  // Per-tier corrupt-drop baselines, so the run's delta can be attributed
-  // to the tier that rejected the entry (store.l2.corrupt_drops vs
-  // store.l3.corrupt_drops).
-  std::vector<uint64_t> CorruptBase(Store.numTiers(), 0);
-  for (size_t T = 0; T < Store.numTiers(); ++T)
-    CorruptBase[T] =
-        Store.tier(T).counters().CorruptDrops.load(std::memory_order_relaxed);
+  // The disk tier's lifetime corrupt-drop count: its delta over the run is
+  // the run's own.
+  auto DiskCorruptDrops = [this]() -> uint64_t {
+    return L2 ? L2->counters().CorruptDrops.load(std::memory_order_relaxed)
+              : 0;
+  };
+  const uint64_t CorruptBase = DiskCorruptDrops();
 
   // Each job keys its function, consults the store at job start (probe +
   // replay) and publishes at job end, through the same interface regardless
@@ -1046,34 +1028,12 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
       continue;
     }
     ++PR.CacheHits;
-    const size_t T = HitTier[I];
-    if (T == 0) {
-      ++PR.L1Hits;
-    } else {
-      // Attribute by tier label so the scalar accounting survives any
-      // stack composition ([L1,L2], [L1,L3], [L1,L2,L3], adopted...).
-      const char *TN = Store.tier(T).tierName();
-      if (std::strcmp(TN, "l3") == 0)
-        ++PR.L3Hits;
-      else
-        ++PR.L2Hits;
-    }
+    ++(HitTier[I] == 0 ? PR.L1Hits : PR.L2Hits);
   }
-  uint64_t ReplaysTotal = 0, ReplayFailuresTotal = 0, ReplayNsTotal = 0;
-  for (size_t T = 0; T < RunStoreStats::kMaxTiers; ++T) {
-    ReplaysTotal += RS.Replays[T].load();
-    ReplayFailuresTotal += RS.ReplayFailures[T].load();
-    ReplayNsTotal += RS.ReplayNs[T].load();
-  }
-  PR.ReplayedHits = static_cast<unsigned>(ReplaysTotal);
-  PR.ReplayFailures = static_cast<unsigned>(ReplayFailuresTotal);
-  PR.ReplayMillis = static_cast<double>(ReplayNsTotal) / 1e6;
-  for (size_t T = 1; T < Store.numTiers(); ++T)
-    if (!Store.trusted(T))
-      PR.CorruptDrops += static_cast<unsigned>(
-          Store.tier(T).counters().CorruptDrops.load(
-              std::memory_order_relaxed) -
-          CorruptBase[T]);
+  PR.ReplayedHits = static_cast<unsigned>(RS.Replays.load());
+  PR.ReplayFailures = static_cast<unsigned>(RS.ReplayFailures.load());
+  PR.ReplayMillis = static_cast<double>(RS.ReplayNs.load()) / 1e6;
+  PR.CorruptDrops = static_cast<unsigned>(DiskCorruptDrops() - CorruptBase);
 
   if (TS) {
     // Fold the per-function EngineStats into the session registry —
@@ -1097,29 +1057,16 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
     MR.counter("cache.misses").add(PR.CacheMisses);
     if (UseStore) {
       // Per-tier store accounting, mirrored from the joined results (and,
-      // for corrupt drops, from the tier's own lifetime counters) so the
-      // exported values are schedule-independent. Every tier exports under
-      // its own label: store.l1.*, store.l2.*, store.l3.*.
+      // for corrupt drops, from the disk tier's own lifetime counter) so
+      // the exported values are schedule-independent.
       MR.counter("store.l1.hits").add(PR.L1Hits);
-      std::vector<unsigned> TierHitCount(Store.numTiers(), 0);
-      for (size_t I = 0; I < Names.size(); ++I)
-        if (HitTier[I] != kMiss && HitTier[I] < Store.numTiers())
-          ++TierHitCount[HitTier[I]];
-      for (size_t T = 1; T < Store.numTiers(); ++T) {
-        const std::string Prefix = std::string("store.") +
-                                   Store.tier(T).tierName();
-        const size_t TI =
-            T < RunStoreStats::kMaxTiers ? T : RunStoreStats::kMaxTiers - 1;
-        MR.counter(Prefix + ".hits").add(TierHitCount[T]);
-        MR.counter(Prefix + ".replays").add(RS.Replays[TI].load());
-        MR.counter(Prefix + ".replay_failures")
-            .add(RS.ReplayFailures[TI].load());
-        MR.duration(Prefix + ".replay_us")
-            .add(std::chrono::nanoseconds(RS.ReplayNs[TI].load()));
-        MR.counter(Prefix + ".corrupt_drops")
-            .add(Store.tier(T).counters().CorruptDrops.load(
-                     std::memory_order_relaxed) -
-                 CorruptBase[T]);
+      if (L2) {
+        MR.counter("store.l2.hits").add(PR.L2Hits);
+        MR.counter("store.l2.replays").add(PR.ReplayedHits);
+        MR.counter("store.l2.replay_failures").add(PR.ReplayFailures);
+        MR.duration("store.l2.replay_us")
+            .add(std::chrono::nanoseconds(RS.ReplayNs.load()));
+        MR.counter("store.l2.corrupt_drops").add(PR.CorruptDrops);
       }
     }
     MR.counter("checker.functions").add(Names.size());
@@ -1132,8 +1079,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   // Deterministic mode extends the byte-identical guarantee from traces to
   // the ProgramResult itself: wall times are the only schedule-dependent
   // fields, so zeroing them makes `--format=json --deterministic-trace`
-  // output comparable across job counts, runs, and fleet-vs-local drivers
-  // (scripts/check.sh diffs exactly this).
+  // output comparable across job counts and runs.
   if (Opts.DeterministicTrace) {
     PR.WallMillis = 0.0;
     PR.ReplayMillis = 0.0;

@@ -103,10 +103,8 @@ public:
   /// body, callee specs, and the spec-environment fingerprint — guarantee
   /// a stale entry can only miss. \p SharedL1 must be a trusted in-memory
   /// tier (nullptr keeps a fresh private one); \p SharedL2 may be null.
-  /// Once adopted, VerifyOptions::CacheDir and SharedDir are ignored (the
-  /// tiers are fixed); VerifyOptions::NoCache still bypasses probes per
-  /// run. Fleet workers do not adopt: they reach the shared L3 through
-  /// VerifyOptions::SharedDir.
+  /// Once adopted, VerifyOptions::CacheDir is ignored (the tiers are
+  /// fixed); VerifyOptions::NoCache still bypasses probes per run.
   void adoptStoreTiers(std::shared_ptr<store::MemoryResultStore> SharedL1,
                        std::shared_ptr<store::DiskResultStore> SharedL2);
 
@@ -191,20 +189,19 @@ private:
   lithium::RuleRegistry &ownRules();
 
   /// (Re)builds the tiered store for this run: the session L1 always, plus
-  /// a disk L2 when Opts.CacheDir is set and a shared L3 when
-  /// Opts.SharedDir is set (each reused across runs on the same directory).
+  /// a disk L2 when Opts.CacheDir is set (reused across runs on the same
+  /// directory).
   void configureStore(const VerifyOptions &Opts);
 
-  /// Per-run replay accounting, aggregated across jobs. Indexed by tier
-  /// position in the stack (tier 0 — trusted L1 — never replays).
+  /// Per-run replay accounting of the L2 tier, aggregated across jobs
+  /// (the trusted L1 never replays).
   struct RunStoreStats {
-    static constexpr size_t kMaxTiers = 8;
-    std::atomic<uint64_t> ReplayNs[kMaxTiers] = {};
-    std::atomic<uint64_t> Replays[kMaxTiers] = {};
-    std::atomic<uint64_t> ReplayFailures[kMaxTiers] = {};
+    std::atomic<uint64_t> ReplayNs{0};
+    std::atomic<uint64_t> Replays{0};
+    std::atomic<uint64_t> ReplayFailures{0};
   };
 
-  /// Job-start store probe: on a hit in an untrusted (disk) tier the entry
+  /// Job-start store probe: on a hit in the untrusted disk tier the entry
   /// is replayed through the ProofChecker before being surfaced (or hash-
   /// trusted when Opts.Recheck is off) and promoted into L1. Returns false
   /// — a miss — when there is no usable entry; \p HitTier reports the tier
@@ -232,15 +229,13 @@ private:
   ResList GlobalAtoms;
   unsigned PureLines = 0;
 
-  /// The session result store, composed as a uniform tier stack. L1
-  /// (in-memory, trusted) always exists; L2 (private on-disk) and L3 (the
-  /// fleet's shared artifact store) — both untrusted until replayed — are
-  /// attached by configureStore when a run sets VerifyOptions::CacheDir /
-  /// SharedDir, or L1 and L2 are adopted by adoptStoreTiers. Jobs only
-  /// touch the store at job start/end; all tiers are thread-safe.
+  /// The session result store, composed as a tier stack. L1 (in-memory,
+  /// trusted) always exists; L2 (on-disk, untrusted until replayed) is
+  /// attached by configureStore when a run sets VerifyOptions::CacheDir, or
+  /// L1 and L2 are adopted by adoptStoreTiers. Jobs only touch the store at
+  /// job start/end; both tiers are thread-safe.
   std::shared_ptr<store::MemoryResultStore> L1;
   std::shared_ptr<store::DiskResultStore> L2;
-  std::shared_ptr<store::DiskResultStore> L3;
   store::TieredResultStore Store;
   /// True once adoptStoreTiers ran: the tier composition is owned by the
   /// caller (the daemon) and configureStore must not rebuild it.

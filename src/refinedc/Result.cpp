@@ -146,8 +146,6 @@ std::string ProgramResult::toJson(const std::string &ExtraJson) const {
   S += Buf;
   snprintf(Buf, sizeof(Buf), "  \"l2_hits\": %u,\n", L2Hits);
   S += Buf;
-  snprintf(Buf, sizeof(Buf), "  \"l3_hits\": %u,\n", L3Hits);
-  S += Buf;
   snprintf(Buf, sizeof(Buf), "  \"replayed_hits\": %u,\n", ReplayedHits);
   S += Buf;
   snprintf(Buf, sizeof(Buf), "  \"replay_failures\": %u,\n", ReplayFailures);

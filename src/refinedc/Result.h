@@ -61,11 +61,6 @@ struct VerifyOptions {
   /// created on demand; entries self-invalidate through their content-hash
   /// keys, and concurrent verify_tool processes may share one directory.
   std::string CacheDir;
-  /// Directory of the *shared* artifact tier (L3) — the fleet's proof
-  /// store, probed after L2 (DESIGN.md, "Fleet & protocol v2"). Same
-  /// on-disk format as L2 but shared across workers/machines; entries are
-  /// untrusted and replayed before use, exactly like L2 hits. Empty: no L3.
-  std::string SharedDir;
   /// Bypass the result store entirely: no probes, no writes, every
   /// function is re-verified.
   bool NoCache = false;
@@ -131,12 +126,10 @@ struct ProgramResult {
   unsigned CacheMisses = 0;
 
   // --- Per-tier store accounting (DESIGN.md, "Persistent verification
-  // store" / "Fleet & protocol v2"); CacheHits == L1Hits + L2Hits + L3Hits.
+  // store"); CacheHits == L1Hits + L2Hits.
   unsigned L1Hits = 0;         ///< in-memory (session) tier hits
-  unsigned L2Hits = 0;         ///< private on-disk tier hits surfaced
-  unsigned L3Hits = 0;         ///< shared artifact tier hits surfaced
-  unsigned ReplayedHits = 0;   ///< untrusted-tier hits replayed through the
-                               ///< ProofChecker (L2 + L3)
+  unsigned L2Hits = 0;         ///< on-disk tier hits surfaced
+  unsigned ReplayedHits = 0;   ///< L2 hits replayed through the ProofChecker
   unsigned ReplayFailures = 0; ///< untrusted entries rejected by the replay
   unsigned CorruptDrops = 0;   ///< corrupt/mismatched entries dropped
   double ReplayMillis = 0.0;   ///< wall time spent replaying untrusted hits
@@ -161,12 +154,6 @@ struct ProgramResult {
         return false;
     return true;
   }
-  const FnResult *fn(const std::string &Name) const {
-    for (const FnResult &R : Fns)
-      if (R.Name == Name)
-        return &R;
-    return nullptr;
-  }
   /// Machine-readable rendering (verify_tool --format=json): per-function
   /// name, verdict, error + location, and engine statistics, plus the
   /// run-level wall time and per-tier store counters. \p ExtraJson, when
@@ -175,13 +162,12 @@ struct ProgramResult {
   /// `--run` this way, so JSON mode cannot swallow the run outcome).
   std::string toJson(const std::string &ExtraJson = std::string()) const;
 
-  /// Schedule- and topology-independent rendering (verify_tool / verifyd
-  /// --format=stable-json): per-function verdicts, errors, diagnostics, and
-  /// engine statistics only — no wall times, no store counters, no
-  /// cache_hit flags. Two runs over the same source agree byte-for-byte
-  /// regardless of job count, store tiers, or fleet topology; the fleet
-  /// smoke test compares a 2-worker run against a single-process run with
-  /// cmp(1) on exactly this output.
+  /// Schedule-independent rendering (verify_tool --format=stable-json):
+  /// per-function verdicts, errors, diagnostics, and engine statistics only
+  /// — no wall times, no store counters, no cache_hit flags. Two runs over
+  /// the same source agree byte-for-byte regardless of job count or store
+  /// tiers; scripts/check.sh compares a cold and a warm `--cache-dir` run
+  /// with cmp(1) on exactly this output.
   std::string toStableJson() const;
 };
 

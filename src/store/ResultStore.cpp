@@ -107,11 +107,7 @@ static constexpr uint32_t kEntryMagic = 0x53564352; // "RCVS"
 /// file is rejected before anything is allocated for it.
 static constexpr off_t kMaxEntryBytes = off_t(16) << 20;
 
-DiskResultStore::DiskResultStore(std::string D, std::string L)
-    : Dir(std::move(D)), Label(std::move(L)),
-      LoadSpanName("store." + Label + ".load"),
-      WriteSpanName("store." + Label + ".write"),
-      GcSpanName("store." + Label + ".gc") {
+DiskResultStore::DiskResultStore(std::string D) : Dir(std::move(D)) {
   std::error_code EC;
   fs::create_directories(Dir, EC); // failures surface as misses below
 }
@@ -169,7 +165,7 @@ bool readExactly(int Fd, char *Buf, size_t N) {
 
 bool DiskResultStore::get(const std::string &Name, uint64_t Key,
                           FnResult &Out) {
-  trace::Span LoadSpan(trace::Category::Cache, LoadSpanName);
+  trace::Span LoadSpan(trace::Category::Cache, "store.l2.load");
   const std::string Path = entryPath(Name, Key);
 
   // Rejected entries count a corrupt drop and are unlinked so the slot
@@ -184,9 +180,8 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
     return false;
   };
 
-  // Anyone who can write the directory can plant a file at an entry path
-  // (a shared L3 especially), so only a regular file of bounded size is
-  // read, in one read of exactly its size. O_NOFOLLOW refuses a symlink
+  // Anyone who can write the directory can plant a file at an entry path,
+  // so only a regular file of bounded size is read, in one read of exactly its size. O_NOFOLLOW refuses a symlink
   // (ELOOP), and O_NONBLOCK keeps the open of a FIFO from waiting for a
   // writer; fstat then rejects everything that is not a regular file.
   const int Fd =
@@ -238,7 +233,7 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
 
 void DiskResultStore::put(const std::string &Name, uint64_t Key,
                           const FnResult &R) {
-  trace::Span WriteSpan(trace::Category::Cache, WriteSpanName);
+  trace::Span WriteSpan(trace::Category::Cache, "store.l2.write");
   std::string Payload = serializeFnResult(R);
 
   BinaryWriter W;
@@ -308,7 +303,7 @@ uint64_t DiskResultStore::sizeBytes() const {
 }
 
 GcStats DiskResultStore::gc(uint64_t MaxBytes) {
-  trace::Span GcSpan(trace::Category::Cache, GcSpanName);
+  trace::Span GcSpan(trace::Category::Cache, "store.l2.gc");
   GcStats S;
 
   // Snapshot (path, mtime, size) for every entry. Entries that vanish or

@@ -17,21 +17,15 @@
 ///    Entries were produced by this process; they are trusted as-is.
 ///  - `DiskResultStore` (L2): one file per entry under a cache directory,
 ///    written atomically (temp file + rename) so concurrent verify_tool
-///    processes can share a directory. Entries are *untrusted input*: the
-///    envelope (magic, format version, tool version, key, checksum) only
-///    filters corruption and staleness; the checker replays every surfaced
-///    derivation through the independent ProofChecker before believing it
-///    — the paper's search-untrusted / checker-trusted split, extended
-///    across process boundaries.
-///  - `DiskResultStore` with the "l3" label: the *shared artifact store* of
-///    the verification fleet (DESIGN.md, "Fleet & protocol v2") — the same
-///    on-disk format and atomic-rename discipline, but pointed at a
-///    directory shared by every worker and coordinator. Entries may have
-///    been produced by other machines; the same replay-before-trust policy
-///    applies, so a corrupt or malicious shared cache degrades to local
-///    re-verification, never to a wrong result.
-///  - `TieredResultStore`: composes any number of tiers in probe order as a
-///    uniform stack (L1/L2/L3/...), each carrying its *trust* attribute:
+///    and verifyd processes can share a directory. Entries are *untrusted
+///    input*: the envelope (magic, format version, tool version, key,
+///    checksum) only filters corruption and staleness; the checker replays
+///    every surfaced derivation through the independent ProofChecker
+///    before believing it — the paper's search-untrusted / checker-trusted
+///    split, extended across process boundaries — so a corrupt or forged
+///    entry degrades to re-verification, never to a wrong result.
+///  - `TieredResultStore`: composes tiers in probe order as a uniform
+///    stack (L1, then L2), each carrying its *trust* attribute:
 ///    trusted tiers were produced in-process, untrusted tiers are replayed
 ///    through the ProofChecker by the caller before being believed. It
 ///    deliberately does NOT auto-promote on a hit: promotion upward is the
@@ -88,8 +82,6 @@ public:
   /// Drops every entry. Session invalidation clears only in-memory tiers;
   /// disk tiers self-invalidate through their keys.
   virtual void clear() = 0;
-  /// Short tier label for metrics/trace names ("l1", "l2").
-  virtual const char *tierName() const = 0;
 
   const StoreCounters &counters() const { return Counters; }
 
@@ -110,7 +102,6 @@ public:
            const refinedc::FnResult &R) override;
   void drop(const std::string &Name, uint64_t Key) override;
   void clear() override;
-  const char *tierName() const override { return "l1"; }
 
 private:
   using Entry = std::pair<uint64_t, std::shared_ptr<const refinedc::FnResult>>;
@@ -130,16 +121,15 @@ struct GcStats {
   unsigned Evicted = 0;     ///< entries unlinked by the pass
 };
 
-/// L2/L3: one file per (name, key) under \p Dir, named
+/// L2: one file per (name, key) under \p Dir, named
 /// `<sanitized-name>.<key-hex>.rcv`. Writers write to a process-unique
 /// temp file and atomically rename it into place, so any number of
 /// processes sharing a directory can never expose a half-written entry.
-/// \p Label names the tier in metrics and trace spans: "l2" is a private
-/// persistent cache, "l3" the fleet's shared artifact store — same format,
-/// different directory ownership and metric names.
+/// Its trace spans are `store.l2.load`, `store.l2.write` and
+/// `store.l2.gc`.
 class DiskResultStore final : public ResultStore {
 public:
-  explicit DiskResultStore(std::string Dir, std::string Label = "l2");
+  explicit DiskResultStore(std::string Dir);
 
   bool get(const std::string &Name, uint64_t Key,
            refinedc::FnResult &Out) override;
@@ -149,7 +139,6 @@ public:
   /// Unlinks every .rcv entry under the directory (testing/maintenance;
   /// never called by session invalidation).
   void clear() override;
-  const char *tierName() const override { return Label.c_str(); }
 
   const std::string &dir() const { return Dir; }
   /// The entry path for (Name, Key) — exposed for tests that corrupt or
@@ -168,10 +157,6 @@ public:
 
 private:
   std::string Dir;
-  std::string Label;
-  /// Precomputed span names ("store.<label>.load" etc.) so the record path
-  /// does not concatenate strings per probe.
-  std::string LoadSpanName, WriteSpanName, GcSpanName;
   std::atomic<uint64_t> TmpCounter{0};
 };
 
@@ -183,8 +168,8 @@ private:
 class TieredResultStore final : public ResultStore {
 public:
   /// Appends a tier to the probe order. \p Trusted: entries were produced
-  /// by this process (in-memory tiers); untrusted tiers (disk, network)
-  /// require validation on every hit.
+  /// by this process (in-memory tiers); untrusted (disk) tiers require
+  /// validation on every hit.
   void addTier(std::shared_ptr<ResultStore> S, bool Trusted) {
     Tiers.push_back(std::move(S));
     TrustedBits.push_back(Trusted);
@@ -219,7 +204,6 @@ public:
                const refinedc::FnResult &R, size_t FromTier);
   void drop(const std::string &Name, uint64_t Key) override;
   void clear() override;
-  const char *tierName() const override { return "tiered"; }
 
 private:
   std::vector<std::shared_ptr<ResultStore>> Tiers;

@@ -53,7 +53,9 @@ Value Value::object() {
 int64_t Value::asInt(int64_t Default) const {
   if (K != Kind::Number)
     return Default;
-  if (Num < -9.2233720368547758e18 || Num > 9.2233720368547758e18)
+  // int64_t holds [-2^63, 2^63): 2^63 itself, the smallest double above
+  // INT64_MAX, must not reach the conversion.
+  if (!(Num >= -0x1p63 && Num < 0x1p63))
     return Default;
   return static_cast<int64_t>(Num);
 }

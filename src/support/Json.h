@@ -59,6 +59,8 @@ public:
   double asNumber(double Default = 0.0) const {
     return K == Kind::Number ? Num : Default;
   }
+  /// The number truncated toward zero, or \p Default when this is not a
+  /// number or the number lies outside int64_t's range.
   int64_t asInt(int64_t Default = 0) const;
   /// Empty string when this is not a string value.
   const std::string &asString() const { return S; }

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The one flag parser behind `verify_tool`, `verifyd`, and `rcc-lsp`
-/// (DESIGN.md, "Fleet & protocol v2"). Each tool used to hand-roll its own
+/// (DESIGN.md, "Protocol v2"). Each tool used to hand-roll its own
 /// `--flag=value` loop; the three copies had already drifted in their
-/// numeric validation, and a fleet deployment runs all three against the
-/// same cache directories — `--cache-dir`, `--jobs`, `--no-recheck` must
-/// mean exactly the same thing everywhere. A tool declares its flags
+/// numeric validation, and the three tools may share one cache directory —
+/// `--cache-dir`, `--jobs`, `--no-recheck` must mean exactly the same thing
+/// everywhere. A tool declares its flags
 /// against an OptionParser; parsing is strict by construction:
 ///
 ///  - unknown `--` flags are an error (a typo cannot silently verify with

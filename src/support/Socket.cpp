@@ -159,8 +159,8 @@ void LineConn::flushWrites() {
 bool LineConn::readAvailable() {
   // Deliberately not gated on Dead: a send-side EPIPE means the peer
   // closed, but lines it wrote before closing are still queued in our
-  // receive buffer and must remain readable (e.g. the fleet drain batch
-  // racing a worker's final pull).
+  // receive buffer and must remain readable (e.g. the daemon's error reply
+  // to a rejected hello, read by a client whose next send already failed).
   if (Fd < 0)
     return false;
   char Chunk[4096];

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The line-oriented Unix-domain-socket transport shared by the daemon's
-/// broadcast protocol and the verification fleet (DESIGN.md, "Fleet &
-/// protocol v2"). One LineConn wraps a connected, non-blocking fd with an
-/// inbound line assembler and an outbound byte buffer, with the robustness
-/// properties a multi-client server needs:
+/// The line-oriented Unix-domain-socket transport of protocol v2, shared by
+/// the daemon's socket server and its thin client, `verify_tool --connect`
+/// (DESIGN.md, "Protocol v2"). One LineConn wraps a connected,
+/// non-blocking fd with an inbound line assembler and an outbound byte
+/// buffer, with the robustness properties a multi-client server needs:
 ///
 ///  - *Partial writes never corrupt a line.* sendLine queues the whole
 ///    line; flushWrites drains as much as the socket accepts and keeps the
@@ -85,8 +85,8 @@ public:
   /// readable until EOF.
   bool readLines(std::vector<std::string> &Out);
 
-  /// Blocking read for a peer that owns its thread (a worker, a thin
-  /// client, a test): waits up to \p TimeoutMs (negative: forever, as in
+  /// Blocking read for a peer that owns its thread (a thin client, a
+  /// test): waits up to \p TimeoutMs (negative: forever, as in
   /// poll(2)) for the next complete line, flushing queued writes while it
   /// waits. False on timeout, or once the connection is dead and no
   /// complete line is left: a dead connection is drained, never waited on.

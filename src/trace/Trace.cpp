@@ -88,18 +88,6 @@ void TraceSession::record(Category Cat, char Phase, const std::string &Name,
   E.Cat = Cat;
   E.Phase = Phase;
   if (EventCap && B.Events.size() >= EventCap) {
-    if (Flush) {
-      // Lossless flush mode: hand the full buffer to the sink and start
-      // over. Seq keeps advancing, so the flushed batches and the final
-      // snapshot still merge into recording order.
-      Flushed.fetch_add(B.Events.size(), std::memory_order_relaxed);
-      Metrics.counter("trace.flushed_events").add(B.Events.size());
-      std::vector<Event> Out;
-      Out.swap(B.Events);
-      Flush(std::move(Out));
-      B.Events.push_back(std::move(E));
-      return;
-    }
     // Ring truncation: slot Seq % EventCap holds this buffer's oldest
     // surviving event (its Seq is exactly EventCap behind). Sequence
     // numbers keep advancing, so the (Tid, Seq) sort in events() restores
@@ -109,21 +97,6 @@ void TraceSession::record(Category Cat, char Phase, const std::string &Name,
     Metrics.counter("trace.dropped_events").add(1);
   } else {
     B.Events.push_back(std::move(E));
-  }
-}
-
-void TraceSession::flushAll() {
-  if (!Flush)
-    return;
-  std::lock_guard<std::mutex> G(M);
-  for (const auto &B : Bufs) {
-    if (B->Events.empty())
-      continue;
-    Flushed.fetch_add(B->Events.size(), std::memory_order_relaxed);
-    Metrics.counter("trace.flushed_events").add(B->Events.size());
-    std::vector<Event> Out;
-    Out.swap(B->Events);
-    Flush(std::move(Out));
   }
 }
 

@@ -36,7 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,13 +80,6 @@ struct Event {
 /// 0 = unbounded (the default). Note the cap is per thread, so which events
 /// survive a capped multi-threaded run depends on scheduling; metrics are
 /// unaffected (they are never buffered).
-///
-/// *Lossless flush mode* (setFlushSink): instead of ring-dropping, a full
-/// buffer is handed to the sink and emptied, so a capped session loses
-/// nothing — fleet workers stream completed spans back to the coordinator
-/// this way (DESIGN.md, "Fleet & protocol v2"). The sink runs on the
-/// recording thread and must be thread-safe; `trace.flushed_events` counts
-/// what went through it.
 class TraceSession {
 public:
   explicit TraceSession(bool Deterministic = false, size_t EventCap = 0);
@@ -120,23 +112,6 @@ public:
     return Dropped.load(std::memory_order_relaxed);
   }
 
-  /// Receives a batch of events flushed out of a full per-thread buffer
-  /// (lossless flush mode; see class comment). Called on the recording
-  /// thread, possibly from several threads concurrently.
-  using FlushSink = std::function<void(std::vector<Event>)>;
-  /// Switches ring truncation to lossless flushing. Install before any
-  /// recording; pass nullptr to restore ring mode.
-  void setFlushSink(FlushSink S) { Flush = std::move(S); }
-  /// Drains every per-thread buffer through the flush sink (no-op without
-  /// one). Call after recording threads are quiescent — the final flush of
-  /// a worker's batch.
-  void flushAll();
-  /// Events handed to the flush sink so far (also mirrored into the
-  /// `trace.flushed_events` metrics counter).
-  uint64_t flushedEvents() const {
-    return Flushed.load(std::memory_order_relaxed);
-  }
-
   double elapsedUs() const;
 
 private:
@@ -164,8 +139,6 @@ private:
   bool Deterministic;
   size_t EventCap;
   std::atomic<uint64_t> Dropped{0};
-  std::atomic<uint64_t> Flushed{0};
-  FlushSink Flush;
 };
 
 /// The session installed on this thread (nullptr: tracing disabled — the
@@ -188,9 +161,16 @@ private:
 };
 
 /// RAII: sets the stable lane recorded on this thread's events. The thread
-/// pool derives lanes from parallel-for indices (nesting multiplies the
-/// parent lane, so nested drivers keep distinct tracks); everything inside
-/// the loop body inherits the lane automatically.
+/// pool derives lanes from parallel-for indices; everything inside the loop
+/// body inherits the lane automatically.
+///
+/// A lane is a string of base-4096 digits, one group per nesting level
+/// under the root lane 0. Item I of a batch appends the digit I + 1 when
+/// I < 4094, and otherwise the escape digit 4095 followed by two digits
+/// holding I - 4094. A reserved lane is a root digit K followed by the
+/// digit 0, which no item group starts with. So a lane splits into groups
+/// in one way only: distinct (parent, index) pairs get distinct lanes, and
+/// every item of a batch of up to 4094 + 2^24 items has a lane of its own.
 class LaneScope {
 public:
   explicit LaneScope(uint64_t Lane);
@@ -202,14 +182,17 @@ public:
   static uint64_t currentLane();
 
   /// The lane for item \p Index nested under \p Parent (schedule-independent
-  /// by construction).
+  /// by construction; see the class comment).
   static uint64_t derive(uint64_t Parent, size_t Index) {
-    return Parent * 4096 + (Index % 4095) + 1;
+    constexpr size_t kOneDigit = 4094;
+    if (Index < kOneDigit)
+      return Parent * 4096 + Index + 1;
+    return ((Parent * 4096 + 4095) << 24) | ((Index - kOneDigit) & 0xffffff);
   }
 
-  /// The \p K-th (K >= 1) lane that derive() never returns, for a batch
-  /// that runs on the root lane ahead of the derived ones: its jobs' lanes
-  /// (derived from it) are disjoint from every other derived lane.
+  /// The \p K-th (1 <= K < 4095) lane that derive() never returns, for a
+  /// batch that runs on the root lane ahead of the derived ones: its jobs'
+  /// lanes (derived from it) are disjoint from every other derived lane.
   static uint64_t reserved(unsigned K) { return uint64_t{K} * 4096; }
 
 private:

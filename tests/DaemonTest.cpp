@@ -20,7 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
-#include "fleet/Protocol.h"
+#include "daemon/Protocol.h"
 #include "support/Socket.h"
 #include "support/Util.h"
 
@@ -113,8 +113,8 @@ long long field(const std::string &Line, const std::string &Key) {
   return atoll(Line.c_str() + P + Pat.size());
 }
 
-std::string helloLine(unsigned Version = fleet::kProtocolVersion) {
-  fleet::Hello H;
+std::string helloLine(unsigned Version = daemon::kProtocolVersion) {
+  daemon::Hello H;
   H.Version = Version;
   H.Role = "client";
   H.Name = "test";
@@ -122,13 +122,13 @@ std::string helloLine(unsigned Version = fleet::kProtocolVersion) {
 }
 
 std::string reqLine(uint64_t Id, const std::string &Method) {
-  return fleet::Request{Id, Method}.toLine();
+  return daemon::Request{Id, Method}.toLine();
 }
 
 /// True when \p Line is a protocol message of kind \p K.
-bool isMsg(const std::string &Line, fleet::MsgKind K) {
-  fleet::Msg M;
-  return fleet::parseMsg(Line, M) && M.Kind == K;
+bool isMsg(const std::string &Line, daemon::MsgKind K) {
+  daemon::Msg M;
+  return daemon::parseMsg(Line, M) && M.Kind == K;
 }
 
 } // namespace
@@ -389,11 +389,11 @@ TEST(Daemon, RequestProtocol) {
   EXPECT_TRUE(D.handleLine(P, reqLine(1, "status"), Reply, Sink));
   EXPECT_TRUE(R.Lines.empty());
   ASSERT_EQ(Replies.size(), 1u);
-  EXPECT_TRUE(isMsg(Replies[0], fleet::MsgKind::Error)) << Replies[0];
+  EXPECT_TRUE(isMsg(Replies[0], daemon::MsgKind::Error)) << Replies[0];
 
   EXPECT_TRUE(D.handleLine(P, helloLine(), Reply, Sink));
   ASSERT_EQ(Replies.size(), 2u);
-  EXPECT_TRUE(isMsg(Replies[1], fleet::MsgKind::HelloAck)) << Replies[1];
+  EXPECT_TRUE(isMsg(Replies[1], daemon::MsgKind::HelloAck)) << Replies[1];
 
   EXPECT_TRUE(D.handleLine(P, reqLine(1, "status"), Reply, Sink));
   std::string St = R.last("\"event\": \"status\"");
@@ -418,7 +418,7 @@ TEST(Daemon, RequestProtocol) {
   EXPECT_EQ(R.Lines.size(), EventsBefore);
   ASSERT_EQ(Replies.size(), RepliesBefore + 7);
   for (size_t I = RepliesBefore; I < Replies.size(); ++I)
-    EXPECT_TRUE(isMsg(Replies[I], fleet::MsgKind::Error)) << Replies[I];
+    EXPECT_TRUE(isMsg(Replies[I], daemon::MsgKind::Error)) << Replies[I];
   EXPECT_NE(Replies[RepliesBefore + 5].find("unknown method 'verify'"),
             std::string::npos);
   EXPECT_EQ(D.revision(), 1u);
@@ -429,7 +429,7 @@ TEST(Daemon, RequestProtocol) {
   // `bye` closes a peer; so does a hello with another protocol version.
   Daemon::Peer Bye, Old;
   EXPECT_TRUE(D.handleLine(Bye, helloLine(), Reply, Sink));
-  EXPECT_TRUE(D.handleLine(Bye, fleet::Bye{}.toLine(), Reply, Sink));
+  EXPECT_TRUE(D.handleLine(Bye, daemon::Bye{}.toLine(), Reply, Sink));
   EXPECT_TRUE(Bye.Closed);
   EXPECT_TRUE(D.handleLine(Old, helloLine(1), Reply, Sink));
   EXPECT_TRUE(Old.Closed);
@@ -527,7 +527,7 @@ TEST(Daemon, StdioRejectsBareCommands) {
   std::string Line;
   unsigned Errors = 0, Status = 0, Revisions = 0;
   while (std::getline(In, Line)) {
-    Errors += isMsg(Line, fleet::MsgKind::Error);
+    Errors += isMsg(Line, daemon::MsgKind::Error);
     Status += Line.find("\"event\": \"status\"") != std::string::npos;
     Revisions += Line.find("\"event\": \"revision\"") != std::string::npos;
   }
@@ -648,10 +648,11 @@ TEST_F(DaemonSocket, HelloGetsHelloAck) {
   SockClient C(Sock);
   C.send(helloLine());
   std::string Ack = C.next();
-  fleet::Msg M;
-  ASSERT_TRUE(fleet::parseMsg(Ack, M)) << Ack;
-  EXPECT_EQ(static_cast<int>(M.Kind), static_cast<int>(fleet::MsgKind::HelloAck));
-  EXPECT_EQ(M.A.Version, fleet::kProtocolVersion);
+  daemon::Msg M;
+  ASSERT_TRUE(daemon::parseMsg(Ack, M)) << Ack;
+  EXPECT_EQ(static_cast<int>(M.Kind),
+            static_cast<int>(daemon::MsgKind::HelloAck));
+  EXPECT_EQ(M.A.Version, daemon::kProtocolVersion);
   EXPECT_EQ(M.A.File, Src);
 }
 
@@ -659,7 +660,7 @@ TEST_F(DaemonSocket, StatusReplyCarriesTheRequestId) {
   SockClient C(Sock);
   C.send(helloLine());
   C.send(reqLine(7, "status"));
-  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::HelloAck));
+  EXPECT_TRUE(isMsg(C.next(), daemon::MsgKind::HelloAck));
   std::string St = C.next();
   EXPECT_EQ(St.rfind("{\"v\": 2, \"id\": 7, \"event\": \"status\"", 0), 0u)
       << St;
@@ -670,24 +671,24 @@ TEST_F(DaemonSocket, WrongProtocolVersionClosesOnlyThatConnection) {
   SockClient Old(Sock), Cur(Sock);
   Old.send(helloLine(1));
   std::string Err = Old.next();
-  EXPECT_TRUE(isMsg(Err, fleet::MsgKind::Error)) << Err;
+  EXPECT_TRUE(isMsg(Err, daemon::MsgKind::Error)) << Err;
   EXPECT_NE(Err.find("protocol version 1 not supported"), std::string::npos);
   EXPECT_EQ(Old.next(), "") << "the daemon closed the rejected connection";
 
   Cur.send(helloLine());
   Cur.send(reqLine(1, "status"));
-  EXPECT_TRUE(isMsg(Cur.next(), fleet::MsgKind::HelloAck));
+  EXPECT_TRUE(isMsg(Cur.next(), daemon::MsgKind::HelloAck));
   EXPECT_EQ(field(Cur.next(), "id"), 1) << "the daemon keeps serving others";
 }
 
 TEST_F(DaemonSocket, BareCommandGetsErrorAndRunsNothing) {
   SockClient C(Sock);
   C.send("check"); // before the handshake
-  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::Error));
+  EXPECT_TRUE(isMsg(C.next(), daemon::MsgKind::Error));
   C.send(helloLine());
-  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::HelloAck));
+  EXPECT_TRUE(isMsg(C.next(), daemon::MsgKind::HelloAck));
   C.send("check"); // after it
-  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::Error));
+  EXPECT_TRUE(isMsg(C.next(), daemon::MsgKind::Error));
   // Requests are answered in order: had the bare word run a check, its
   // `unchanged` event would come before this status reply.
   C.send(reqLine(2, "status"));
@@ -700,7 +701,7 @@ TEST_F(DaemonSocket, ShutdownRequestEndsRunSocket) {
   SockClient C(Sock);
   C.send(helloLine());
   C.send(reqLine(3, "shutdown"));
-  EXPECT_TRUE(isMsg(C.next(), fleet::MsgKind::HelloAck));
+  EXPECT_TRUE(isMsg(C.next(), daemon::MsgKind::HelloAck));
   EXPECT_EQ(C.next(), "{\"v\": 2, \"id\": 3, \"event\": \"shutdown\", "
                       "\"rev\": 1}");
   EXPECT_EQ(C.next(), "") << "the daemon closed the connection";
@@ -712,9 +713,9 @@ TEST_F(DaemonSocket, ShutdownRequestEndsRunSocket) {
 TEST_F(DaemonSocket, RequestIdsStayWithTheirClient) {
   SockClient A(Sock), B(Sock);
   A.send(helloLine());
-  EXPECT_TRUE(isMsg(A.next(), fleet::MsgKind::HelloAck));
+  EXPECT_TRUE(isMsg(A.next(), daemon::MsgKind::HelloAck));
   B.send(helloLine());
-  EXPECT_TRUE(isMsg(B.next(), fleet::MsgKind::HelloAck));
+  EXPECT_TRUE(isMsg(B.next(), daemon::MsgKind::HelloAck));
 
   // Every subscriber sees every reply, but only the requester's copy
   // carries the request's id.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The strictness contracts of the shared OptionParser (DESIGN.md, "Fleet &
-/// protocol v2"): unknown flags are errors, numeric values reject garbage
+/// The strictness contracts of the shared OptionParser (DESIGN.md,
+/// "Protocol v2"): unknown flags are errors, numeric values reject garbage
 /// and out-of-range inputs at parse time, value flags demand values, and
 /// positionals pass through untouched. verify_tool, verifyd, and rcc-lsp
 /// all parse through this one implementation, so these are the CLI

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The wire contracts of protocol v2 (DESIGN.md, "Fleet & protocol v2"):
+/// The wire contracts of protocol v2 (DESIGN.md, "Protocol v2"):
 /// every typed message round-trips through toLine/parseMsg, malformed
 /// input is rejected (never guessed at), and daemon events round-trip
 /// through toJsonLine behind the `{"v": 2, "id": N, ...}` envelope, whose
@@ -14,12 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Event.h"
-#include "fleet/Protocol.h"
+#include "daemon/Protocol.h"
 
 #include <gtest/gtest.h>
 
 using namespace rcc;
-using namespace rcc::fleet;
+using namespace rcc::daemon;
 
 namespace {
 
@@ -35,84 +35,24 @@ Msg parseOk(const std::string &Line, MsgKind Kind) {
 TEST(Protocol, HelloRoundTrip) {
   Hello H;
   H.Version = 2;
-  H.Role = "worker";
-  H.Name = "w-\"quoted\"";
+  H.Role = "client";
+  H.Name = "c-\"quoted\"";
   Msg M = parseOk(H.toLine(), MsgKind::Hello);
   EXPECT_EQ(M.H.Version, 2u);
-  EXPECT_EQ(M.H.Role, "worker");
-  EXPECT_EQ(M.H.Name, "w-\"quoted\"");
+  EXPECT_EQ(M.H.Role, "client");
+  EXPECT_EQ(M.H.Name, "c-\"quoted\"");
 }
 
 TEST(Protocol, HelloAckRoundTrip) {
   HelloAck A;
   A.File = "/tmp/a b.c";
-  A.SharedDir = "/l3";
   A.Recheck = true;
-  A.Portfolio = "off";
-  A.Window = 8;
+  EXPECT_EQ(A.toLine(), "{\"rcc\": \"hello_ack\", \"protocol_version\": 2, "
+                        "\"file\": \"/tmp/a b.c\", \"recheck\": true}");
   Msg M = parseOk(A.toLine(), MsgKind::HelloAck);
   EXPECT_EQ(M.A.Version, kProtocolVersion);
   EXPECT_EQ(M.A.File, "/tmp/a b.c");
-  EXPECT_EQ(M.A.SharedDir, "/l3");
   EXPECT_TRUE(M.A.Recheck);
-  EXPECT_EQ(M.A.Portfolio, "off");
-  EXPECT_EQ(M.A.Window, 8u);
-}
-
-TEST(Protocol, PullRoundTrip) {
-  Pull P;
-  P.Capacity = 3;
-  Msg M = parseOk(P.toLine(), MsgKind::Pull);
-  EXPECT_EQ(M.P.Capacity, 3u);
-}
-
-TEST(Protocol, JobsRoundTrip) {
-  Jobs J;
-  J.Seq = 41;
-  J.Fns = {"alpha", "beta"};
-  Msg M = parseOk(J.toLine(), MsgKind::Jobs);
-  EXPECT_EQ(M.J.Seq, 41u);
-  ASSERT_EQ(M.J.Fns.size(), 2u);
-  EXPECT_EQ(M.J.Fns[0], "alpha");
-  EXPECT_EQ(M.J.Fns[1], "beta");
-  EXPECT_FALSE(M.J.Done);
-
-  Jobs Drain;
-  Drain.Seq = 42;
-  Drain.Done = true;
-  Msg D = parseOk(Drain.toLine(), MsgKind::Jobs);
-  EXPECT_TRUE(D.J.Done);
-  EXPECT_TRUE(D.J.Fns.empty());
-}
-
-TEST(Protocol, JobResultRoundTrip) {
-  JobResult R;
-  R.Fn = "max_sz";
-  R.Verified = true;
-  R.Cached = true;
-  R.WallMs = 12.5;
-  Msg M = parseOk(R.toLine(), MsgKind::JobResult);
-  EXPECT_EQ(M.R.Fn, "max_sz");
-  EXPECT_TRUE(M.R.Verified);
-  EXPECT_TRUE(M.R.Cached);
-  EXPECT_DOUBLE_EQ(M.R.WallMs, 12.5);
-}
-
-TEST(Protocol, SpanFlushRoundTrip) {
-  SpanFlush F;
-  F.Worker = "w1";
-  F.Events.push_back({"verify.fn", 3, 17, 'B'});
-  F.Events.push_back({"verify.fn", 3, 18, 'E'});
-  F.Events.push_back({"solver.call", 0, 19, 'i'});
-  Msg M = parseOk(F.toLine(), MsgKind::SpanFlush);
-  EXPECT_EQ(M.F.Worker, "w1");
-  ASSERT_EQ(M.F.Events.size(), 3u);
-  EXPECT_EQ(M.F.Events[0].Name, "verify.fn");
-  EXPECT_EQ(M.F.Events[0].Lane, 3u);
-  EXPECT_EQ(M.F.Events[0].Seq, 17u);
-  EXPECT_EQ(M.F.Events[0].Phase, 'B');
-  EXPECT_EQ(M.F.Events[1].Phase, 'E');
-  EXPECT_EQ(M.F.Events[2].Phase, 'i');
 }
 
 TEST(Protocol, RequestByeErrorRoundTrip) {
@@ -130,6 +70,16 @@ TEST(Protocol, RequestByeErrorRoundTrip) {
   EXPECT_EQ(ME.E.Message, "it broke");
 }
 
+TEST(Protocol, RequestIdOutsideInt64ReadsAsZero) {
+  // 2^63 is no int64_t: the id falls back to 0 instead of converting out
+  // of range.
+  Msg M = parseOk(
+      "{\"rcc\": \"req\", \"id\": 9223372036854775808, \"method\": \"check\"}",
+      MsgKind::Request);
+  EXPECT_EQ(M.Q.Id, 0u);
+  EXPECT_EQ(M.Q.Method, "check");
+}
+
 TEST(Protocol, MalformedInputRejected) {
   Msg M;
   // Not JSON / not an object / not v2.
@@ -139,17 +89,19 @@ TEST(Protocol, MalformedInputRejected) {
   EXPECT_FALSE(parseMsg("[1, 2]", M));
   EXPECT_FALSE(parseMsg("{\"event\": \"status\"}", M)); // v1 event line
   // Right tag, missing mandatory fields.
-  EXPECT_FALSE(parseMsg("{\"rcc\": \"hello\", \"role\": \"worker\"}", M));
+  EXPECT_FALSE(parseMsg("{\"rcc\": \"hello\", \"role\": \"client\"}", M));
   EXPECT_FALSE(parseMsg("{\"rcc\": \"hello_ack\"}", M));
-  EXPECT_FALSE(parseMsg("{\"rcc\": \"jobs\", \"seq\": 1}", M));
-  EXPECT_FALSE(parseMsg("{\"rcc\": \"job_result\"}", M));
   EXPECT_FALSE(parseMsg("{\"rcc\": \"req\", \"id\": 3}", M));
-  EXPECT_FALSE(parseMsg("{\"rcc\": \"span_flush\", \"worker\": \"w\"}", M));
-  // Unknown type and nonsense values.
+  // Unknown types; pull, jobs, job_result and span_flush are not messages
+  // of this protocol.
   EXPECT_FALSE(parseMsg("{\"rcc\": \"warp\"}", M));
-  EXPECT_FALSE(parseMsg("{\"rcc\": \"pull\", \"capacity\": 0}", M));
+  EXPECT_FALSE(parseMsg("{\"rcc\": \"pull\", \"capacity\": 1}", M));
   EXPECT_FALSE(
-      parseMsg("{\"rcc\": \"jobs\", \"seq\": 1, \"fns\": [1]}", M));
+      parseMsg("{\"rcc\": \"jobs\", \"seq\": 1, \"fns\": [\"f\"]}", M));
+  EXPECT_FALSE(parseMsg("{\"rcc\": \"job_result\", \"fn\": \"f\"}", M));
+  EXPECT_FALSE(
+      parseMsg("{\"rcc\": \"span_flush\", \"worker\": \"w\", \"events\": []}",
+               M));
 }
 
 //===--------------------------------------------------------------------===//

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The robustness contracts of the buffered line transport (DESIGN.md,
-/// "Fleet & protocol v2"): partial writes never split a line, a dead peer
-/// is an event on that connection only (EPIPE, not SIGPIPE), a stalled
-/// peer is bounded by the outbound budget, and bytes a peer wrote before
-/// closing stay readable even after our own send failed — the property the
-/// fleet's drain handshake depends on.
+/// "Protocol v2"): partial writes never split a line, a dead peer is an
+/// event on that connection only (EPIPE, not SIGPIPE), a stalled peer is
+/// bounded by the outbound budget, and bytes a peer wrote before closing
+/// stay readable even after our own send failed — the property a thin
+/// client depends on to read the daemon's last reply.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,9 +148,9 @@ TEST(LineConn, StalledPeerBoundedByBudget) {
 }
 
 TEST(LineConn, ReadableAfterSendSideFailure) {
-  // The fleet drain race: the peer writes its final message and closes;
-  // our next send hits EPIPE and marks the connection dead. The final
-  // message must still be deliverable.
+  // The peer writes its final message and closes; our next send hits
+  // EPIPE and marks the connection dead. The final message must still be
+  // deliverable.
   Pair SP;
   ASSERT_GE(SP.A, 0);
   LineConn Conn(SP.takeB());

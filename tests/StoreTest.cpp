@@ -452,6 +452,62 @@ TEST(Store, OneFunctionEditReVerifiesOnlyThatFunction) {
   EXPECT_EQ(WarmAgain.CacheMisses, 0u);
 }
 
+TEST(Store, CaseStudiesReadTheSameColdAndReplayedFromL2) {
+  // The disk tier changes no verdict and no statistic: for every Figure 7
+  // case study, a session served from a populated L2, each hit replayed,
+  // renders the same stable JSON as the cold session that populated it.
+  for (const casestudies::CaseStudy &CS : casestudies::allCaseStudies()) {
+    SCOPED_TRACE(CS.Id);
+    TempDir Dir;
+    VerifyOptions Opts;
+    Opts.Recheck = true;
+    Opts.CacheDir = Dir.str();
+    auto AP = compile(CS.Source);
+    ASSERT_NE(AP, nullptr);
+    auto Run = [&] {
+      DiagnosticEngine Diags;
+      Checker C(*AP, Diags);
+      EXPECT_TRUE(C.buildEnv()) << Diags.render(CS.Source);
+      return C.verifyFunctions(CS.Functions, Opts);
+    };
+    ProgramResult Cold = Run();
+    EXPECT_TRUE(Cold.allVerified());
+    EXPECT_EQ(Cold.CacheHits, 0u);
+    ProgramResult Warm = Run();
+    EXPECT_EQ(Warm.L2Hits, CS.Functions.size());
+    EXPECT_EQ(Warm.ReplayFailures, 0u);
+    for (const FnResult &R : Warm.Fns)
+      EXPECT_TRUE(R.Trusted || (R.Rechecked && R.RecheckOk)) << R.Name;
+    EXPECT_EQ(Warm.toStableJson(), Cold.toStableJson());
+  }
+}
+
+TEST(Store, EntryOfANoRecheckRunIsReplayedByARecheckingRun) {
+  // Recheck is not part of the content key, so one cache directory serves
+  // runs with and without --no-recheck; a rechecking run replays what the
+  // other published.
+  TempDir Dir;
+  auto AP = compile(kIncSource);
+  VerifyOptions Opts;
+  Opts.CacheDir = Dir.str();
+  Opts.Recheck = false;
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    ASSERT_TRUE(C.verifyFunctions({"inc"}, Opts).allVerified());
+  }
+  Opts.Recheck = true;
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
+  EXPECT_EQ(PR.L2Hits, 1u);
+  EXPECT_EQ(PR.ReplayedHits, 1u);
+  ASSERT_EQ(PR.Fns.size(), 1u);
+  EXPECT_TRUE(PR.Fns[0].Rechecked && PR.Fns[0].RecheckOk);
+}
+
 TEST(Store, NoRecheckDowngradesToHashTrust) {
   TempDir Dir;
   auto AP = compile(kIncSource);
@@ -551,20 +607,6 @@ TEST(Store, TrustedFlagInAnL2EntryDoesNotVerify) {
   VerifyOptions Opts;
   Opts.Recheck = true;
   Opts.CacheDir = Dir.str();
-  ProgramResult PR = verifyAfterTrustedForgery(Opts, Dir.str());
-  ASSERT_EQ(PR.Fns.size(), 1u);
-  EXPECT_FALSE(PR.Fns[0].Verified);
-  EXPECT_FALSE(PR.Fns[0].Trusted);
-  EXPECT_EQ(PR.CacheHits, 0u);
-  EXPECT_EQ(PR.ReplayFailures, 1u);
-}
-
-TEST(Store, TrustedFlagInAnL3EntryDoesNotVerify) {
-  // The fleet coordinator's closing pass reads the shared L3 this way.
-  TempDir Dir;
-  VerifyOptions Opts;
-  Opts.Recheck = true;
-  Opts.SharedDir = Dir.str();
   ProgramResult PR = verifyAfterTrustedForgery(Opts, Dir.str());
   ASSERT_EQ(PR.Fns.size(), 1u);
   EXPECT_FALSE(PR.Fns[0].Verified);
@@ -818,8 +860,8 @@ TEST(Store, NoCacheBypassesEveryTier) {
 }
 
 //===----------------------------------------------------------------------===//
-// Hostile files at entry paths (anyone who can write a shared L3 can plant
-// them)
+// Hostile files at entry paths (anyone who can write the cache directory
+// can plant them)
 //===----------------------------------------------------------------------===//
 
 namespace {

@@ -164,3 +164,28 @@ TEST(ThreadPool, EmptyBatch) {
   ThreadPool Pool(2);
   Pool.parallelFor(0, [&](size_t) { FAIL() << "body must not run"; });
 }
+
+//===----------------------------------------------------------------------===//
+// Json
+//===----------------------------------------------------------------------===//
+
+#include "support/Json.h"
+
+#include <cstdint>
+
+TEST(Json, AsIntGivesTheDefaultOutsideInt64) {
+  auto IntOf = [](const char *Text) {
+    json::Value V;
+    EXPECT_TRUE(json::parse(Text, V)) << Text;
+    return V.asInt(42);
+  };
+  // 2^63, the smallest double above INT64_MAX, is out of range.
+  EXPECT_EQ(IntOf("9223372036854775808"), 42);
+  EXPECT_EQ(IntOf("1e300"), 42);
+  EXPECT_EQ(IntOf("-1e300"), 42);
+  // -2^63 and 2^63 - 1024, the largest double below 2^63, are in range.
+  EXPECT_EQ(IntOf("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(IntOf("9223372036854774784"), INT64_C(9223372036854774784));
+  EXPECT_EQ(IntOf("-7.9"), -7);
+  EXPECT_EQ(IntOf("\"7\""), 42);
+}

@@ -16,6 +16,7 @@
 
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
+#include "support/ThreadPool.h"
 #include "trace/Export.h"
 #include "trace/Trace.h"
 
@@ -24,7 +25,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <new>
 #include <thread>
 
@@ -417,6 +417,30 @@ TEST(Trace, DeterministicExportIdenticalAcrossJobs) {
   EXPECT_TRUE(P.parse());
 }
 
+TEST(Trace, DeterministicExportOfALargeBatchIdenticalAcrossThreads) {
+  // Items past the 4,094th take the escape form of a lane. Two items that
+  // shared a lane would have their events ordered by the threads that ran
+  // them, so the export would follow the schedule.
+  constexpr size_t N = 5000;
+  std::string Traces[2];
+  for (int Run = 0; Run < 2; ++Run) {
+    TraceSession TS(/*Deterministic=*/true);
+    SessionScope Scope(&TS);
+    ThreadPool Pool(Run == 0 ? 1 : 4);
+    std::atomic<uint64_t> Sink{0};
+    Pool.parallelFor(N, [&](size_t I) {
+      // Some work per item, so that every pool thread takes items.
+      uint64_t X = I;
+      for (int K = 0; K < 2000; ++K)
+        X = X * 6364136223846793005u + 1442695040888963407u;
+      Sink.fetch_add(X, std::memory_order_relaxed);
+      TS.instant(Category::Other, "item");
+    });
+    Traces[Run] = renderChromeTrace(TS);
+  }
+  EXPECT_EQ(Traces[0], Traces[1]) << "trace differs between 1 and 4 threads";
+}
+
 TEST(Trace, TimedExportsCarryTimestampsButDeterministicDoesNot) {
   TraceSession Timed(/*Deterministic=*/false);
   {
@@ -505,62 +529,4 @@ TEST(Trace, CappedVerificationRunStillReportsMetrics) {
   EXPECT_TRUE(PR.allVerified());
   EXPECT_NE(PR.Metrics.find("trace.dropped_events"), std::string::npos);
   EXPECT_NE(PR.Metrics.find("engine.rule_apps"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Lossless flush mode (fleet workers stream spans instead of dropping)
-//===----------------------------------------------------------------------===//
-
-TEST(Trace, FlushSinkIsLosslessUnderCap) {
-  TraceSession TS(/*Deterministic=*/false, /*EventCap=*/10);
-  std::vector<Event> Flushed;
-  TS.setFlushSink([&Flushed](std::vector<Event> Batch) {
-    for (Event &E : Batch)
-      Flushed.push_back(std::move(E));
-  });
-  {
-    SessionScope Scope(&TS);
-    for (unsigned I = 0; I < 100; ++I)
-      TS.instant(Category::Other, "e" + std::to_string(I));
-  }
-  TS.flushAll();
-
-  // Nothing dropped: every recorded event went through the sink.
-  EXPECT_EQ(TS.droppedEvents(), 0u);
-  EXPECT_EQ(TS.metrics().counter("trace.dropped_events").get(), 0u);
-  EXPECT_EQ(TS.flushedEvents(), 100u);
-  EXPECT_EQ(TS.metrics().counter("trace.flushed_events").get(), 100u);
-  ASSERT_EQ(Flushed.size(), 100u);
-  for (unsigned I = 0; I < 100; ++I) {
-    EXPECT_EQ(Flushed[I].Name, "e" + std::to_string(I));
-    EXPECT_EQ(Flushed[I].Seq, I);
-  }
-  // Flushed buffers are emptied, not merely copied out.
-  EXPECT_EQ(TS.numEvents(), 0u);
-}
-
-TEST(Trace, FlushSinkLosslessAcrossThreads) {
-  constexpr unsigned NThreads = 4, PerThread = 57;
-  TraceSession TS(/*Deterministic=*/false, /*EventCap=*/8);
-  std::mutex M;
-  uint64_t SinkCount = 0;
-  TS.setFlushSink([&](std::vector<Event> Batch) {
-    std::lock_guard<std::mutex> L(M);
-    SinkCount += Batch.size();
-  });
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NThreads; ++T)
-    Threads.emplace_back([&TS] {
-      SessionScope Scope(&TS);
-      for (unsigned I = 0; I < PerThread; ++I)
-        TS.instant(Category::Other, "x");
-    });
-  for (auto &Th : Threads)
-    Th.join();
-  TS.flushAll();
-
-  EXPECT_EQ(TS.droppedEvents(), 0u);
-  EXPECT_EQ(TS.flushedEvents(), NThreads * PerThread);
-  EXPECT_EQ(SinkCount, NThreads * PerThread);
-  EXPECT_EQ(TS.numEvents(), 0u);
 }
