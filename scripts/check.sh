@@ -18,9 +18,10 @@ test -s build/demo_trace.json
 
 # 3. Persistent-cache round trip: a cold run populates the cache directory,
 #    a second process must be served entirely from it (zero re-verified
-#    functions; every hit replayed through the proof checker), and a third,
-#    also served from it, must print the cold run's stable JSON byte for
-#    byte: the store tier changes no verdict and no statistic.
+#    functions; a fresh process starts with an empty L1, so every hit is an
+#    L2 hit replayed through the proof checker), and a third, also served
+#    from it, must print the cold run's stable JSON byte for byte: the store
+#    tier changes no verdict and no statistic.
 rm -rf build/check_cache
 ./build/examples/verify_tool --cache-dir=build/check_cache \
     --format=stable-json examples/demo.c > build/check_cache_cold.json
@@ -32,6 +33,16 @@ echo "$out" | grep -q '"all_verified": true'
 if echo "$out" | grep -q '"cache_hits": 0'; then
   echo "check.sh: warm cache run reported zero hits"; exit 1
 fi
+echo "$out" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+if not (r["l1_hits"] == 0 and
+        r["l2_hits"] == r["replayed_hits"] == r["cache_hits"]):
+    sys.exit("check.sh: warm cache run: want l1_hits 0 and l2_hits = "
+             "replayed_hits = cache_hits, got %d, %d, %d, %d" % (
+                 r["l1_hits"], r["l2_hits"], r["replayed_hits"],
+                 r["cache_hits"]))
+'
 ./build/examples/verify_tool --cache-dir=build/check_cache \
     --format=stable-json examples/demo.c > build/check_cache_warm.json
 cmp build/check_cache_cold.json build/check_cache_warm.json || {

@@ -211,6 +211,7 @@ bool Daemon::verifyRevision(Document &D, const std::string &Source,
   refinedc::VerifyOptions VO;
   VO.Jobs = O.Jobs;
   VO.Recheck = O.Recheck;
+  VO.CacheDir = O.CacheDir; // names the adopted L2, so the run keeps it
   VO.Trace = O.Trace;
 
   Event Start;

@@ -170,10 +170,10 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   json::Value V;
   if (!json::parse(Line, V, nullptr) || !V.isObject())
     return false;
-  const json::Value *Ver = V.field("v"), *Id = V.field("id");
-  if (!Ver || !Ver->isNumber() ||
-      Ver->asInt() != static_cast<int64_t>(kProtocolVersion) || !Id ||
-      !Id->isNumber())
+  const json::Value *Ver = V.field("v"), *IdF = V.field("id");
+  uint64_t Version = 0, Id = 0;
+  if (!Ver || !Ver->asWhole(kProtocolVersion, kProtocolVersion, Version) ||
+      !IdF || !IdF->asWhole(0, kMaxRequestId, Id))
     return false;
   const json::Value *Kind = V.field("event");
   if (!Kind || !Kind->isString())
@@ -252,6 +252,6 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   }
   Out = std::move(E);
   if (ReqId)
-    *ReqId = static_cast<uint64_t>(Id->asInt());
+    *ReqId = Id;
   return true;
 }

@@ -52,9 +52,21 @@ static bool getStr(const json::Value &V, const char *Name, std::string &Out,
   return true;
 }
 
-static uint64_t getU64(const json::Value &V, const char *Name) {
+/// Reads field \p Name as a whole number in [Min, Max]; false when it is
+/// absent or anything else.
+static bool getWhole(const json::Value &V, const char *Name, uint64_t Min,
+                     uint64_t Max, uint64_t &Out) {
   const json::Value *F = V.field(Name);
-  return F && F->isNumber() ? static_cast<uint64_t>(F->asInt()) : 0;
+  return F && F->asWhole(Min, Max, Out);
+}
+
+/// Reads `protocol_version` as a version in [1, 2^32).
+static bool getVersion(const json::Value &V, unsigned &Out) {
+  uint64_t N = 0;
+  if (!getWhole(V, "protocol_version", 1, UINT32_MAX, N))
+    return false;
+  Out = static_cast<unsigned>(N);
+  return true;
 }
 
 static bool getBool(const json::Value &V, const char *Name) {
@@ -84,21 +96,22 @@ bool daemon::parseMsg(const std::string &Line, Msg &Out, std::string *Err) {
   Msg M;
   if (Tag == "hello") {
     M.Kind = MsgKind::Hello;
-    M.H.Version = static_cast<unsigned>(getU64(V, "protocol_version"));
-    if (M.H.Version == 0)
-      return Fail("hello without protocol_version");
+    if (!getVersion(V, M.H.Version))
+      return Fail("hello without a protocol_version in [1, 2^32)");
     if (!getStr(V, "role", M.H.Role))
       return Fail("hello without role");
     getStr(V, "name", M.H.Name, /*Required=*/false);
   } else if (Tag == "hello_ack") {
     M.Kind = MsgKind::HelloAck;
-    M.A.Version = static_cast<unsigned>(getU64(V, "protocol_version"));
+    if (!getVersion(V, M.A.Version))
+      return Fail("hello_ack without a protocol_version in [1, 2^32)");
     if (!getStr(V, "file", M.A.File))
       return Fail("hello_ack without file");
     M.A.Recheck = getBool(V, "recheck");
   } else if (Tag == "req") {
     M.Kind = MsgKind::Request;
-    M.Q.Id = getU64(V, "id");
+    if (!getWhole(V, "id", 0, kMaxRequestId, M.Q.Id))
+      return Fail("req without an id in [0, 2^53]");
     if (!getStr(V, "method", M.Q.Method))
       return Fail("req without method");
   } else if (Tag == "bye") {

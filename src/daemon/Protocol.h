@@ -36,6 +36,10 @@ namespace rcc::daemon {
 /// closed.
 inline constexpr unsigned kProtocolVersion = 2;
 
+/// The largest request id. Ids are JSON numbers, and a double holds every
+/// whole number up to 2^53 exactly.
+inline constexpr uint64_t kMaxRequestId = uint64_t(1) << 53;
+
 enum class MsgKind : uint8_t {
   Hello,    ///< version/role handshake (first line on every connection)
   HelloAck, ///< daemon -> client: the handshake's answer
@@ -88,7 +92,9 @@ struct Msg {
 
 /// Parses one protocol line. Returns false (with \p Err set when non-null)
 /// for anything that is not a well-formed message of this schema, bare
-/// words and event lines included.
+/// words and event lines included. A `protocol_version` must be a whole
+/// number in [1, 2^32) and a `req` id one in [0, kMaxRequestId]; any other
+/// value is rejected, never narrowed.
 bool parseMsg(const std::string &Line, Msg &Out, std::string *Err = nullptr);
 
 } // namespace rcc::daemon

@@ -34,12 +34,7 @@ using namespace rcc::pure;
 
 Checker::Checker(const front::AnnotatedProgram &AP,
                  rcc::DiagnosticEngine &Diags)
-    : AP(AP), Diags(Diags), Rules(&standardRules()) {
-  // The trusted in-memory tier is part of every session; configureStore
-  // attaches the persistent tiers per run.
-  L1 = std::make_shared<store::MemoryResultStore>();
-  Store.addTier(L1, /*Trusted=*/true);
-}
+    : AP(AP), Diags(Diags), Rules(&standardRules()) {}
 
 namespace {
 
@@ -837,39 +832,30 @@ void Checker::adoptStoreTiers(
   L1 = SharedL1 ? std::move(SharedL1)
                 : std::make_shared<store::MemoryResultStore>();
   L2 = std::move(SharedL2);
-  ExternalTiers = true;
-  Store.resetTiers();
-  Store.addTier(L1, /*Trusted=*/true);
-  if (L2)
-    Store.addTier(L2, /*Trusted=*/false);
 }
 
 void Checker::configureStore(const VerifyOptions &Opts) {
-  if (ExternalTiers)
-    return; // the adopter owns the composition; CacheDir is ignored
-  const bool WantL2 = !Opts.CacheDir.empty() && !Opts.NoCache;
-  if (WantL2 ? (L2 && L2->dir() == Opts.CacheDir) : (L2 == nullptr))
-    return; // same composition as the previous run: keep the tiers (and
-            // their lifetime counters)
-  L2 = WantL2 ? std::make_shared<store::DiskResultStore>(Opts.CacheDir)
-              : nullptr;
-  Store.resetTiers();
-  Store.addTier(L1, /*Trusted=*/true);
-  if (L2)
-    Store.addTier(L2, /*Trusted=*/false);
+  if (Opts.CacheDir.empty() || Opts.NoCache)
+    L2.reset();
+  else if (!L2 || L2->dir() != Opts.CacheDir)
+    L2 = std::make_shared<store::DiskResultStore>(Opts.CacheDir);
 }
 
-bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
-                         uint64_t Key, const VerifyOptions &Opts,
-                         FnResult &Out, size_t &HitTier, size_t &FailTier,
-                         RunStoreStats &RS) {
+Checker::StoreHit Checker::probeStore(const std::string &Name,
+                                      const FnRefs &Refs, uint64_t Key,
+                                      const VerifyOptions &Opts, FnResult &Out,
+                                      bool &StoredFailure, RunStoreStats &RS) {
   FnResult R;
-  size_t T = 0;
-  if (!Store.get(Name, Key, R, T))
-    return false;
+  StoreHit Tier;
+  if (L1->get(Name, Key, R))
+    Tier = StoreHit::L1;
+  else if (L2 && L2->get(Name, Key, R))
+    Tier = StoreHit::L2;
+  else
+    return StoreHit::Miss;
   R.WallMillis = 0.0; // no check ran for this result
 
-  if (Store.trusted(T)) {
+  if (Tier == StoreHit::L1) {
     // The in-memory tier this process populated. The key does not encode
     // Recheck (it does not change verdicts), so an entry computed under
     // laxer options can surface here; honor the stricter run by
@@ -877,7 +863,7 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
     // asked for.
     if (R.Verified && !R.Trusted &&
         ((Opts.Recheck && !R.Rechecked) || R.Deriv.Steps.empty()))
-      return false;
+      return StoreHit::Miss;
   } else {
     // The entry came from the untrusted disk tier. Its envelope only
     // filtered corruption and staleness; trust is established by replaying
@@ -895,17 +881,17 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
     // re-verified.
     if (R.Trusted && (!Spec || !Spec->TrustMe)) {
       RS.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
-      Store.drop(Name, Key);
-      return false;
+      L2->drop(Name, Key);
+      return StoreHit::Miss;
     }
     if (Opts.Recheck && !R.Verified) {
-      FailTier = T;
+      StoredFailure = true;
       Out = std::move(R);
-      return false;
+      return StoreHit::Miss;
     }
     if (Opts.Recheck && R.Verified && !R.Trusted) {
       if (R.Deriv.Steps.empty())
-        return false; // stored without a derivation: cannot re-certify
+        return StoreHit::Miss; // stored without a derivation: cannot re-certify
       trace::Span ReplaySpan(trace::Category::Cache, "store.l2.replay");
       auto T0 = std::chrono::steady_clock::now();
       std::vector<pure::Lemma> Lemmas;
@@ -920,24 +906,23 @@ bool Checker::probeStore(const std::string &Name, const FnRefs &Refs,
           std::memory_order_relaxed);
       RS.Replays.fetch_add(1, std::memory_order_relaxed);
       if (!Ok) {
-        // A well-formed entry whose proof does not replay. Drop it from
-        // every tier and fall back to a fresh verification.
+        // A well-formed entry whose proof does not replay. Drop its file
+        // and fall back to a fresh verification.
         RS.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
-        Store.drop(Name, Key);
-        return false;
+        L2->drop(Name, Key);
+        return StoreHit::Miss;
       }
       R.Rechecked = true;
       R.RecheckOk = true;
     }
-    // Validated (or hash-trusted under --no-recheck): promote into the
+    // Validated (or hash-trusted under --no-recheck): put it into the
     // trusted in-memory L1, so repeated runs hit the cheapest tier.
-    Store.promote(Name, Key, R, T);
+    L1->put(Name, Key, R);
   }
 
   R.CacheHit = true;
-  HitTier = T;
   Out = std::move(R);
-  return true;
+  return Tier;
 }
 
 ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
@@ -963,8 +948,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   std::optional<trace::Span> RunSpan;
   RunSpan.emplace(trace::Category::Checker, "checker.run");
 
-  // Compose this run's store tiers (L1 always; L2 when CacheDir is set, or
-  // the adopted pair).
+  // L1 is always there; the run's CacheDir names L2.
   configureStore(Opts);
   const bool UseStore = !Opts.NoCache;
   // Each job resolves its name here instead of in the maps; a name that
@@ -981,20 +965,17 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   }
 
   PR.Fns.resize(Names.size());
-  constexpr size_t kMiss = ~static_cast<size_t>(0);
-  std::vector<size_t> HitTier(Names.size(), kMiss);
+  std::vector<StoreHit> Hits(Names.size(), StoreHit::Miss);
   RunStoreStats RS;
   // The disk tier's lifetime corrupt-drop count: its delta over the run is
   // the run's own.
   auto DiskCorruptDrops = [this]() -> uint64_t {
-    return L2 ? L2->counters().CorruptDrops.load(std::memory_order_relaxed)
-              : 0;
+    return L2 ? L2->corruptDrops() : 0;
   };
   const uint64_t CorruptBase = DiskCorruptDrops();
 
-  // Each job keys its function, consults the store at job start (probe +
-  // replay) and publishes at job end, through the same interface regardless
-  // of tier.
+  // Each job keys its function, probes L1 and L2 at job start (with the
+  // replay) and publishes to both at job end.
   ThreadPool Pool(PR.JobsUsed);
   Pool.parallelFor(Names.size(), [&](size_t I) {
     auto It = Index.find(Names[I]);
@@ -1006,29 +987,30 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
     const uint64_t Key = hashFunctionContent(AP, Names[I], Refs.Info, Refs.Fn,
                                              EnvFp, SessionFp);
     FnResult &R = PR.Fns[I];
-    size_t FailTier = kMiss;
-    if (probeStore(Names[I], Refs, Key, Opts, R, HitTier[I], FailTier, RS))
+    bool StoredFailure = false;
+    Hits[I] = probeStore(Names[I], Refs, Key, Opts, R, StoredFailure, RS);
+    if (Hits[I] != StoreHit::Miss)
       return;
-    const std::string StoredFailure =
-        FailTier == kMiss ? std::string() : store::serializeFnResult(R);
+    const std::string Stored =
+        StoredFailure ? store::serializeFnResult(R) : std::string();
     R = verify(Names[I], Refs, Opts);
     // The store keeps verdicts, not timings: a hit did no work, and an
     // entry's bytes then depend only on its function, never on the run.
     const double Wall = std::exchange(R.WallMillis, 0.0);
-    if (FailTier != kMiss && store::serializeFnResult(R) == StoredFailure)
-      Store.promote(Names[I], Key, R, FailTier); // its entry stays as it is
-    else
-      Store.put(Names[I], Key, R);
+    L1->put(Names[I], Key, R);
+    // The same failure L2 already stores keeps its entry file as it is.
+    if (L2 && !(StoredFailure && store::serializeFnResult(R) == Stored))
+      L2->put(Names[I], Key, R);
     R.WallMillis = Wall;
   });
 
-  for (size_t I = 0; I < Names.size(); ++I) {
-    if (HitTier[I] == kMiss) {
+  for (StoreHit H : Hits) {
+    if (H == StoreHit::Miss) {
       ++PR.CacheMisses;
       continue;
     }
     ++PR.CacheHits;
-    ++(HitTier[I] == 0 ? PR.L1Hits : PR.L2Hits);
+    ++(H == StoreHit::L1 ? PR.L1Hits : PR.L2Hits);
   }
   PR.ReplayedHits = static_cast<unsigned>(RS.Replays.load());
   PR.ReplayFailures = static_cast<unsigned>(RS.ReplayFailures.load());
@@ -1042,7 +1024,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
     // these (they only bump counters EngineStats does not cover).
     trace::MetricsRegistry &MR = TS->metrics();
     for (size_t I = 0; I < PR.Fns.size(); ++I) {
-      if (HitTier[I] != kMiss)
+      if (Hits[I] != StoreHit::Miss)
         continue; // store hits did no engine work this run
       const EngineStats &ES = PR.Fns[I].Stats;
       MR.counter("engine.rule_apps").add(ES.RuleApps);

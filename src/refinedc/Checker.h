@@ -80,13 +80,13 @@ struct VerifyCtx : lithium::VerifyCtxBase {
 /// user-registered simplification rules carry over), EvarEnv, Engine, and
 /// DiagnosticEngine, so jobs never share mutable state and per-function
 /// results are byte-identical regardless of Jobs. Session-level results
-/// are memoized in a tiered result store (see src/store and DESIGN.md,
-/// "Persistent verification store"): an always-on in-memory tier keyed by
+/// are memoized in two named store tiers (see src/store and DESIGN.md,
+/// "Persistent verification store"): the always-on in-memory L1, keyed by
 /// a content hash of the function body, its annotations, its callees'
 /// specs, and the spec-environment fingerprint —
 /// so re-running verifyAll after nothing changed is O(1) per function —
-/// plus an optional on-disk tier (VerifyOptions::CacheDir) whose entries
-/// survive the process and are replayed through the independent
+/// and the optional on-disk L2 that VerifyOptions::CacheDir names, whose
+/// entries survive the process and are replayed through the independent
 /// ProofChecker before being trusted.
 class Checker {
 public:
@@ -101,10 +101,11 @@ public:
   /// session, but all sessions share one in-memory L1 (and optionally one
   /// disk L2), and the content-hash keys — which fold in the function
   /// body, callee specs, and the spec-environment fingerprint — guarantee
-  /// a stale entry can only miss. \p SharedL1 must be a trusted in-memory
-  /// tier (nullptr keeps a fresh private one); \p SharedL2 may be null.
-  /// Once adopted, VerifyOptions::CacheDir is ignored (the tiers are
-  /// fixed); VerifyOptions::NoCache still bypasses probes per run.
+  /// a stale entry can only miss. \p SharedL1 may be null, which keeps a
+  /// fresh private L1; \p SharedL2 may be null. The run's
+  /// VerifyOptions::CacheDir still names the disk tier: a run whose
+  /// CacheDir is \p SharedL2's directory keeps it, and any other CacheDir
+  /// replaces it (configureStore).
   void adoptStoreTiers(std::shared_ptr<store::MemoryResultStore> SharedL1,
                        std::shared_ptr<store::DiskResultStore> SharedL2);
 
@@ -188,10 +189,13 @@ private:
   /// first use.
   lithium::RuleRegistry &ownRules();
 
-  /// (Re)builds the tiered store for this run: the session L1 always, plus
-  /// a disk L2 when Opts.CacheDir is set (reused across runs on the same
-  /// directory).
+  /// Points L2 at the run's Opts.CacheDir: keeps an L2 already on that
+  /// directory (from an earlier run or adoptStoreTiers), opens one
+  /// otherwise, and drops it when the run names none or sets NoCache.
   void configureStore(const VerifyOptions &Opts);
+
+  /// Where a job's store probe found its function's result.
+  enum class StoreHit : uint8_t { Miss, L1, L2 };
 
   /// Per-run replay accounting of the L2 tier, aggregated across jobs
   /// (the trusted L1 never replays).
@@ -201,16 +205,16 @@ private:
     std::atomic<uint64_t> ReplayFailures{0};
   };
 
-  /// Job-start store probe: on a hit in the untrusted disk tier the entry
-  /// is replayed through the ProofChecker before being surfaced (or hash-
-  /// trusted when Opts.Recheck is off) and promoted into L1. Returns false
-  /// — a miss — when there is no usable entry; \p HitTier reports the tier
-  /// on success. Under Opts.Recheck, a failure stored in an untrusted tier
-  /// is a miss too, to be verified afresh: \p Out then holds it and
-  /// \p FailTier its tier.
-  bool probeStore(const std::string &Name, const FnRefs &R, uint64_t Key,
-                  const VerifyOptions &Opts, FnResult &Out, size_t &HitTier,
-                  size_t &FailTier, RunStoreStats &RS);
+  /// Job-start store probe: L1 first, then L2. An L1 hit is served unless
+  /// it is weaker than the run asks for. An L2 hit is replayed through the
+  /// ProofChecker before being surfaced (or hash-trusted when Opts.Recheck
+  /// is off) and put into L1. Returns the tier that served \p Out, or Miss
+  /// when there is no usable entry. Under Opts.Recheck, a failure stored in
+  /// L2 is a miss too, to be verified afresh: \p Out then holds it and
+  /// \p StoredFailure is set.
+  StoreHit probeStore(const std::string &Name, const FnRefs &R, uint64_t Key,
+                      const VerifyOptions &Opts, FnResult &Out,
+                      bool &StoredFailure, RunStoreStats &RS);
 
   const front::AnnotatedProgram &AP;
   rcc::DiagnosticEngine &Diags;
@@ -229,17 +233,14 @@ private:
   ResList GlobalAtoms;
   unsigned PureLines = 0;
 
-  /// The session result store, composed as a tier stack. L1 (in-memory,
-  /// trusted) always exists; L2 (on-disk, untrusted until replayed) is
-  /// attached by configureStore when a run sets VerifyOptions::CacheDir, or
-  /// L1 and L2 are adopted by adoptStoreTiers. Jobs only touch the store at
-  /// job start/end; both tiers are thread-safe.
-  std::shared_ptr<store::MemoryResultStore> L1;
+  /// The session's two store tiers. L1 (in-memory, trusted) always
+  /// exists; L2 (on-disk, untrusted until replayed) is the directory the
+  /// run's VerifyOptions::CacheDir names, or null. adoptStoreTiers
+  /// installs shared ones. Jobs only touch the tiers at job start/end; both
+  /// are thread-safe.
+  std::shared_ptr<store::MemoryResultStore> L1 =
+      std::make_shared<store::MemoryResultStore>();
   std::shared_ptr<store::DiskResultStore> L2;
-  store::TieredResultStore Store;
-  /// True once adoptStoreTiers ran: the tier composition is owned by the
-  /// caller (the daemon) and configureStore must not rebuild it.
-  bool ExternalTiers = false;
 };
 
 /// Registers the RefinedC standard library of typing rules (Section 6 and

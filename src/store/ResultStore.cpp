@@ -46,12 +46,9 @@ bool MemoryResultStore::get(const std::string &Name, uint64_t Key,
     if (It != S.Entries.end() && It->second.first == Key)
       Hit = It->second.second;
   }
-  if (!Hit) {
-    Counters.Misses.fetch_add(1, std::memory_order_relaxed);
+  if (!Hit)
     return false;
-  }
   Out = *Hit;
-  Counters.Hits.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -63,19 +60,7 @@ void MemoryResultStore::put(const std::string &Name, uint64_t Key,
     std::lock_guard<std::mutex> G(S.M);
     std::swap(S.Entries[Name], New);
   }
-  Counters.Puts.fetch_add(1, std::memory_order_relaxed);
   // New now holds the replaced entry, if any; it is freed here, unlocked.
-}
-
-void MemoryResultStore::drop(const std::string &Name, uint64_t Key) {
-  Shard &S = shardOf(Name);
-  Entry Old;
-  std::lock_guard<std::mutex> G(S.M);
-  auto It = S.Entries.find(Name);
-  if (It != S.Entries.end() && It->second.first == Key) {
-    Old = std::move(It->second);
-    S.Entries.erase(It);
-  }
 }
 
 void MemoryResultStore::clear() {
@@ -106,6 +91,10 @@ static constexpr uint32_t kEntryMagic = 0x53564352; // "RCVS"
 /// The largest file `get` reads. Real entries are a few kilobytes; a larger
 /// file is rejected before anything is allocated for it.
 static constexpr off_t kMaxEntryBytes = off_t(16) << 20;
+
+/// Numbers the temp files of every DiskResultStore in the process, so two
+/// stores on one directory never write the same temp file.
+static std::atomic<uint64_t> TmpCounter{0};
 
 DiskResultStore::DiskResultStore(std::string D) : Dir(std::move(D)) {
   std::error_code EC;
@@ -173,8 +162,7 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
   // run's MetricsRegistry post-join (deterministically), so no live
   // trace::count here.
   auto Reject = [&]() {
-    Counters.CorruptDrops.fetch_add(1, std::memory_order_relaxed);
-    Counters.Misses.fetch_add(1, std::memory_order_relaxed);
+    CorruptDrops.fetch_add(1, std::memory_order_relaxed);
     std::error_code EC;
     fs::remove(Path, EC);
     return false;
@@ -186,12 +174,8 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
   // writer; fstat then rejects everything that is not a regular file.
   const int Fd =
       ::open(Path.c_str(), O_RDONLY | O_NONBLOCK | O_NOFOLLOW | O_CLOEXEC);
-  if (Fd < 0) {
-    if (errno == ELOOP)
-      return Reject();
-    Counters.Misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (Fd < 0)
+    return errno == ELOOP ? Reject() : false;
   FdCloser Close(Fd);
   struct stat St;
   if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode) ||
@@ -226,8 +210,6 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
   // not just creation time. Best effort: a read-only cache directory still
   // serves hits, it just ages like FIFO.
   (void)::futimens(Fd, nullptr);
-
-  Counters.Hits.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -247,7 +229,7 @@ void DiskResultStore::put(const std::string &Name, uint64_t Key,
 
   // Write-to-temp + atomic rename: concurrent writers on a shared cache
   // directory either see the old complete entry or the new complete entry,
-  // never a torn one. The temp name is process- and call-unique.
+  // never a torn one. The temp name is unique to the process and the call.
   char Tmp[64];
   snprintf(Tmp, sizeof(Tmp), "/.tmp.%ld.%llu",
            static_cast<long>(getpid()),
@@ -269,24 +251,13 @@ void DiskResultStore::put(const std::string &Name, uint64_t Key,
   }
   std::error_code EC;
   fs::rename(TmpPath, entryPath(Name, Key), EC);
-  if (EC) {
+  if (EC)
     fs::remove(TmpPath, EC);
-    return;
-  }
-  Counters.Puts.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DiskResultStore::drop(const std::string &Name, uint64_t Key) {
   std::error_code EC;
   fs::remove(entryPath(Name, Key), EC);
-}
-
-void DiskResultStore::clear() {
-  std::error_code EC;
-  for (const auto &E : fs::directory_iterator(Dir, EC)) {
-    if (E.path().extension() == ".rcv")
-      fs::remove(E.path(), EC);
-  }
 }
 
 uint64_t DiskResultStore::sizeBytes() const {
@@ -346,46 +317,5 @@ GcStats DiskResultStore::gc(uint64_t MaxBytes) {
       ++S.Evicted;
     }
   }
-  Counters.Evictions.fetch_add(S.Evicted, std::memory_order_relaxed);
   return S;
-}
-
-//===----------------------------------------------------------------------===//
-// TieredResultStore
-//===----------------------------------------------------------------------===//
-
-bool TieredResultStore::get(const std::string &Name, uint64_t Key,
-                            FnResult &Out, size_t &HitTier) {
-  for (size_t I = 0; I < Tiers.size(); ++I) {
-    if (Tiers[I]->get(Name, Key, Out)) {
-      HitTier = I;
-      Counters.Hits.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  Counters.Misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void TieredResultStore::put(const std::string &Name, uint64_t Key,
-                            const FnResult &R) {
-  Counters.Puts.fetch_add(1, std::memory_order_relaxed);
-  for (auto &T : Tiers)
-    T->put(Name, Key, R);
-}
-
-void TieredResultStore::promote(const std::string &Name, uint64_t Key,
-                                const FnResult &R, size_t FromTier) {
-  for (size_t I = 0; I < FromTier && I < Tiers.size(); ++I)
-    Tiers[I]->put(Name, Key, R);
-}
-
-void TieredResultStore::drop(const std::string &Name, uint64_t Key) {
-  for (auto &T : Tiers)
-    T->drop(Name, Key);
-}
-
-void TieredResultStore::clear() {
-  for (auto &T : Tiers)
-    T->clear();
 }

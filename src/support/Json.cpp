@@ -60,6 +60,19 @@ int64_t Value::asInt(int64_t Default) const {
   return static_cast<int64_t>(Num);
 }
 
+bool Value::asWhole(uint64_t Min, uint64_t Max, uint64_t &Out) const {
+  // Only a whole double in [0, 2^64) reaches the conversion; NaN fails
+  // every comparison.
+  if (K != Kind::Number || !(Num >= 0 && Num < 0x1p64) ||
+      Num != std::floor(Num))
+    return false;
+  const uint64_t N = static_cast<uint64_t>(Num);
+  if (N < Min || N > Max)
+    return false;
+  Out = N;
+  return true;
+}
+
 const Value *Value::field(const std::string &Key) const {
   if (K != Kind::Object)
     return nullptr;

@@ -62,6 +62,10 @@ public:
   /// The number truncated toward zero, or \p Default when this is not a
   /// number or the number lies outside int64_t's range.
   int64_t asInt(int64_t Default = 0) const;
+  /// Reads the number as a whole number in [\p Min, \p Max] into \p Out.
+  /// False, with \p Out untouched, when this is not a number, has a
+  /// fractional part or lies outside the range.
+  bool asWhole(uint64_t Min, uint64_t Max, uint64_t &Out) const;
   /// Empty string when this is not a string value.
   const std::string &asString() const { return S; }
 

@@ -573,6 +573,36 @@ TEST(Daemon, StdioRejectedHandshakeEndsSession) {
             std::string::npos);
 }
 
+TEST(Daemon, StdioHelloWithAVersionOutside32BitsGetsAnError) {
+  // 4294967298 is 2^32 + 2: narrowed to unsigned it used to read as 2.
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  writeFile(Src, kTwoFns);
+
+  DaemonOptions O;
+  O.Path = Src;
+  Daemon D(O);
+  std::string Log;
+  EXPECT_EQ(runStdio(D,
+                     "{\"rcc\": \"hello\", \"protocol_version\": "
+                     "4294967298, \"role\": \"client\"}\n" +
+                         reqLine(1, "status") + "\n",
+                     Log),
+            0);
+  std::istringstream In(Log);
+  std::string Line;
+  unsigned Errors = 0, Acks = 0;
+  while (std::getline(In, Line)) {
+    Errors += isMsg(Line, daemon::MsgKind::Error);
+    Acks += isMsg(Line, daemon::MsgKind::HelloAck);
+  }
+  EXPECT_EQ(Acks, 0u) << Log;
+  EXPECT_EQ(Errors, 2u) << "the hello and the ungreeted req: " << Log;
+  EXPECT_NE(Log.find("protocol_version"), std::string::npos) << Log;
+  EXPECT_EQ(Log.find("\"event\": \"status\""), std::string::npos)
+      << "nothing is served without a handshake";
+}
+
 //===----------------------------------------------------------------------===//
 // Socket transport: runSocket on a thread, clients on a real Unix socket
 //===----------------------------------------------------------------------===//

@@ -70,14 +70,42 @@ TEST(Protocol, RequestByeErrorRoundTrip) {
   EXPECT_EQ(ME.E.Message, "it broke");
 }
 
-TEST(Protocol, RequestIdOutsideInt64ReadsAsZero) {
-  // 2^63 is no int64_t: the id falls back to 0 instead of converting out
-  // of range.
-  Msg M = parseOk(
-      "{\"rcc\": \"req\", \"id\": 9223372036854775808, \"method\": \"check\"}",
-      MsgKind::Request);
-  EXPECT_EQ(M.Q.Id, 0u);
-  EXPECT_EQ(M.Q.Method, "check");
+/// A `req` line with \p Id as its id.
+std::string reqWithId(const std::string &Id) {
+  return "{\"rcc\": \"req\", \"id\": " + Id + ", \"method\": \"check\"}";
+}
+
+/// A `hello` line with \p Version as its protocol_version.
+std::string helloWithVersion(const std::string &Version) {
+  return "{\"rcc\": \"hello\", \"protocol_version\": " + Version +
+         ", \"role\": \"client\"}";
+}
+
+TEST(Protocol, RequestIdMustBeAWholeNumberUpTo2Pow53) {
+  // Each of these used to be narrowed into some other id: 2^63 read as 0,
+  // -1 as 2^64 - 1, and 1.5 as 1, so the reply went to a different id.
+  Msg M;
+  std::string Err;
+  for (const char *Id : {"9223372036854775808", "-1", "1.5", "9007199254740994",
+                         "1e300", "\"7\"", "null"}) {
+    EXPECT_FALSE(parseMsg(reqWithId(Id), M, &Err)) << Id;
+    EXPECT_NE(Err.find("id"), std::string::npos) << Err;
+  }
+  // Whole numbers in [0, 2^53] are ids, 1.0 among them.
+  EXPECT_EQ(parseOk(reqWithId("0"), MsgKind::Request).Q.Id, 0u);
+  EXPECT_EQ(parseOk(reqWithId("1.0"), MsgKind::Request).Q.Id, 1u);
+  EXPECT_EQ(parseOk(reqWithId("9007199254740992"), MsgKind::Request).Q.Id,
+            kMaxRequestId);
+}
+
+TEST(Protocol, HelloVersionMustFitIn32Bits) {
+  // 4294967298 used to be cast to unsigned and read as version 2.
+  Msg M;
+  for (const char *V : {"4294967298", "4294967296", "0", "-2", "2.5"})
+    EXPECT_FALSE(parseMsg(helloWithVersion(V), M)) << V;
+  EXPECT_EQ(parseOk(helloWithVersion("4294967295"), MsgKind::Hello).H.Version,
+            4294967295u);
+  EXPECT_EQ(parseOk(helloWithVersion("2"), MsgKind::Hello).H.Version, 2u);
 }
 
 TEST(Protocol, MalformedInputRejected) {
@@ -92,6 +120,7 @@ TEST(Protocol, MalformedInputRejected) {
   EXPECT_FALSE(parseMsg("{\"rcc\": \"hello\", \"role\": \"client\"}", M));
   EXPECT_FALSE(parseMsg("{\"rcc\": \"hello_ack\"}", M));
   EXPECT_FALSE(parseMsg("{\"rcc\": \"req\", \"id\": 3}", M));
+  EXPECT_FALSE(parseMsg("{\"rcc\": \"req\", \"method\": \"status\"}", M));
   // Unknown types; pull, jobs, job_result and span_flush are not messages
   // of this protocol.
   EXPECT_FALSE(parseMsg("{\"rcc\": \"warp\"}", M));
@@ -246,6 +275,10 @@ TEST(EventWire, EnvelopeCarriesTheRequestId) {
   ReqId = 99;
   ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(0), R, &ReqId));
   EXPECT_EQ(ReqId, 0u);
+
+  // The largest id a req may carry comes back whole.
+  ASSERT_TRUE(Event::fromJsonLine(E.toJsonLine(kMaxRequestId), R, &ReqId));
+  EXPECT_EQ(ReqId, kMaxRequestId);
 }
 
 TEST(EventWire, GarbageRejected) {
@@ -258,6 +291,15 @@ TEST(EventWire, GarbageRejected) {
       "{\"v\": 1, \"id\": 0, \"event\": \"status\", \"rev\": 1}", R));
   EXPECT_FALSE(
       Event::fromJsonLine("{\"v\": 2, \"event\": \"status\", \"rev\": 1}", R));
+  // A version or id that is no whole number in range, read by the rule a
+  // req's id follows.
+  for (const char *Envelope :
+       {"\"v\": 2.5, \"id\": 0", "\"v\": 4294967298, \"id\": 0",
+        "\"v\": 2, \"id\": -1", "\"v\": 2, \"id\": 1.5",
+        "\"v\": 2, \"id\": 9223372036854775808"})
+    EXPECT_FALSE(Event::fromJsonLine(
+        "{" + std::string(Envelope) + ", \"event\": \"shutdown\"}", R))
+        << Envelope;
   // Inside the envelope: no event name, an unknown one, a missing field.
   EXPECT_FALSE(Event::fromJsonLine("{\"v\": 2, \"id\": 0, \"rev\": 1}", R));
   EXPECT_FALSE(Event::fromJsonLine(

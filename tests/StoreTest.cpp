@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The contracts of the tiered result store (DESIGN.md, "Persistent
+/// The contracts of the result store's two tiers (DESIGN.md, "Persistent
 /// verification store"): lossless serialization that re-interns pure terms,
 /// corruption rejected as a miss (never a crash), cross-session reuse with
 /// replay-established trust, re-verifying only the edited function,
-/// fingerprint self-invalidation, and tier promotion.
+/// fingerprint self-invalidation, promotion into L1 after the replay, and
+/// the run's CacheDir naming the disk tier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <thread>
 
 #include <sys/stat.h>
@@ -155,6 +157,46 @@ ProgramResult verifyAfterTrustedForgery(const VerifyOptions &Opts,
   return C.verifyFunctions({"inc"}, Opts);
 }
 
+/// Four functions of the `inc` shape that each verify on their own.
+const char *kIncFamilySource = R"(
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<u32>")]]
+[[rc::returns("{n + 1} @ int<u32>")]]
+[[rc::requires("{n <= 100}")]]
+unsigned int inc1(unsigned int x) { return x + 1; }
+
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<u32>")]]
+[[rc::returns("{n + 2} @ int<u32>")]]
+[[rc::requires("{n <= 100}")]]
+unsigned int inc2(unsigned int x) { return x + 2; }
+
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<u32>")]]
+[[rc::returns("{n + 3} @ int<u32>")]]
+[[rc::requires("{n <= 100}")]]
+unsigned int inc3(unsigned int x) { return x + 3; }
+
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<u32>")]]
+[[rc::returns("{n + 4} @ int<u32>")]]
+[[rc::requires("{n <= 100}")]]
+unsigned int inc4(unsigned int x) { return x + 4; }
+)";
+
+/// The function names of the entries in \p Dir (an entry's file name
+/// starts with its function's name).
+std::set<std::string> entryNames(const std::string &Dir) {
+  std::set<std::string> Names;
+  std::error_code EC;
+  for (const auto &E : fs::directory_iterator(Dir, EC))
+    if (E.path().extension() == ".rcv") {
+      const std::string File = E.path().filename().string();
+      Names.insert(File.substr(0, File.find('.')));
+    }
+  return Names;
+}
+
 size_t countEntries(const std::string &Dir) {
   size_t N = 0;
   std::error_code EC;
@@ -272,7 +314,7 @@ TEST(Store, DiskTierRoundTripsAndRejectsCorruption) {
 
   // Wrong key: a miss, not corruption.
   EXPECT_FALSE(DS.get("inc", Key + 1, L));
-  EXPECT_EQ(DS.counters().CorruptDrops.load(), 0u);
+  EXPECT_EQ(DS.corruptDrops(), 0u);
 
   // Bit-flip every byte position in turn: always a clean miss, and the
   // poisoned file is unlinked so the slot heals.
@@ -291,7 +333,7 @@ TEST(Store, DiskTierRoundTripsAndRejectsCorruption) {
     EXPECT_FALSE(fs::exists(Path)) << "corrupt entry not unlinked";
     ++Drops;
   }
-  EXPECT_EQ(DS.counters().CorruptDrops.load(), Drops);
+  EXPECT_EQ(DS.corruptDrops(), Drops);
 
   // Truncations are rejected the same way.
   for (size_t Len : {size_t(0), size_t(3), Orig.size() / 2, Orig.size() - 1}) {
@@ -313,39 +355,37 @@ TEST(Store, DiskTierRoundTripsAndRejectsCorruption) {
   EXPECT_EQ(NonEntry, 0u);
 }
 
-TEST(Store, TieredProbeOrderAndPromotion) {
-  auto M1 = std::make_shared<MemoryResultStore>();
-  auto M2 = std::make_shared<MemoryResultStore>();
-  TieredResultStore T;
-  T.addTier(M1, /*Trusted=*/true);
-  T.addTier(M2, /*Trusted=*/false);
-  EXPECT_TRUE(T.trusted(0));
-  EXPECT_FALSE(T.trusted(1));
+TEST(Store, TwoDiskStoresOnOneDirectoryKeepEveryEntry) {
+  // Two sessions of one process that share a CacheDir each open their own
+  // disk tier; their temp files must not collide.
+  TempDir Dir;
+  DiskResultStore A(Dir.str()), B(Dir.str());
+  constexpr unsigned kPerStore = 2000;
+  auto NameOf = [](char Store, unsigned I) {
+    return std::string(1, Store) + "_fn_" + std::to_string(I);
+  };
+  auto Fill = [&](DiskResultStore &S, char Store) {
+    FnResult R;
+    for (unsigned I = 0; I < kPerStore; ++I) {
+      R.Name = NameOf(Store, I);
+      S.put(R.Name, I, R);
+    }
+  };
+  std::thread TA(Fill, std::ref(A), 'a'), TB(Fill, std::ref(B), 'b');
+  TA.join();
+  TB.join();
 
-  FnResult R;
-  R.Name = "f";
-  R.Verified = true;
-  M2->put("f", 7, R);
-
-  FnResult L;
-  size_t Tier = 99;
-  ASSERT_TRUE(T.get("f", 7, L, Tier));
-  EXPECT_EQ(Tier, 1u) << "hit must be attributed to the lower tier";
-
-  // No auto-promotion: trust is the caller's decision.
-  EXPECT_FALSE(M1->get("f", 7, L));
-
-  T.promote("f", 7, R, /*FromTier=*/1);
-  ASSERT_TRUE(M1->get("f", 7, L));
-  Tier = 99;
-  ASSERT_TRUE(T.get("f", 7, L, Tier));
-  EXPECT_EQ(Tier, 0u);
-
-  // Stale key: the entry self-invalidates.
-  EXPECT_FALSE(T.get("f", 8, L, Tier));
-  // drop removes from every tier.
-  T.drop("f", 7);
-  EXPECT_FALSE(T.get("f", 7, L, Tier));
+  DiskResultStore Reader(Dir.str());
+  unsigned Lost = 0;
+  for (char Store : {'a', 'b'})
+    for (unsigned I = 0; I < kPerStore; ++I) {
+      FnResult Out;
+      Lost += !Reader.get(NameOf(Store, I), I, Out) ||
+              Out.Name != NameOf(Store, I);
+    }
+  EXPECT_EQ(Lost, 0u);
+  EXPECT_EQ(Reader.corruptDrops(), 0u);
+  EXPECT_EQ(countEntries(Dir.str()), 2 * kPerStore);
 }
 
 //===----------------------------------------------------------------------===//
@@ -859,6 +899,75 @@ TEST(Store, NoCacheBypassesEveryTier) {
   EXPECT_EQ(countEntries(Dir.str()), 0u) << "--no-cache must not write";
 }
 
+TEST(Store, EachRunsCacheDirNamesTheDiskTier) {
+  // One session, four runs: without a CacheDir, on directory A, on B, and
+  // with NoCache. Each run's CacheDir alone decides which disk tier it
+  // probes and publishes to; L1 serves whatever the session verified.
+  TempDir A, B;
+  auto AP = compile(kIncFamilySource);
+  ASSERT_NE(AP, nullptr);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  {
+    // Another session leaves inc3 in B.
+    DiagnosticEngine Diags;
+    Checker Other(*AP, Diags);
+    ASSERT_TRUE(Other.buildEnv());
+    Opts.CacheDir = B.str();
+    ASSERT_TRUE(Other.verifyFunctions({"inc3"}, Opts).allVerified());
+  }
+  using Names = std::set<std::string>;
+  ASSERT_EQ(entryNames(B.str()), Names({"inc3"}));
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+
+  // 1. No CacheDir: L1 only.
+  Opts.CacheDir.clear();
+  ProgramResult R1 = C.verifyFunctions({"inc1"}, Opts);
+  EXPECT_TRUE(R1.allVerified());
+  EXPECT_EQ(R1.CacheMisses, 1u);
+  EXPECT_EQ(R1.L1Hits, 0u);
+  EXPECT_EQ(R1.L2Hits, 0u);
+  EXPECT_EQ(entryNames(A.str()), Names());
+  EXPECT_EQ(entryNames(B.str()), Names({"inc3"}));
+
+  // 2. On A: inc1 is an L1 hit, which writes nothing; inc2 is verified and
+  // published to L1 and A.
+  Opts.CacheDir = A.str();
+  ProgramResult R2 = C.verifyFunctions({"inc1", "inc2"}, Opts);
+  EXPECT_TRUE(R2.allVerified());
+  EXPECT_EQ(R2.CacheMisses, 1u);
+  EXPECT_EQ(R2.L1Hits, 1u);
+  EXPECT_EQ(R2.L2Hits, 0u);
+  EXPECT_EQ(entryNames(A.str()), Names({"inc2"}));
+  EXPECT_EQ(entryNames(B.str()), Names({"inc3"}));
+
+  // 3. On B: inc1 and inc2 from L1, inc3 from B (replayed), inc4 verified
+  // and published to B, not to A.
+  Opts.CacheDir = B.str();
+  ProgramResult R3 = C.verifyFunctions({"inc1", "inc2", "inc3", "inc4"}, Opts);
+  EXPECT_TRUE(R3.allVerified());
+  EXPECT_EQ(R3.CacheMisses, 1u);
+  EXPECT_EQ(R3.L1Hits, 2u);
+  EXPECT_EQ(R3.L2Hits, 1u);
+  EXPECT_EQ(R3.ReplayedHits, 1u);
+  EXPECT_EQ(entryNames(A.str()), Names({"inc2"}));
+  EXPECT_EQ(entryNames(B.str()), Names({"inc3", "inc4"}));
+
+  // 4. NoCache, with B still named: no tier is probed or written.
+  Opts.NoCache = true;
+  ProgramResult R4 = C.verifyFunctions({"inc1", "inc2", "inc3", "inc4"}, Opts);
+  EXPECT_TRUE(R4.allVerified());
+  EXPECT_EQ(R4.CacheMisses, 4u);
+  EXPECT_EQ(R4.CacheHits, 0u);
+  EXPECT_EQ(R4.L1Hits, 0u);
+  EXPECT_EQ(R4.L2Hits, 0u);
+  EXPECT_EQ(entryNames(A.str()), Names({"inc2"}));
+  EXPECT_EQ(entryNames(B.str()), Names({"inc3", "inc4"}));
+}
+
 //===----------------------------------------------------------------------===//
 // Hostile files at entry paths (anyone who can write the cache directory
 // can plant them)
@@ -920,11 +1029,11 @@ TEST(Store, SymlinkAtAnEntryPathIsDroppedNotFollowed) {
 // scripts/check.sh)
 //===----------------------------------------------------------------------===//
 
-TEST(Store, MemoryTierServesConcurrentPutGetAndDrop) {
+TEST(Store, MemoryTierServesConcurrentPutAndGet) {
   MemoryResultStore S;
   constexpr unsigned kThreads = 4, kNames = 64, kRounds = 200;
   auto NameOf = [](unsigned I) { return "fn_" + std::to_string(I); };
-  std::atomic<unsigned> Gets{0}, BadHits{0};
+  std::atomic<unsigned> BadHits{0};
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < kThreads; ++T)
     Threads.emplace_back([&, T] {
@@ -940,17 +1049,12 @@ TEST(Store, MemoryTierServesConcurrentPutGetAndDrop) {
           if (S.get(Name, Key, Out) &&
               (Out.Name != Name || Out.EvarsInstantiated != Key))
             ++BadHits;
-          ++Gets;
-          if ((I + Round) % 5 == 0)
-            S.drop(Name, Key);
         }
     });
   for (std::thread &Th : Threads)
     Th.join();
 
   EXPECT_EQ(BadHits.load(), 0u) << "a hit returned another entry's result";
-  EXPECT_EQ(S.counters().Puts.load(), Gets.load());
-  EXPECT_EQ(S.counters().Hits.load() + S.counters().Misses.load(), Gets.load());
   // Afterwards the store still serves every name it is given.
   for (unsigned I = 0; I < kNames; ++I) {
     FnResult R;
@@ -1009,7 +1113,6 @@ TEST(Store, GcEvictsOldestFirstUntilUnderBudget) {
   EXPECT_FALSE(S.get("oldest", 1, Out));
   EXPECT_TRUE(S.get("middle", 2, Out));
   EXPECT_TRUE(S.get("newest", 3, Out));
-  EXPECT_EQ(S.counters().Evictions.load(), 1u);
 
   // A zero budget clears the directory.
   GcStats G2 = S.gc(0);
