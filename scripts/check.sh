@@ -146,11 +146,14 @@ done
 #    test_lsp) run as part of the sanitized suite below. GCC's
 #    -fsanitize=undefined leaves out float-cast-overflow, which guards the
 #    double-to-integer conversions of untrusted JSON numbers, so it is
-#    named on its own.
+#    named on its own. -D_GLIBCXX_ASSERTIONS bounds-checks container and
+#    span indexing: derivation steps are flat records that refer to rules
+#    by label id and to hypotheses through interned lists, and an index
+#    that stays inside a live allocation is invisible to ASan.
 #    Skippable for quick local runs: CHECK_SKIP_SANITIZERS=1 scripts/check.sh
 if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all"
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
   cmake --build build-asan -j
   (cd build-asan && ctest --output-on-failure -j)
   ./build-asan/examples/verify_tool --trace=build-asan/demo_trace.json \
@@ -166,7 +169,9 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   #    typedef table, lowers it and frees its AST; phase 2: function specs
   #    against the shared environment), the thread pool (test_support) and
   #    the store
-  #    tiers that concurrent jobs probe and publish to (test_store), plus
+  #    tiers that concurrent jobs probe and publish to (test_store, which
+  #    also loads entries naming rules the process has not seen on two
+  #    threads at once, so both intern into the label table), plus
   #    the terms and solvers every job runs (test_pure_term and
   #    test_pure_solver, whose concurrent substitution and solver tests
   #    run several threads, test_bitvector, test_linear_overflow), and the

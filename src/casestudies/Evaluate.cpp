@@ -45,13 +45,13 @@ Fig7Row rcc::casestudies::evaluateCaseStudy(const CaseStudy &CS,
   VO.Portfolio = Opts.Portfolio;
   ProgramResult PR = C.verifyFunctions(CS.Functions, VO);
 
-  std::set<std::string> Rules;
+  lithium::LabelSet Rules;
   for (const FnResult &R : PR.Fns) {
     if (!R.Verified && Row.Error.empty())
       Row.Error = R.renderError(CS.Source);
     Row.RuleApps += R.Stats.RuleApps;
-    for (const std::string &N : R.Stats.RulesUsed)
-      Rules.insert(N);
+    for (lithium::Label L : R.Stats.RulesUsed.byName())
+      Rules.insert(L);
     Row.SideCondAuto += R.Stats.SideCondAuto;
     Row.SideCondManual += R.Stats.SideCondManual;
     Row.EvarsInstantiated += R.EvarsInstantiated;

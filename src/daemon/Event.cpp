@@ -128,13 +128,32 @@ std::string Event::toJsonLine(uint64_t Id) const {
   return S;
 }
 
+/// Event numbers are whole: an `unsigned` field reads [0, 2^32) and a
+/// 64-bit one [0, 2^53], the range a double carries exactly. A field that
+/// is present but out of range or fractional rejects the line; narrowing it
+/// would hand the reader a wrong count.
+static constexpr uint64_t kMaxUnsigned = 0xffffffffu;
+static constexpr uint64_t kMaxWhole64 = uint64_t(1) << 53;
+
+static bool readUnsigned(const json::Value &F, unsigned &Out) {
+  uint64_t N;
+  if (!F.asWhole(0, kMaxUnsigned, N))
+    return false;
+  Out = static_cast<unsigned>(N);
+  return true;
+}
+
+/// Reads a line/column pair. Absent keys leave \p Out as it is; a pair
+/// that is present must be two whole numbers in range.
 static bool parseLoc(const json::Value &O, const char *LineKey,
                      const char *ColKey, SourceLoc &Out) {
   const json::Value *L = O.field(LineKey), *C = O.field(ColKey);
-  if (!L || !C || !L->isNumber() || !C->isNumber())
+  if (!L && !C)
+    return true;
+  SourceLoc Loc;
+  if (!L || !C || !readUnsigned(*L, Loc.Line) || !readUnsigned(*C, Loc.Col))
     return false;
-  Out.Line = static_cast<unsigned>(L->asInt());
-  Out.Col = static_cast<unsigned>(C->asInt());
+  Out = Loc;
   return true;
 }
 
@@ -144,8 +163,9 @@ static bool parseDiagObject(const json::Value &O, Diagnostic &D) {
     return false;
   if (const json::Value *F = O.field("file"))
     D.File = F->asString();
-  parseLoc(O, "line", "col", D.Loc);
-  parseLoc(O, "end_line", "end_col", D.End);
+  if (!parseLoc(O, "line", "col", D.Loc) ||
+      !parseLoc(O, "end_line", "end_col", D.End))
+    return false;
   if (const json::Value *S = O.field("severity")) {
     if (S->asString() == "warning")
       D.Level = DiagLevel::Warning;
@@ -181,13 +201,20 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   const std::string &K = Kind->asString();
 
   Event E; // start from zero values; only set what the wire carries
-  auto U = [&V](const char *Name, unsigned Default = 0) -> unsigned {
+  bool NumbersOk = true; // cleared by any number that is out of range
+  auto U = [&V, &NumbersOk](const char *Name) -> unsigned {
     const json::Value *F = V.field(Name);
-    return F && F->isNumber() ? static_cast<unsigned>(F->asInt()) : Default;
+    unsigned N = 0;
+    if (F && !readUnsigned(*F, N))
+      NumbersOk = false;
+    return N;
   };
-  auto U64 = [&V](const char *Name) -> uint64_t {
+  auto U64 = [&V, &NumbersOk](const char *Name) -> uint64_t {
     const json::Value *F = V.field(Name);
-    return F && F->isNumber() ? static_cast<uint64_t>(F->asInt()) : 0;
+    uint64_t N = 0;
+    if (F && !F->asWhole(0, kMaxWhole64, N))
+      NumbersOk = false;
+    return N;
   };
   auto B = [&V](const char *Name) -> bool {
     const json::Value *F = V.field(Name);
@@ -215,7 +242,8 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
         return false;
     } else {
       E.Diag.Message = Str("error");
-      parseLoc(V, "line", "col", E.Diag.Loc);
+      if (!parseLoc(V, "line", "col", E.Diag.Loc))
+        return false;
     }
     E.Diag.Fn = Str("fn");
     E.Diag.File = E.File;
@@ -236,8 +264,7 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   } else if (K == "error") {
     E.Kind = EventKind::Error;
     E.Diag.Message = Str("message");
-    parseLoc(V, "line", "col", E.Diag.Loc);
-    if (E.Diag.Message.empty())
+    if (!parseLoc(V, "line", "col", E.Diag.Loc) || E.Diag.Message.empty())
       return false;
   } else if (K == "gc") {
     E.Kind = EventKind::Gc;
@@ -250,6 +277,8 @@ bool Event::fromJsonLine(const std::string &Line, Event &Out,
   } else {
     return false;
   }
+  if (!NumbersOk)
+    return false;
   Out = std::move(E);
   if (ReqId)
     *ReqId = Id;

@@ -122,7 +122,10 @@ void RuleRegistry::add(Rule R) {
 }
 
 void RuleRegistry::insert(Rule R) {
-  if (!Names.insert(R.Name).second) {
+  R.Lbl = Label::intern(R.Name);
+  if (R.Lbl.id() >= ByLabel.size())
+    ByLabel.resize(R.Lbl.id() + 1, nullptr);
+  if (ByLabel[R.Lbl.id()]) {
     std::fprintf(stderr,
                  "rcc: duplicate typing rule registration '%s' — rule names "
                  "key derivation replay and must be unique\n",
@@ -133,6 +136,7 @@ void RuleRegistry::insert(Rule R) {
   KindTable &T = Kinds[R.Kind];
   T.All.push_back(std::move(R));
   const Rule &Stored = T.All.back();
+  ByLabel[Stored.Lbl.id()] = &Stored;
   ++NumRulesTotal;
 
   const RuleKey &K = Stored.Key;
@@ -465,7 +469,7 @@ bool Engine::popValAtom(TermRef V, ResAtom &Out, rcc::SourceLoc Loc) {
       continue;
     Out = Delta[I];
     Delta.erase(Delta.begin() + I);
-    record(DerivStep::AtomMatch, "pop-val");
+    record(DerivStep::AtomMatch, Builtin::PopVal);
     if (CtSubsumePop)
       CtSubsumePop->add(1);
     return true;
@@ -506,7 +510,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         else
           A.Ty = Ty;
         pushAtom(std::move(A)); // normalization splits struct/padded
-        record(DerivStep::RuleApp, "unfold-named");
+        record(DerivStep::RuleApp, Builtin::UnfoldNamed);
         Reshaped = true;
         break;
       }
@@ -534,7 +538,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
                   IsAny ? refinedc::tyAny(Rest) : refinedc::tyUninit(Rest)));
               Out = refinedc::ResAtom::loc(
                   L, IsAny ? refinedc::tyAny(SzT) : refinedc::tyUninit(SzT));
-              record(DerivStep::AtomMatch, "pop-loc-split");
+              record(DerivStep::AtomMatch, Builtin::PopLocSplit);
               if (CtSubsumePop)
                 CtSubsumePop->add(1);
               return true;
@@ -546,7 +550,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
       Out.Subject = L;
       Out.Ty = Ty;
       Delta.erase(Delta.begin() + I);
-      record(DerivStep::AtomMatch, "pop-loc");
+      record(DerivStep::AtomMatch, Builtin::PopLoc);
       if (CtSubsumePop)
         CtSubsumePop->add(1);
       return true;
@@ -619,7 +623,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         ResAtom N = A;
         N.Ty = unfoldNamed(*Ty);
         pushAtom(std::move(N));
-        record(DerivStep::RuleApp, "unfold-named");
+        record(DerivStep::RuleApp, Builtin::UnfoldNamed);
         Focused = true;
         break;
       }
@@ -634,7 +638,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         Delta.push_back(ResAtom::loc(
             A.Subject, tyValueOf(Pointee, mkNat(caesium::PtrBytes))));
       pushAtom(ResAtom::loc(Pointee, Ty->Children[0]));
-      record(DerivStep::RuleApp, "focus-own");
+      record(DerivStep::RuleApp, Builtin::FocusOwn);
       Focused = true;
     }
     if (Focused)
@@ -654,7 +658,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         // The value IS the pointer; its pointee ownership becomes a loc atom.
         Delta.erase(Delta.begin() + I);
         pushAtom(ResAtom::loc(Base, Ty->Children[0]));
-        record(DerivStep::RuleApp, "focus-own-val");
+        record(DerivStep::RuleApp, Builtin::FocusOwnVal);
         Chased = true;
         break;
       }
@@ -678,12 +682,15 @@ void Engine::recordSideCond(TermRef Phi, const pure::SolveResult &R) {
     ++Stats.SideCondAuto;
   if (!Deriv)
     return;
-  DerivStep S{DerivStep::SideCond, R.Engine, Evars.resolve(Phi), {},
-              R.Manual};
-  S.Hyps.reserve(Gamma.size());
+  // The resolved Γ is built in a per-thread buffer; only a list no step
+  // of this process recorded before is copied into the hypothesis table.
+  thread_local std::vector<TermRef> Resolved;
+  Resolved.clear();
   for (TermRef H : Gamma)
-    S.Hyps.push_back(Evars.resolve(H));
-  Deriv->Steps.push_back(std::move(S));
+    Resolved.push_back(Evars.resolve(H));
+  Deriv->Steps.push_back({DerivStep::SideCond, R.Manual,
+                          Label::intern(R.Engine), Evars.resolve(Phi),
+                          HypList::intern(Resolved)});
 }
 
 bool Engine::flushPending(bool Final) {
@@ -701,7 +708,7 @@ bool Engine::flushPending(bool Final) {
       continue;
     }
     if (Ground || Final) {
-      record(DerivStep::SideCond, "failed", Evars.resolve(Phi));
+      record(DerivStep::SideCond, Builtin::Failed, Evars.resolve(Phi));
       fail("Cannot prove side condition!\nGoal: " + resolve(Phi)->str(), Loc);
       return false;
     }
@@ -716,11 +723,11 @@ bool Engine::solveSideCond(TermRef Phi, rcc::SourceLoc Loc) {
     // Postpone conditions that still mention unbound evars: the evars are
     // typically determined by the subsumptions that follow (Section 5).
     if (containsEVar(Evars.resolve(Phi))) {
-      record(DerivStep::Intro, "postpone", Evars.resolve(Phi));
+      record(DerivStep::Intro, Builtin::Postpone, Evars.resolve(Phi));
       Pending.push_back({Phi, Loc});
       return true;
     }
-    record(DerivStep::SideCond, "failed", Evars.resolve(Phi));
+    record(DerivStep::SideCond, Builtin::Failed, Evars.resolve(Phi));
     fail("Cannot prove side condition!\nGoal: " + resolve(Phi)->str(), Loc);
     return false;
   }
@@ -832,11 +839,11 @@ bool Engine::prove(GoalRef G) {
           bool SavedV = Vacuous;
           pure::EvarEnv SavedE = Evars;
           ++Stats.RuleApps;
-          Stats.RulesUsed.insert(Cands[I]->Name);
+          Stats.RulesUsed.insert(Cands[I]->Lbl);
           GoalRef Next = nullptr;
           {
             trace::Span RuleSpan(trace::Category::Rule, Cands[I]->Name);
-            CurrentRule = Cands[I]->Name;
+            CurrentRule = Cands[I]->Lbl;
             Next = Cands[I]->Apply(*this, *G->J);
           }
           if (Next && prove(Next))
@@ -863,12 +870,12 @@ bool Engine::prove(GoalRef G) {
         return false;
       }
       ++Stats.RuleApps;
-      Stats.RulesUsed.insert(R->Name);
-      record(DerivStep::RuleApp, R->Name);
+      Stats.RulesUsed.insert(R->Lbl);
+      record(DerivStep::RuleApp, R->Lbl);
       GoalRef Next = nullptr;
       {
         trace::Span RuleSpan(trace::Category::Rule, R->Name);
-        CurrentRule = R->Name;
+        CurrentRule = R->Lbl;
         Next = R->Apply(*this, *G->J);
       }
       if (!Next) {
@@ -908,7 +915,7 @@ bool Engine::proveStar(const ResList &H, GoalRef Next, GoalRef &Out) {
     if (Ty->K == refinedc::TypeKind::Wand) {
       ResAtom Hole = ResAtom::loc(Ty->WandLoc, Ty->Children[1]);
       ResAtom Result = ResAtom::loc(A.Subject, Ty->Children[0]);
-      record(DerivStep::RuleApp, "WAND-INTRO-GOAL");
+      record(DerivStep::RuleApp, Builtin::WandIntroGoal);
       Out = gWand({Hole}, gStar({Result}, Cont));
       return true;
     }

@@ -32,6 +32,7 @@
 #define RCC_LITHIUM_ENGINE_H
 
 #include "lithium/Goal.h"
+#include "lithium/Derivation.h"
 #include "pure/Solver.h"
 #include "trace/Trace.h"
 
@@ -39,10 +40,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace rcc::lithium {
 
@@ -134,6 +132,9 @@ struct Rule {
   /// merging replays rules in exactly this order, so indexed dispatch sees
   /// the same rule order the linear scan did.
   unsigned Seq = 0;
+  /// The interned Name, assigned by RuleRegistry::add: what a derivation
+  /// step and EngineStats::RulesUsed record.
+  Label Lbl = {};
 };
 
 /// The rule registry: Coq's typeclass database in the paper's implementation.
@@ -178,10 +179,13 @@ public:
 
   size_t numRules() const { return NumRulesTotal; }
 
-  /// True if a rule with this name is registered. The proof checker's
-  /// replay queries this once per recorded derivation step, so it is a
-  /// name-index lookup, not a scan over the ~200-rule library.
-  bool hasRule(const std::string &Name) const { return Names.count(Name); }
+  /// The registered rule a label names, or null: one index into a vector
+  /// kept by add(). The proof checker's replay asks once per recorded
+  /// rule application.
+  const Rule *rule(Label L) const {
+    return L.id() < ByLabel.size() ? ByLabel[L.id()] : nullptr;
+  }
+  bool hasRule(Label L) const { return rule(L) != nullptr; }
 
   /// Hash of the full dispatch schema (rule names, kinds, priorities, keys,
   /// plus a dispatch-format salt), as of the last add(). Folded into session
@@ -220,9 +224,8 @@ private:
   static void forEachCandidate(const KindTable &T, uint32_t D, F &&Fn);
 
   std::map<JudgKind, KindTable> Kinds;
-  /// Name index maintained by add(); keeps hasRule O(1) in the number of
-  /// registered rules.
-  std::unordered_set<std::string> Names;
+  /// Label id -> registered rule (null where a label names no rule here).
+  std::vector<const Rule *> ByLabel;
   size_t NumRulesTotal = 0;
   unsigned NextSeq = 0;
   DispatchMode Mode = DispatchMode::Indexed;
@@ -230,25 +233,9 @@ private:
   uint64_t Fp = hashSchema();
 };
 
-/// One recorded proof step, for statistics and for replay by the proof
-/// checker. A step holds the rule choice and the terms only; nothing is
-/// rendered during search (messages render Prop on demand).
-struct DerivStep {
-  enum SKind : uint8_t { RuleApp, SideCond, AtomMatch, Intro } K;
-  std::string Rule;   ///< rule name / solver engine / "failed" / "postpone"
-  /// SideCond (proved or failed) and postpone: the resolved proposition.
-  pure::TermRef Prop = nullptr;
-  std::vector<pure::TermRef> Hyps; ///< proved SideCond: resolved Γ
-  bool Manual = false;
-};
-
-struct Derivation {
-  std::vector<DerivStep> Steps;
-};
-
 struct EngineStats {
   unsigned RuleApps = 0;
-  std::set<std::string> RulesUsed;
+  LabelSet RulesUsed;
   unsigned SideCondAuto = 0;
   unsigned SideCondManual = 0;
   unsigned GoalSteps = 0;
@@ -318,11 +305,11 @@ public:
   /// error messages).
   rcc::SourceLoc CurrentLoc;
   std::vector<std::string> FailureContext;
-  /// Name of the rule whose application produced the recorded failure, and
-  /// the rule currently being applied (maintained around Apply calls so
-  /// fail() can attribute side-condition failures to a rule).
-  std::string FailureRule;
-  std::string CurrentRule;
+  /// The rule whose application produced the recorded failure, and the
+  /// rule currently being applied (maintained around Apply calls so fail()
+  /// can attribute side-condition failures to a rule).
+  Label FailureRule;
+  Label CurrentRule;
   void fail(const std::string &Msg, rcc::SourceLoc Loc = {});
 
   // --- Utilities for rules ---
@@ -360,10 +347,17 @@ public:
 
   /// Records a step that carries no hypotheses; side conditions that were
   /// proved go through recordSideCond.
-  void record(DerivStep::SKind K, std::string_view Rule,
-              TermRef Prop = nullptr) {
+  void record(DerivStep::SKind K, Label Rule, TermRef Prop = nullptr) {
     if (Deriv)
-      Deriv->Steps.push_back({K, std::string(Rule), Prop, {}, false});
+      Deriv->Steps.push_back({K, false, Rule, Prop});
+  }
+  /// Records a rule application that no registry rule performs (a Builtin
+  /// the RefinedC layer applies itself, like O-ARRAY-READ), counting it as
+  /// a registry rule application is counted.
+  void recordRuleApp(Builtin B) {
+    ++Stats.RuleApps;
+    Stats.RulesUsed.insert(B);
+    record(DerivStep::RuleApp, B);
   }
   /// Counts a proved side condition as automatic or manual and records it
   /// with its *resolved* proposition and hypotheses, so the proof checker

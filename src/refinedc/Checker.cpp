@@ -755,7 +755,7 @@ FnResult Checker::verify(const std::string &Name, const FnRefs &Refs,
       Res.Error = E2.Failure;
       Res.ErrorLoc = E2.FailureLoc;
       Res.ErrorContext = E2.FailureContext;
-      Res.FailedRule = E2.FailureRule;
+      Res.FailedRule = E2.FailureRule.name();
     }
   }
   Res.BacktrackedSteps += E.BacktrackedSteps;
@@ -764,7 +764,7 @@ FnResult Checker::verify(const std::string &Name, const FnRefs &Refs,
     Res.Error = E.Failure;
     Res.ErrorLoc = E.FailureLoc;
     Res.ErrorContext = E.FailureContext;
-    Res.FailedRule = E.FailureRule;
+    Res.FailedRule = E.FailureRule.name();
   }
   Res.Verified = Ok;
   Res.EvarsInstantiated = Evars.numInstantiated();

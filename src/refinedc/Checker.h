@@ -27,6 +27,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string_view>
 #include <unordered_map>
 

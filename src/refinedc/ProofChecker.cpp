@@ -32,19 +32,17 @@ ProofCheckResult ProofChecker::check(const Derivation &D,
   for (const DerivStep &S : D.Steps) {
     switch (S.K) {
     case DerivStep::RuleApp:
-      // The rule must exist in the registry; built-in engine
-      // transformations are whitelisted.
-      if (S.Rule != "unfold-named" && S.Rule != "focus-own" &&
-          S.Rule != "focus-own-val" && S.Rule != "WAND-INTRO-GOAL" &&
-          S.Rule != "O-ARRAY-READ" && S.Rule != "O-ARRAY-WRITE" &&
-          !Rules.hasRule(S.Rule)) {
-        R.Error = "derivation applies unknown rule '" + S.Rule + "'";
+      // The rule must exist in the registry; the engine's built-in rule
+      // applications (BuiltinSteps) are whitelisted.
+      if (!S.Rule.isBuiltinRule() && !Rules.hasRule(S.Rule)) {
+        R.Error = "derivation applies unknown rule '" +
+                  std::string(S.Rule.name()) + "'";
         return R;
       }
       ++R.RuleSteps;
       break;
     case DerivStep::SideCond: {
-      if (S.Rule == "failed") {
+      if (S.Rule == Builtin::Failed) {
         R.Error = "derivation contains a failed side condition: " +
                   (S.Prop ? S.Prop->str() : std::string("?"));
         return R;

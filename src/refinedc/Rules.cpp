@@ -480,9 +480,7 @@ void registerExprRules(std::vector<Rule> &R) {
                // i-th element of the refinement list.
                ArrayHit Hit;
                if (XP->Ord == caesium::MemOrder::NonAtomic && findArrayElem(E, L, XP->AccessSize, Hit)) {
-                 E.record(lithium::DerivStep::RuleApp, "O-ARRAY-READ");
-                 ++E.stats().RuleApps;
-                 E.stats().RulesUsed.insert("O-ARRAY-READ");
+                 E.recordRuleApp(lithium::Builtin::ArrayRead);
                  TermRef Xs = Hit.ArrTy->Refn;
                  if (!E.solveSideCond(mkLt(Hit.Index, mkLLen(Xs)), XP->Loc))
                    return nullptr;
@@ -533,9 +531,7 @@ void registerExprRules(std::vector<Rule> &R) {
                              XP->Loc);
                      return nullptr;
                    }
-                   E2.record(lithium::DerivStep::RuleApp, "O-ARRAY-WRITE");
-                   ++E2.stats().RuleApps;
-                   E2.stats().RulesUsed.insert("O-ARRAY-WRITE");
+                   E2.recordRuleApp(lithium::Builtin::ArrayWrite);
                    TermRef Xs = Hit.ArrTy->Refn;
                    if (!E2.solveSideCond(mkLt(Hit.Index, mkLLen(Xs)),
                                          XP->Loc))

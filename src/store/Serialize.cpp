@@ -17,6 +17,7 @@ using namespace rcc;
 using namespace rcc::store;
 using namespace rcc::refinedc;
 using rcc::lithium::DerivStep;
+using rcc::lithium::Label;
 
 //===----------------------------------------------------------------------===//
 // BinaryWriter / BinaryReader
@@ -273,14 +274,16 @@ std::string rcc::store::serializeFnResult(const FnResult &R) {
   Body.u32(R.Stats.SideCondAuto);
   Body.u32(R.Stats.SideCondManual);
   Body.u32(R.Stats.GoalSteps);
+  // Labels are written as their names, in name order: label ids depend on
+  // the order a process interned them in.
   Body.u32(static_cast<uint32_t>(R.Stats.RulesUsed.size()));
-  for (const std::string &N : R.Stats.RulesUsed)
-    Body.str(N);
+  for (Label L : R.Stats.RulesUsed.byName())
+    Body.str(L.name());
 
   Body.u32(static_cast<uint32_t>(R.Deriv.Steps.size()));
   for (const DerivStep &S : R.Deriv.Steps) {
     Body.u8(static_cast<uint8_t>(S.K));
-    Body.str(S.Rule);
+    Body.str(S.Rule.name());
     Body.u32(Terms.ref(S.Prop));
     Body.u32(static_cast<uint32_t>(S.Hyps.size()));
     for (pure::TermRef H : S.Hyps)
@@ -345,11 +348,14 @@ bool rcc::store::deserializeFnResult(std::string_view Data, FnResult &Out) {
     return false;
   if (Count > R.remaining() / 4)
     return false;
+  // A name resolves to its label without a string of its own. A name that
+  // no rule of this process carries still gets a label, so the replay can
+  // reject the step that applies it by name.
   for (uint32_t I = 0; I < Count; ++I) {
-    std::string N;
-    if (!R.str(N))
+    std::string_view N;
+    if (!R.view(N))
       return false;
-    Out.Stats.RulesUsed.insert(std::move(N));
+    Out.Stats.RulesUsed.insert(Label::intern(N));
   }
 
   if (!R.u32(Count))
@@ -359,30 +365,34 @@ bool rcc::store::deserializeFnResult(std::string_view Data, FnResult &Out) {
   if (Count > R.remaining() / 14)
     return false;
   Out.Deriv.Steps.reserve(Count);
+  std::vector<pure::TermRef> Hyps;
   for (uint32_t I = 0; I < Count; ++I) {
     DerivStep S;
     uint8_t Kind;
+    std::string_view Name;
     uint32_t PropRef, NHyps;
-    if (!R.u8(Kind) || !R.str(S.Rule) || !R.u32(PropRef) || !R.u32(NHyps))
+    if (!R.u8(Kind) || !R.view(Name) || !R.u32(PropRef) || !R.u32(NHyps))
       return false;
     if (Kind > DerivStep::Intro)
       return false;
     S.K = static_cast<DerivStep::SKind>(Kind);
+    S.Rule = Label::intern(Name);
     if (!Terms.resolve(PropRef, S.Prop))
       return false;
     if (NHyps > R.remaining() / 4)
       return false;
-    S.Hyps.reserve(NHyps);
+    Hyps.clear();
     for (uint32_t H = 0; H < NHyps; ++H) {
       uint32_t HRef;
       pure::TermRef HT;
       if (!R.u32(HRef) || !Terms.resolve(HRef, HT) || !HT)
         return false;
-      S.Hyps.push_back(HT);
+      Hyps.push_back(HT);
     }
+    S.Hyps = lithium::HypList::intern(Hyps);
     if (!R.boolean(S.Manual))
       return false;
-    Out.Deriv.Steps.push_back(std::move(S));
+    Out.Deriv.Steps.push_back(S);
   }
 
   if (!R.u32(Out.EvarsInstantiated) || !R.u32(Out.BacktrackedSteps) ||

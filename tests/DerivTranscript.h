@@ -20,8 +20,8 @@
 #include <string>
 
 inline std::string stepTranscript(const rcc::lithium::DerivStep &S) {
-  std::string Out = std::to_string(S.K) + "|" + S.Rule + "|" +
-                    (S.Prop ? S.Prop->str() : std::string());
+  std::string Out = std::to_string(S.K) + "|" + std::string(S.Rule.name()) +
+                    "|" + (S.Prop ? S.Prop->str() : std::string());
   for (rcc::pure::TermRef H : S.Hyps)
     Out += "|" + H->str();
   if (S.Manual)

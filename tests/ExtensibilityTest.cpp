@@ -75,7 +75,7 @@ TEST(Extensibility, UserRegisteredRuleIsPickedUpAutomatically) {
 
   FnResult R = C.verifyFunction("flip", {});
   EXPECT_TRUE(R.Verified) << R.renderError(BitNotSource);
-  EXPECT_TRUE(R.Stats.RulesUsed.count("UNOP-BITNOT-USER"));
+  EXPECT_TRUE(R.Stats.RulesUsed.contains(Label::intern("UNOP-BITNOT-USER")));
 
   // The proof checker accepts derivations using the registered rule (it
   // checks against the same registry).
@@ -177,7 +177,7 @@ unsigned int inc(unsigned int x) { return x + 1; }
     Derivation D = R.Deriv;
     for (DerivStep &S : D.Steps)
       if (S.K == DerivStep::RuleApp) {
-        S.Rule = "NOT-A-RULE";
+        S.Rule = Label::intern("NOT-A-RULE");
         break;
       }
     EXPECT_FALSE(PC.check(D).Ok);
@@ -191,7 +191,7 @@ unsigned int inc(unsigned int x) { return x + 1; }
     for (DerivStep &S : D.Steps)
       if (S.K == DerivStep::SideCond && S.Prop) {
         S.Prop = False;
-        S.Hyps.clear();
+        S.Hyps = {};
         Tampered = true;
         break;
       }
@@ -223,7 +223,7 @@ unsigned int inc_unbounded(unsigned int x) { return x + 1; }
   ASSERT_FALSE(R.Deriv.Steps.empty());
   const DerivStep &Last = R.Deriv.Steps.back();
   ASSERT_EQ(Last.K, DerivStep::SideCond);
-  ASSERT_EQ(Last.Rule, "failed");
+  ASSERT_EQ(Last.Rule, Builtin::Failed);
   ASSERT_TRUE(Last.Prop != nullptr);
   ProofChecker PC(C.rules());
   ProofCheckResult PR = PC.check(R.Deriv);

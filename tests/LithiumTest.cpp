@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace rcc;
 using namespace rcc::lithium;
 using namespace rcc::refinedc;
@@ -223,6 +225,28 @@ TEST_F(EngineFixture, GoalTrueFlushesPending) {
   // Proving True must fail: the evar is never determined and the condition
   // cannot be closed.
   EXPECT_FALSE(E->prove(gTrue()));
+}
+
+TEST_F(EngineFixture, ProvedSideConditionsShareInternedHypotheses) {
+  TermRef A = mkVar("a", Sort::Nat), B = mkVar("b", Sort::Nat),
+          C = mkVar("c", Sort::Nat);
+  E->addFact(mkLe(A, B));
+  ASSERT_TRUE(E->solveSideCond(mkLe(A, mkAdd(B, mkNat(1))), {}));
+  ASSERT_TRUE(E->solveSideCond(mkLe(A, mkAdd(B, mkNat(2))), {}));
+  E->addFact(mkLe(B, C));
+  ASSERT_TRUE(E->solveSideCond(mkLe(A, C), {}));
+  ASSERT_EQ(Deriv.Steps.size(), 3u);
+  const DerivStep &First = Deriv.Steps[0], &Second = Deriv.Steps[1],
+                  &Third = Deriv.Steps[2];
+  EXPECT_EQ(First.K, DerivStep::SideCond);
+  EXPECT_EQ(First.Rule.name(), "default");
+  // Each step records the Γ of its moment; equal Γs are one list.
+  EXPECT_EQ(First.Hyps.terms(), (std::vector<TermRef>{mkLe(A, B)}));
+  EXPECT_EQ(Second.Hyps, First.Hyps);
+  EXPECT_EQ(Third.Hyps.terms(),
+            (std::vector<TermRef>{mkLe(A, B), mkLe(B, C)}));
+  EXPECT_EQ(HypList::intern(Third.Hyps.terms()), Third.Hyps);
+  EXPECT_TRUE(HypList::intern({}).empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -453,4 +477,44 @@ TEST_F(BareEngineFixture, FingerprintChangesWithKeysAndRules) {
   EXPECT_NE(Other.fingerprint(), F1)
       << "a key change must change the dispatch fingerprint (persisted "
          "results key on it)";
+}
+
+//===----------------------------------------------------------------------===//
+// Derivation layout and labels
+//===----------------------------------------------------------------------===//
+
+TEST(DerivationLayout, StepIsAFlatRecordOf24Bytes) {
+  // A result holds one step per rule application and side condition, and
+  // the store, L1 and every loaded entry copy them: no step owns memory.
+  static_assert(sizeof(DerivStep) <= 24);
+  static_assert(std::is_trivially_copyable_v<DerivStep>);
+  SUCCEED();
+}
+
+TEST(Labels, InterningIsIdempotentAndBuiltinsAreFixed) {
+  Label A = Label::intern("LABEL-TEST-RULE");
+  EXPECT_EQ(Label::intern("LABEL-TEST-RULE"), A);
+  EXPECT_EQ(A.name(), "LABEL-TEST-RULE");
+  EXPECT_FALSE(A.isBuiltinRule());
+  EXPECT_EQ(Label::intern(""), Label());
+  EXPECT_EQ(Label().name(), "");
+  for (size_t I = 0; I < std::size(BuiltinSteps); ++I) {
+    Label B = static_cast<Builtin>(I);
+    EXPECT_EQ(B.name(), BuiltinSteps[I].Name);
+    EXPECT_EQ(Label::intern(BuiltinSteps[I].Name), B);
+    EXPECT_EQ(B.isBuiltinRule(), BuiltinSteps[I].RuleApp) << B.name();
+  }
+}
+
+TEST(Labels, SetListsItsMembersByName) {
+  // Interned in an order that is not the name order.
+  Label Z = Label::intern("zz-label-set"), A = Label::intern("aa-label-set"),
+        M = Label::intern("mm-label-set");
+  LabelSet S;
+  for (Label L : {M, Z, A, Z, M})
+    S.insert(L);
+  EXPECT_EQ(S.size(), 3u);
+  EXPECT_TRUE(S.contains(A));
+  EXPECT_FALSE(S.contains(Label::intern("not-in-the-set")));
+  EXPECT_EQ(S.byName(), (std::vector<Label>{A, M, Z}));
 }

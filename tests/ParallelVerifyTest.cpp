@@ -53,8 +53,8 @@ std::string serialize(const FnResult &R) {
     OS << C << '\x1e';
   OS << '\x1f' << R.Stats.RuleApps << '\x1f' << R.Stats.SideCondAuto << '\x1f'
      << R.Stats.SideCondManual << '\x1f' << R.Stats.GoalSteps << '\x1f';
-  for (const std::string &N : R.Stats.RulesUsed)
-    OS << N << '\x1e';
+  for (lithium::Label L : R.Stats.RulesUsed.byName())
+    OS << L.name() << '\x1e';
   OS << '\x1f' << R.EvarsInstantiated << '\x1f' << R.BacktrackedSteps
      << '\x1f' << R.Rechecked << '\x1f' << R.RecheckOk << '\x1f'
      << R.Deriv.Steps.size() << '\x1f';
@@ -265,9 +265,15 @@ TEST(ParallelVerify, RegistryNameIndex) {
   lithium::RuleRegistry R;
   registerStandardRules(R);
   ASSERT_GT(R.numRules(), 50u);
-  EXPECT_TRUE(R.hasRule("T-STMT"));
-  EXPECT_TRUE(R.hasRule("READ-INT"));
-  EXPECT_FALSE(R.hasRule("definitely_not_a_rule"));
+  EXPECT_TRUE(R.hasRule(lithium::Label::intern("T-STMT")));
+  EXPECT_TRUE(R.hasRule(lithium::Label::intern("READ-INT")));
+  EXPECT_FALSE(R.hasRule(lithium::Label::intern("definitely_not_a_rule")));
+  // A label resolves to the rule it names.
+  const lithium::Rule *Read = R.rule(lithium::Label::intern("READ-INT"));
+  ASSERT_NE(Read, nullptr);
+  EXPECT_EQ(Read->Name, "READ-INT");
+  // Built-in steps are no registry rules.
+  EXPECT_FALSE(R.hasRule(lithium::Builtin::UnfoldNamed));
 }
 
 //===----------------------------------------------------------------------===//

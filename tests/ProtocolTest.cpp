@@ -281,6 +281,84 @@ TEST(EventWire, EnvelopeCarriesTheRequestId) {
   EXPECT_EQ(ReqId, kMaxRequestId);
 }
 
+/// A line of event \p Kind carrying \p Fields (already rendered, without
+/// the surrounding braces) after its envelope.
+static std::string eventLine(const std::string &Kind,
+                             const std::string &Fields) {
+  return "{\"v\": 2, \"id\": 0, \"event\": \"" + Kind + "\", " + Fields +
+         "}";
+}
+
+TEST(EventWire, UnsignedFieldsRejectWhatTheyCannotHold) {
+  // Every `unsigned` field of every kind, with the fields its kind needs
+  // around it; "%" marks the value under test.
+  const std::pair<const char *, const char *> Fields[] = {
+      {"revision", "\"rev\": %, \"file\": \"a.c\""},
+      {"revision_done", "\"rev\": %"},
+      {"revision_done", "\"functions\": %"},
+      {"revision_done", "\"reverified\": %"},
+      {"revision_done", "\"cached\": %"},
+      {"revision_done", "\"l1_hits\": %"},
+      {"revision_done", "\"l2_hits\": %"},
+      {"revision_done", "\"replayed\": %"},
+      {"revision_done", "\"failed\": %"},
+      {"status", "\"functions\": %"},
+      {"diagnostic",
+       "\"fn\": \"f\", \"error\": \"e\", \"line\": %, \"col\": 1"},
+      {"diagnostic",
+       "\"fn\": \"f\", \"error\": \"e\", \"line\": 1, \"col\": %"},
+      {"diagnostic", "\"fn\": \"f\", \"error\": \"e\", \"diagnostic\": "
+                     "{\"line\": %, \"col\": 1, \"message\": \"e\"}"},
+      {"diagnostic", "\"fn\": \"f\", \"error\": \"e\", \"diagnostic\": "
+                     "{\"line\": 1, \"col\": %, \"message\": \"e\"}"},
+      {"diagnostic", "\"fn\": \"f\", \"error\": \"e\", \"diagnostic\": "
+                     "{\"line\": 1, \"col\": 1, \"end_line\": %, "
+                     "\"end_col\": 1, \"message\": \"e\"}"},
+      {"diagnostic", "\"fn\": \"f\", \"error\": \"e\", \"diagnostic\": "
+                     "{\"line\": 1, \"col\": 1, \"end_line\": 1, "
+                     "\"end_col\": %, \"message\": \"e\"}"},
+      {"error", "\"message\": \"m\", \"line\": %, \"col\": 1"},
+      {"error", "\"message\": \"m\", \"line\": 1, \"col\": %"},
+      {"shutdown", "\"rev\": %"},
+  };
+  auto with = [](std::string Fmt, const std::string &Value) {
+    Fmt.replace(Fmt.find('%'), 1, Value);
+    return Fmt;
+  };
+  Event R;
+  for (const auto &[Kind, Fmt] : Fields) {
+    // The largest value an unsigned holds is accepted.
+    EXPECT_TRUE(
+        Event::fromJsonLine(eventLine(Kind, with(Fmt, "4294967295")), R))
+        << Kind << ": " << Fmt;
+    // 2^32 + 2 used to read as 2, -1 as 4294967295 and 2.9 as 2.
+    for (const char *Bad : {"4294967296", "4294967298", "-1", "2.9", "1e300",
+                            "\"3\"", "null"})
+      EXPECT_FALSE(Event::fromJsonLine(eventLine(Kind, with(Fmt, Bad)), R))
+          << Kind << ": " << Fmt << " with " << Bad;
+  }
+}
+
+TEST(EventWire, GcByteCountsRejectWhatADoubleCannotCarry) {
+  const char *Fields[] = {"bytes_before", "bytes_after", "evicted",
+                          "max_bytes"};
+  Event R;
+  for (const char *F : Fields) {
+    std::string Key = "\"" + std::string(F) + "\": ";
+    // 2^53 is the largest count a double carries exactly.
+    ASSERT_TRUE(
+        Event::fromJsonLine(eventLine("gc", Key + "9007199254740992"), R))
+        << F;
+    EXPECT_EQ(R.BytesBefore + R.BytesAfter + R.Evicted + R.MaxBytes,
+              uint64_t(1) << 53)
+        << F;
+    for (const char *Bad :
+         {"9007199254740994", "18446744073709551616", "-1", "2.9", "\"3\""})
+      EXPECT_FALSE(Event::fromJsonLine(eventLine("gc", Key + Bad), R))
+          << F << " with " << Bad;
+  }
+}
+
 TEST(EventWire, GarbageRejected) {
   Event R;
   EXPECT_FALSE(Event::fromJsonLine("", R));

@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -206,14 +207,82 @@ size_t countEntries(const std::string &Dir) {
   return N;
 }
 
+/// Rewrites the payload of the one entry in \p Dir through \p Edit and
+/// seals the envelope again (magic, format, tool, name, key, checksum), so
+/// the forgery is well-formed and only the replay can catch it.
+void rewriteOnlyEntry(const std::string &Dir,
+                      const std::function<void(std::string &)> &Edit) {
+  fs::path EntryPath;
+  for (const auto &E : fs::directory_iterator(Dir))
+    if (E.path().extension() == ".rcv")
+      EntryPath = E.path();
+  std::ifstream In(EntryPath, std::ios::binary);
+  std::string Raw((std::istreambuf_iterator<char>(In)),
+                  std::istreambuf_iterator<char>());
+  In.close();
+
+  BinaryReader R(Raw);
+  uint32_t Magic = 0, Format = 0;
+  std::string Tool, Name, Payload;
+  uint64_t Key = 0, Checksum = 0;
+  ASSERT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
+              R.u64(Key) && R.str(Payload) && R.u64(Checksum));
+  Edit(Payload);
+
+  BinaryWriter W;
+  W.u32(Magic);
+  W.u32(Format);
+  W.str(Tool);
+  W.str(Name);
+  W.u64(Key);
+  W.str(Payload);
+  W.u64(checksumBytes(Payload));
+  std::ofstream Out(EntryPath, std::ios::binary | std::ios::trunc);
+  Out.write(W.data().data(), static_cast<std::streamsize>(W.data().size()));
+}
+
+/// Replaces every length-prefixed occurrence of \p From in \p Payload, the
+/// way the writer stores a rule or engine name, by \p To of the same
+/// length, so the payload stays well-formed. Returns how many it replaced.
+size_t renameInPayload(std::string &Payload, std::string_view From,
+                       std::string_view To) {
+  EXPECT_EQ(From.size(), To.size());
+  BinaryWriter Pat, Rep;
+  Pat.str(From);
+  Rep.str(To);
+  size_t N = 0;
+  for (size_t At = Payload.find(Pat.data()); At != std::string::npos;
+       At = Payload.find(Pat.data(), At + Rep.data().size())) {
+    Payload.replace(At, Rep.data().size(), Rep.data());
+    ++N;
+  }
+  return N;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//
 
-TEST(Store, SerializationRoundTripsAndReInternsTerms) {
-  FnResult R = verifiedInc();
+namespace {
+
+/// The kinds of label a derivation step can carry; the round trip must see
+/// every one.
+struct LabelKinds {
+  bool Registry = false, Builtin = false, BitVector = false,
+       Collections = false, Lemma = false;
+};
+
+/// Serializes \p R, reads it back and expects every step to survive: its
+/// transcript, its label, its proposition and its hypothesis list, the
+/// terms pointer-equal to the live ones (they are hash-consed, so a loaded
+/// derivation replays exactly like a fresh one). Writing the loaded result
+/// again must give the same bytes. Notes in \p Seen which kinds of label
+/// the steps carried.
+void expectRoundTrip(const FnResult &R, const lithium::RuleRegistry &Rules,
+                     LabelKinds &Seen) {
+  SCOPED_TRACE(R.Name);
   std::string Bytes = serializeFnResult(R);
   ASSERT_FALSE(Bytes.empty());
 
@@ -232,7 +301,6 @@ TEST(Store, SerializationRoundTripsAndReInternsTerms) {
   EXPECT_EQ(L.WallMillis, R.WallMillis);
   ASSERT_EQ(L.Deriv.Steps.size(), R.Deriv.Steps.size());
 
-  bool SawSideCond = false;
   for (size_t I = 0; I < R.Deriv.Steps.size(); ++I) {
     const lithium::DerivStep &A = R.Deriv.Steps[I];
     const lithium::DerivStep &B = L.Deriv.Steps[I];
@@ -240,25 +308,71 @@ TEST(Store, SerializationRoundTripsAndReInternsTerms) {
     EXPECT_EQ(A.Rule, B.Rule);
     EXPECT_EQ(stepTranscript(A), stepTranscript(B));
     EXPECT_EQ(A.Manual, B.Manual);
-    // Terms are hash-consed: the deserialized terms must be *pointer-equal*
-    // to the live ones, so a loaded derivation replays exactly like a fresh
-    // one.
     EXPECT_EQ(A.Prop, B.Prop);
     ASSERT_EQ(A.Hyps.size(), B.Hyps.size());
     for (size_t H = 0; H < A.Hyps.size(); ++H)
       EXPECT_EQ(A.Hyps[H], B.Hyps[H]);
-    if (A.K == lithium::DerivStep::SideCond && A.Prop)
-      SawSideCond = true;
-  }
-  EXPECT_TRUE(SawSideCond) << "test needs a derivation with side conditions";
+    // Hypothesis lists are interned like terms: the loaded list is the
+    // live one.
+    EXPECT_EQ(A.Hyps, B.Hyps);
 
-  // And the loaded derivation replays through the independent checker.
-  auto AP = compile(kIncSource);
-  DiagnosticEngine Diags;
-  Checker C(*AP, Diags);
-  ASSERT_TRUE(C.buildEnv());
-  ProofChecker PC(C.rules());
-  EXPECT_TRUE(PC.check(L.Deriv).Ok);
+    std::string_view N = A.Rule.name();
+    Seen.Registry |= Rules.hasRule(A.Rule);
+    for (const lithium::BuiltinStep &BS : lithium::BuiltinSteps)
+      Seen.Builtin |= N == BS.Name;
+    Seen.BitVector |= N == "bitvector";
+    Seen.Collections |= N == "multiset_solver" || N == "set_solver";
+    Seen.Lemma |= N.starts_with("lemma:");
+  }
+  EXPECT_EQ(serializeFnResult(L), Bytes);
+}
+
+} // namespace
+
+TEST(Store, SerializationRoundTripsAndReInternsTerms) {
+  LabelKinds Seen;
+  {
+    FnResult R = verifiedInc();
+    bool SawSideCond = false;
+    for (const lithium::DerivStep &S : R.Deriv.Steps)
+      SawSideCond |=
+          S.K == lithium::DerivStep::SideCond && S.Prop && !S.Hyps.empty();
+    EXPECT_TRUE(SawSideCond) << "test needs a side condition with hypotheses";
+
+    auto AP = compile(kIncSource);
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    expectRoundTrip(R, C.rules(), Seen);
+
+    // And the loaded derivation replays through the independent checker.
+    FnResult L;
+    ASSERT_TRUE(deserializeFnResult(serializeFnResult(R), L));
+    ProofChecker PC(C.rules());
+    EXPECT_TRUE(PC.check(L.Deriv).Ok);
+  }
+
+  // The case studies carry the labels `inc` never produces: built-in steps,
+  // the bit-vector and collection solvers, and lemmas.
+  for (const casestudies::CaseStudy &CS : casestudies::allCaseStudies()) {
+    SCOPED_TRACE(CS.Id);
+    auto AP = compile(CS.Source);
+    ASSERT_NE(AP, nullptr);
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv()) << Diags.render(CS.Source);
+    VerifyOptions Opts;
+    Opts.NoCache = true;
+    ProgramResult PR = C.verifyFunctions(CS.Functions, Opts);
+    EXPECT_TRUE(PR.allVerified());
+    for (const FnResult &R : PR.Fns)
+      expectRoundTrip(R, C.rules(), Seen);
+  }
+  EXPECT_TRUE(Seen.Registry);
+  EXPECT_TRUE(Seen.Builtin);
+  EXPECT_TRUE(Seen.BitVector);
+  EXPECT_TRUE(Seen.Collections);
+  EXPECT_TRUE(Seen.Lemma);
 }
 
 TEST(Store, DeserializeRejectsEveryTruncation) {
@@ -586,46 +700,20 @@ TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
   // Forge a *well-formed* entry whose derivation claims a false side
   // condition: the envelope (magic/version/key/checksum) is valid, so only
   // the replay can catch it.
-  fs::path EntryPath;
-  for (const auto &E : fs::directory_iterator(Dir.str()))
-    if (E.path().extension() == ".rcv")
-      EntryPath = E.path();
-  std::ifstream In(EntryPath, std::ios::binary);
-  std::string Raw((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-  In.close();
-
-  BinaryReader R(Raw);
-  uint32_t Magic = 0, Format = 0;
-  std::string Tool, Name, Payload;
-  uint64_t Key = 0, Checksum = 0;
-  ASSERT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
-              R.u64(Key) && R.str(Payload) && R.u64(Checksum));
-
-  FnResult Entry;
-  ASSERT_TRUE(deserializeFnResult(Payload, Entry));
-  bool Tampered = false;
-  for (lithium::DerivStep &S : Entry.Deriv.Steps)
-    if (S.K == lithium::DerivStep::SideCond && S.Prop) {
-      S.Prop = mkLe(mkNat(5), mkNat(3));
-      S.Hyps.clear();
-      Tampered = true;
-      break;
-    }
-  ASSERT_TRUE(Tampered);
-
-  std::string NewPayload = serializeFnResult(Entry);
-  BinaryWriter W;
-  W.u32(Magic);
-  W.u32(Format);
-  W.str(Tool);
-  W.str(Name);
-  W.u64(Key);
-  W.str(NewPayload);
-  W.u64(checksumBytes(NewPayload));
-  std::ofstream Out(EntryPath, std::ios::binary | std::ios::trunc);
-  Out.write(W.data().data(), static_cast<std::streamsize>(W.data().size()));
-  Out.close();
+  rewriteOnlyEntry(Dir.str(), [](std::string &Payload) {
+    FnResult Entry;
+    ASSERT_TRUE(deserializeFnResult(Payload, Entry));
+    bool Tampered = false;
+    for (lithium::DerivStep &S : Entry.Deriv.Steps)
+      if (S.K == lithium::DerivStep::SideCond && S.Prop) {
+        S.Prop = mkLe(mkNat(5), mkNat(3));
+        S.Hyps = {};
+        Tampered = true;
+        break;
+      }
+    ASSERT_TRUE(Tampered);
+    Payload = serializeFnResult(Entry);
+  });
 
   // The forged entry passes the envelope but fails the replay: it is
   // dropped and the function re-verified from scratch — and the fresh
@@ -640,6 +728,114 @@ TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
   EXPECT_TRUE(PR.allVerified());
   EXPECT_TRUE(PR.allRechecksOk());
   EXPECT_EQ(countEntries(Dir.str()), 1u) << "healed entry re-published";
+}
+
+TEST(Store, EntryNamingAnUnregisteredRuleFailsReplayAndIsReVerified) {
+  // A well-formed entry whose derivation applies a rule no session of this
+  // process registered: loading it gives the name a label all the same,
+  // and the replay rejects the step, naming the rule. That is a replay
+  // failure, not a corrupt drop, and the function is verified afresh.
+  TempDir Dir;
+  auto AP = compile(kIncSource);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    ASSERT_TRUE(C.verifyFunctions({"inc"}, Opts).allVerified());
+  }
+  std::string Forged;
+  rewriteOnlyEntry(Dir.str(), [&Forged](std::string &Payload) {
+    // Every function body starts with a T-STMT application.
+    EXPECT_GT(renameInPayload(Payload, "T-STMT", "T-FAKE"), 0u);
+    Forged = Payload;
+  });
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
+  EXPECT_EQ(PR.ReplayFailures, 1u);
+  EXPECT_EQ(PR.CorruptDrops, 0u);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.CacheMisses, 1u);
+  EXPECT_TRUE(PR.allVerified());
+  EXPECT_TRUE(PR.allRechecksOk());
+
+  FnResult Entry;
+  ASSERT_TRUE(deserializeFnResult(Forged, Entry));
+  ProofCheckResult Replay = ProofChecker(C.rules()).check(Entry.Deriv);
+  EXPECT_FALSE(Replay.Ok);
+  EXPECT_EQ(Replay.Error, "derivation applies unknown rule 'T-FAKE'");
+}
+
+TEST(Store, ConcurrentLoadsGiveAnUnseenNameOneLabel) {
+  // Two threads load the same entries at once, and the entries name rules
+  // and solver engines this process has never seen: each name must come
+  // back as one label that renders it. (check.sh runs test_store under
+  // TSan, which watches the label table here.)
+  std::map<std::string, std::string> Fresh; // name -> unseen name
+  std::vector<std::string> Payloads;
+  std::vector<std::vector<std::string>> Want; // each payload's step names
+  for (const char *Id : {"bitmap", "hashmap"}) {
+    const casestudies::CaseStudy *CS = casestudies::caseStudy(Id);
+    ASSERT_NE(CS, nullptr);
+    auto AP = compile(CS->Source);
+    ASSERT_NE(AP, nullptr);
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    VerifyOptions Opts;
+    Opts.NoCache = true;
+    for (const FnResult &R : C.verifyFunctions(CS->Functions, Opts).Fns) {
+      std::string Bytes = serializeFnResult(R);
+      std::vector<std::string> Names;
+      for (const lithium::DerivStep &S : R.Deriv.Steps) {
+        std::string N(S.Rule.name());
+        if (N.size() >= 6 && !Fresh.count(N)) {
+          // "%<n>" padded to the name's length: no rule or engine name
+          // starts with '%'.
+          std::string F = "%" + std::to_string(Fresh.size());
+          Fresh[N] = F + std::string(N.size() - F.size(), '#');
+        }
+        Names.push_back(Fresh.count(N) ? Fresh[N] : N);
+      }
+      for (const auto &[From, To] : Fresh)
+        renameInPayload(Bytes, From, To);
+      Payloads.push_back(std::move(Bytes));
+      Want.push_back(std::move(Names));
+    }
+  }
+  ASSERT_GT(Fresh.size(), 5u);
+
+  std::atomic<bool> Go{false};
+  auto Load = [&](std::vector<std::vector<lithium::Label>> &Out) {
+    while (!Go.load())
+      std::this_thread::yield();
+    for (const std::string &P : Payloads) {
+      FnResult L;
+      Out.emplace_back();
+      if (!deserializeFnResult(P, L))
+        continue;
+      for (const lithium::DerivStep &S : L.Deriv.Steps)
+        Out.back().push_back(S.Rule);
+    }
+  };
+  std::vector<std::vector<lithium::Label>> A, B;
+  std::thread TA(Load, std::ref(A)), TB(Load, std::ref(B));
+  Go = true;
+  TA.join();
+  TB.join();
+
+  EXPECT_EQ(A, B);
+  ASSERT_EQ(A.size(), Want.size());
+  for (size_t P = 0; P < A.size(); ++P) {
+    ASSERT_EQ(A[P].size(), Want[P].size()) << "payload " << P;
+    for (size_t I = 0; I < A[P].size(); ++I)
+      EXPECT_EQ(A[P][I].name(), Want[P][I]);
+  }
 }
 
 TEST(Store, TrustedFlagInAnL2EntryDoesNotVerify) {
